@@ -5,8 +5,7 @@ passes."""
 
 from .config import RunConfig, load_config, parse_config
 from .dpam import dpam, dpam_vjp, mgdfis_fuse, mgdfis_fuse_vjp
-from .errors import (ConfigError, GradCheckError, MgdfisError, ShapeError,
-                     TensorFormatError)
+from .errors import ConfigError, MgdfisError, ShapeError, TensorFormatError
 from .ftssa import (daff, dyt, ftssa, ftssa_vjp, mona, mona_op, seff, serr,
                     tssa, tssa_tokens, xmona)
 from .gdim import (aggregate, dmm, dmm_attention, dmm_directional, gdim,

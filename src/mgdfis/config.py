@@ -46,6 +46,9 @@ class RunConfig:
         if self.tssa_pi_mode not in PI_MODES:
             raise ConfigError(f"tssa_pi_mode must be one of {', '.join(PI_MODES)}, "
                               f"got '{self.tssa_pi_mode}'")
+        if self.f1_shape[0] != self.f2_shape[0]:
+            raise ConfigError(f"f1_shape and f2_shape must share the batch size, "
+                              f"got {self.f1_shape[0]} and {self.f2_shape[0]}")
         if self.f1_shape[1] % self.k:
             raise ConfigError(f"k {self.k} must divide the f1 channel count "
                               f"{self.f1_shape[1]}")

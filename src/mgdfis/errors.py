@@ -35,7 +35,3 @@ class ShapeError(MgdfisError):
         super().__init__(
             f"{op}: axis '{axis}' expected {expected}, got {actual}"
         )
-
-
-class GradCheckError(MgdfisError):
-    """Raised when an analytic gradient is non-finite; names the parameter."""

@@ -16,7 +16,7 @@ from .ftssa import ftssa, ftssa_vjp
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (AggregateParams, DmmParams, GmmParams, add_params,
                      zeros_like_params)
-from .tensor import as_feature_map, require_same_shape
+from .tensor import as_feature_map
 
 
 # ---------------------------------------------------------------------------

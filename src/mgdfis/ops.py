@@ -6,10 +6,11 @@ comes with a hand-written vector-Jacobian product (`*_vjp`) so gradients can
 be verified against central differences.  There is no tape: composite ops
 chain these VJPs explicitly.
 
-conv2d has two paths: a direct nested-loop reference (`method="direct"`) and
-an im2col/GEMM path (`method="im2col"`, the default behind "auto").  The two
-are validated against each other in the test suite; the FLOP estimator counts
-the direct form.
+conv2d is one shift-and-accumulate kernel (kn2row style): each kernel offset
+adds W[:, :, i, j] @ x[window] into the output range whose input lies inside
+the unpadded map, so there is no patch tensor and no padded copy.  One
+product serves a kernel row, depthwise rows are broadcast multiplies, and a
+1x1 conv is one matmul.  conv2d_vjp is the adjoint of the same schedule.
 """
 
 from dataclasses import dataclass
@@ -19,10 +20,6 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, ShapeError
-
-# im2col patch buffers are chunked over output rows above this element count
-# so large kernels (7x7 on 80x80 maps) stay within a few hundred MB.
-_PATCH_BUDGET = 1 << 25
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +83,10 @@ def same_padding(kernel_h, kernel_w, dilation=(1, 1)):
             (eff_w - 1) // 2, eff_w - 1 - (eff_w - 1) // 2)
 
 
+@lru_cache(maxsize=256)
 def same_spec(channels, kernel_h, kernel_w, out_channels=None, groups=1, dilation=(1, 1)):
-    """Stride-1 "same" ConvSpec helper."""
+    """Stride-1 "same" ConvSpec helper; specs are frozen, so calls with the
+    same arguments share one validated instance."""
     return ConvSpec(
         in_channels=channels,
         out_channels=channels if out_channels is None else out_channels,
@@ -110,116 +109,107 @@ def _check_conv_args(x, w, b, spec):
         raise ShapeError("conv2d", "bias", (spec.out_channels,), tuple(b.shape))
 
 
-def _row_chunks(ho, wo, kdim):
-    rows = max(1, _PATCH_BUDGET // max(1, kdim * wo))
-    for r0 in range(0, ho, rows):
-        yield r0, min(r0 + rows, ho)
+def _tap_span(n_in, n_out, offset, stride):
+    """Slices of the outputs o whose input o * stride + offset lies in
+    [0, n_in), and of those inputs; None when all of them read padding."""
+    lo = max(0, -(offset // stride))
+    hi = min(n_out, (n_in - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + offset
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
-def _gather_patches(xp, spec, r0, r1, wo):
-    """Patch tensor (N, C, kh, kw, rows, wo) for output rows [r0, r1)."""
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    rows = np.arange(r0, r1) * sh + np.arange(spec.kernel_h)[:, None] * dh
-    cols = np.arange(wo) * sw + np.arange(spec.kernel_w)[:, None] * dw
-    pat = xp[:, :, rows[:, :, None, None], cols[None, None, :, :]]
-    # (N, C, kh, rows, kw, wo) -> (N, C, kh, kw, rows, wo)
-    return pat.transpose(0, 1, 2, 4, 3, 5)
+@lru_cache(maxsize=256)
+def _conv_plan(spec, h, w):
+    """Schedule over an (h, w) input: (ho, wo, j0, j1, rows).
+
+    Kernel columns [j0, j1) read inside the map.  Each kernel row i that
+    does gives (i, input rows, output row count nr, taps).  Its product
+    fills the first nr rows of an (n, g, j1 - j0, og, ho, w) buffer, and a
+    tap pairs an index into the (n, g, og, ho, wo) output with its part of
+    that buffer, which covers the same columns in every row.
+    """
+    ho, wo = spec.output_hw(h, w)
+    cols = [_tap_span(w, wo, j * spec.dilation[1] - spec.padding[2], spec.stride[1])
+            for j in range(spec.kernel_w)]
+    inside = [j for j, c in enumerate(cols) if c is not None]
+    if not inside:
+        return ho, wo, 0, 0, ()
+    j0, every = inside[0], slice(None)
+    rows = []
+    for i in range(spec.kernel_h):
+        span = _tap_span(h, ho, i * spec.dilation[0] - spec.padding[0], spec.stride[0])
+        if span is not None:
+            nr = span[0].stop - span[0].start
+            rows.append((i, span[1], nr, tuple(
+                ((every, every, every, span[0], cols[j][0]),
+                 (every, every, j - j0, every, slice(0, nr), cols[j][1]))
+                for j in inside)))
+    return ho, wo, j0, inside[-1] + 1, tuple(rows)
 
 
-def conv2d(x, w, b, spec: ConvSpec, method="auto"):
-    """Grouped / dilated 2-D convolution (cross-correlation convention)."""
+def _tap_weights(w, spec, j0, j1):
+    """Weights as (kh, g, (j1 - j0) * og, cg): one matrix per kernel row."""
+    g = spec.groups
+    wt = w.reshape(g, spec.out_channels // g, -1, spec.kernel_h, spec.kernel_w)
+    wt = np.ascontiguousarray(wt[..., j0:j1].transpose(3, 0, 4, 1, 2))
+    return wt.reshape(spec.kernel_h, g, -1, wt.shape[-1])
+
+
+def conv2d(x, w, b, spec: ConvSpec):
+    """Grouped / strided / dilated 2-D convolution (cross-correlation
+    convention), one product per kernel row."""
     _check_conv_args(x, w, b, spec)
-    if method == "direct":
-        return _conv2d_direct(x, w, b, spec)
-    if method not in ("auto", "im2col"):
-        raise ConfigError(f"conv2d: unknown method '{method}'")
-    return _conv2d_im2col(x, w, b, spec)
-
-
-def _conv2d_im2col(x, w, b, spec):
     n, _, h, wd = x.shape
-    ho, wo = spec.output_hw(h, wd)
+    ho, wo, j0, j1, rows = _conv_plan(spec, h, wd)
     g = spec.groups
-    cg = spec.in_channels // g
-    og = spec.out_channels // g
-    kdim = cg * spec.kernel_h * spec.kernel_w
-    pt, pb, pl, pr = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    wm = w.reshape(g, og, kdim)
-    out = np.empty((n, spec.out_channels, ho, wo))
-    for r0, r1 in _row_chunks(ho, wo, kdim):
-        pat = _gather_patches(xp, spec, r0, r1, wo)
-        cols = pat.reshape(n, g, kdim, (r1 - r0) * wo)
-        res = np.matmul(wm[None], cols)          # (n, g, og, rows*wo)
-        out[:, :, r0:r1, :] = res.reshape(n, spec.out_channels, r1 - r0, wo)
-    return out + b[None, :, None, None]
-
-
-def _conv2d_direct(x, w, b, spec):
-    """Reference nested-loop convolution; only sensible at tiny sizes."""
-    n, _, h, wd = x.shape
-    ho, wo = spec.output_hw(h, wd)
-    g = spec.groups
-    cg = spec.in_channels // g
-    og = spec.out_channels // g
-    pt, _, pl, _ = spec.padding
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    out = np.zeros((n, spec.out_channels, ho, wo))
-    for bi in range(n):
-        for co in range(spec.out_channels):
-            gi = co // og
-            for oh in range(ho):
-                for ow in range(wo):
-                    acc = 0.0
-                    for ci in range(cg):
-                        for ih in range(spec.kernel_h):
-                            yy = oh * sh + ih * dh - pt
-                            if yy < 0 or yy >= h:
-                                continue
-                            for iw in range(spec.kernel_w):
-                                xx = ow * sw + iw * dw - pl
-                                if xx < 0 or xx >= wd:
-                                    continue
-                                acc += x[bi, gi * cg + ci, yy, xx] * w[co, ci, ih, iw]
-                    out[bi, co, oh, ow] = acc + b[co]
-    return out
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    xg = x.reshape(n, g, cg, h, wd)
+    wt = _tap_weights(w, spec, j0, j1)
+    out = np.empty((n, g, og, ho, wo))
+    out[...] = b.reshape(g, og, 1, 1)
+    prod = np.empty((n, g, (j1 - j0) * og, ho * wd))
+    by_tap = prod.reshape(n, g, j1 - j0, og, ho, wd)
+    # depthwise rows are broadcast multiplies, the rest one GEMM each
+    row_product = np.multiply if cg == 1 else np.matmul
+    for i, in_rows, nr, taps in rows:
+        xr = xg[:, :, :, in_rows].reshape(n, g, cg, nr * wd)
+        row_product(wt[i], xr, out=prod[..., :nr * wd])
+        for dst, src in taps:
+            out[dst] += by_tap[src]
+    return out.reshape(n, spec.out_channels, ho, wo)
 
 
 def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
-    """Gradients of sum-style losses through conv2d: returns (gx, gw, gb)."""
+    """Gradients of sum-style losses through conv2d: returns (gx, gw, gb).
+    Per kernel row, gy is scattered into the forward's product layout; gx is
+    then the adjoint product and gw one GEMM against the same input rows."""
     _check_conv_args(x, w, b, spec)
     n, _, h, wd = x.shape
-    ho, wo = spec.output_hw(h, wd)
+    ho, wo, j0, j1, rows = _conv_plan(spec, h, wd)
     if gy.shape != (n, spec.out_channels, ho, wo):
         raise ShapeError("conv2d_vjp", "grad", (n, spec.out_channels, ho, wo), gy.shape)
-    g = spec.groups
-    cg = spec.in_channels // g
-    og = spec.out_channels // g
-    kh, kw = spec.kernel_h, spec.kernel_w
-    kdim = cg * kh * kw
-    pt, pb, pl, pr = spec.padding
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    wm = w.reshape(g, og, kdim)
-    gxp = np.zeros_like(xp)
-    gw = np.zeros((g, og, kdim))
-    for r0, r1 in _row_chunks(ho, wo, kdim):
-        rows = r1 - r0
-        pat = _gather_patches(xp, spec, r0, r1, wo)
-        cols = pat.reshape(n, g, kdim, rows * wo)
-        gym = gy[:, :, r0:r1, :].reshape(n, g, og, rows * wo)
-        gw += np.matmul(gym, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-        gcols = np.matmul(wm.transpose(0, 2, 1)[None], gym)
-        gpat = gcols.reshape(n, spec.in_channels, kh, kw, rows, wo)
-        for ih in range(kh):
-            y0 = r0 * sh + ih * dh
-            for iw in range(kw):
-                gxp[:, :, y0:y0 + sh * rows:sh, iw * dw:iw * dw + sw * wo:sw] += gpat[:, :, ih, iw]
-    gx = gxp[:, :, pt:pt + h, pl:pl + wd]
-    return gx, gw.reshape(spec.weight_shape), gy.sum(axis=(0, 2, 3))
+    g, kh, kj = spec.groups, spec.kernel_h, j1 - j0
+    cg, og = spec.in_channels // g, spec.out_channels // g
+    xg = x.reshape(n, g, cg, h, wd)
+    gyg = gy.reshape(n, g, og, ho, wo)
+    wt = _tap_weights(w, spec, j0, j1).swapaxes(-1, -2)
+    gx = np.zeros((n, g, cg, h, wd))
+    gwt = np.zeros((kh, g, kj * og, cg))
+    # the taps overwrite the same columns in every row; the rest stays zero
+    gprod = np.zeros((n, g, kj * og, ho * wd))
+    by_tap = gprod.reshape(n, g, kj, og, ho, wd)
+    for i, in_rows, nr, taps in rows:
+        for dst, src in taps:
+            by_tap[src] = gyg[dst]
+        gr = gprod[..., :nr * wd]
+        gx[:, :, :, in_rows] += np.matmul(wt[i], gr).reshape(n, g, cg, nr, wd)
+        xr = xg[:, :, :, in_rows].reshape(n, g, cg, nr * wd)
+        gwt[i] = np.matmul(gr, xr.swapaxes(-1, -2)).sum(axis=0)
+    gw = np.zeros((g, og, cg, kh, spec.kernel_w))
+    gw[..., j0:j1] = gwt.reshape(kh, g, kj, og, cg).transpose(1, 3, 4, 0, 2)
+    return gx.reshape(x.shape), gw.reshape(spec.weight_shape), gy.sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dpam import dpam, mgdfis_fuse
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .ftssa import ftssa
 from .gdim import aggregate, dmm, gdim, gmm
 from .mgdt import read_tensor, write_tensor
@@ -53,6 +53,8 @@ def build_params(cfg: RunConfig):
 def _load_input(path, shape, seed, label):
     if path:
         t = as_feature_map(read_tensor(path), "input")
+        if t.shape[0] != shape[0]:
+            raise ShapeError("input", "batch", shape[0], t.shape[0])
         if t.shape != tuple(shape):
             raise ShapeError("input", "dims", tuple(shape), t.shape)
         return t
@@ -83,10 +85,18 @@ def _stage_value(cfg, params, f1, f2):
     return mgdfis_fuse(amap, f_hat, f1, f2, params.fusion, params.agg)
 
 
-def execute_stage(cfg, params, f1, f2):
+def _thread_count():
+    """MGDFIS_THREADS as an integer; unset or empty means serial."""
+    raw = os.environ.get("MGDFIS_THREADS", "").strip() or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"MGDFIS_THREADS must be an integer, got '{raw}'") from None
+
+
+def execute_stage(cfg, params, f1, f2, threads):
     """Evaluate the selected stage; independent batch items may run on a
-    small thread pool capped by MGDFIS_THREADS."""
-    threads = int(os.environ.get("MGDFIS_THREADS", "1") or "1")
+    small thread pool of at most `threads` workers."""
     batch = f1.shape[0]
     if threads <= 1 or batch <= 1:
         return _stage_value(cfg, params, f1, f2)
@@ -104,10 +114,11 @@ def _shape_str(shape):
 
 def run(cfg: RunConfig):
     """Execute the configured stage and write <stage>.mgdt + summary.txt."""
+    threads = _thread_count()
     params = build_params(cfg)
     f1, f2 = load_inputs(cfg)
     t0 = time.perf_counter()
-    out = execute_stage(cfg, params, f1, f2)
+    out = execute_stage(cfg, params, f1, f2, threads)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -121,9 +132,9 @@ def run(cfg: RunConfig):
         f"f1_shape = {_shape_str(f1.shape)}",
         f"f2_shape = {_shape_str(f2.shape)}",
         f"output_shape = {_shape_str(out.shape)}",
-        f"output_min = {out.min()!r}",
-        f"output_max = {out.max()!r}",
-        f"output_mean = {out.mean()!r}",
+        f"output_min = {float(out.min())!r}",
+        f"output_max = {float(out.max())!r}",
+        f"output_mean = {float(out.mean())!r}",
         f"output_file = {os.path.basename(out_path)}",
         "",
         "# timing (excluded from the determinism contract)",

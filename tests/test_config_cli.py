@@ -227,6 +227,16 @@ def test_batch_thread_pool_matches_serial(tmp_path, monkeypatch):
     assert np.array_equal(serial, threaded)
 
 
+def test_summary_statistics_are_plain_floats(tmp_path):
+    res = pipeline.run(tiny_cfg(stage="full", out_dir=str(tmp_path / "out")))
+    with open(res.summary_path) as fh:
+        fields = dict(line.split(" = ", 1) for line in fh.read().splitlines()
+                      if " = " in line)
+    assert float(fields["output_min"]) == res.output.min()
+    assert float(fields["output_max"]) == res.output.max()
+    assert float(fields["output_mean"]) == res.output.mean()
+
+
 def test_dump_params_writes_manifest(tmp_path):
     cfg = tiny_cfg(out_dir=str(tmp_path / "out"))
     pdir = pipeline.dump_params(cfg)
@@ -299,6 +309,30 @@ def test_cli_wrong_input_dims_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_batch_mismatch_in_config_exits_one(tmp_path, capsys):
+    text = TINY.replace("f1_shape = 1x4x6x6", "f1_shape = 2x4x6x6")
+    cfg_path = _write_cfg(tmp_path, text)
+    assert cli.main(["run", "--config", cfg_path]) == 1
+    assert "batch" in capsys.readouterr().err
+
+
+def test_cli_input_file_batch_mismatch_exits_three(tmp_path, capsys):
+    alt = tmp_path / "f2.mgdt"
+    write_tensor(alt, np.zeros((1, 4, 6, 6)))
+    text = TINY.replace("1x4x6x6", "2x4x6x6") + f"f2_path = {alt}\n"
+    cfg_path = _write_cfg(tmp_path, text)
+    assert cli.main(["run", "--config", cfg_path]) == 3
+    assert "batch" in capsys.readouterr().err
+
+
+def test_cli_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MGDFIS_THREADS", "abc")
+    cfg_path = _write_cfg(tmp_path)
+    assert cli.main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "MGDFIS_THREADS" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exits_one(capsys):
     assert cli.main(["run", "--config"]) == 1
     assert cli.main(["no-such-command"]) == 1
@@ -339,7 +373,11 @@ def test_cli_dump_params(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child finds the package where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "mgdfis.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "bench-tssa" in proc.stdout

@@ -60,6 +60,10 @@ _SPEC_CASES = [
                   groups=3), (2, 6, 4, 6)),
     (ops.ConvSpec(2, 2, 3, 3, padding=(2, 2, 2, 2), dilation=(2, 2)), (1, 2, 5, 5)),
     (ops.ConvSpec(3, 5, 4, 6, padding=(1, 2, 2, 3)), (1, 3, 6, 7)),
+    # whole kernel rows and columns fall in the padding of the 3x3 map
+    (ops.ConvSpec(2, 3, 7, 7, padding=(9, 9, 9, 9)), (2, 2, 3, 3)),
+    # every output reads padding only, so the output is the bias
+    (ops.ConvSpec(1, 2, 1, 1, stride=(1, 3), padding=(0, 0, 2, 2)), (1, 1, 2, 1)),
 ]
 
 
@@ -78,12 +82,31 @@ def test_conv_matches_reference(spec, shape):
 
 @pytest.mark.parametrize("spec,shape", _SPEC_CASES)
 def test_conv_paths_agree(spec, shape):
+    # the shift-and-accumulate kernel against the scalar loop, to rounding
     x = u(11, "p.x", shape)
     w = u(11, "p.w", spec.weight_shape)
     b = u(11, "p.b", (spec.out_channels,))
-    direct = ops.conv2d(x, w, b, spec, method="direct")
-    gemm = ops.conv2d(x, w, b, spec, method="im2col")
-    assert np.max(np.abs(direct - gemm)) < 1e-12
+    got = ops.conv2d(x, w, b, spec)
+    want = orc.conv2d_ref(x, w, b, spec.stride, spec.padding,
+                          spec.dilation, spec.groups)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("spec,shape", _SPEC_CASES)
+def test_conv_vjp_is_adjoint(spec, shape):
+    # <conv(x, w, 0), gy> is bilinear in (x, w): its partials are gx and gw,
+    # so <x, gx> and <w, gw> both equal it, and gb is the plain sum of gy
+    x = u(12, "adj.x", shape)
+    w = u(12, "adj.w", spec.weight_shape)
+    b = u(12, "adj.b", (spec.out_channels,))
+    y = ops.conv2d(x, w, np.zeros(spec.out_channels), spec)
+    gy = u(12, "adj.gy", y.shape)
+    gx, gw, gb = ops.conv2d_vjp(x, w, b, spec, gy)
+    assert gx.shape == x.shape and gw.shape == w.shape
+    lhs = float(np.sum(y * gy))
+    assert abs(float(np.sum(x * gx)) - lhs) < 1e-10
+    assert abs(float(np.sum(w * gw)) - lhs) < 1e-10
+    assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-12
 
 
 def test_conv_channel_mismatch_names_axis():
