@@ -1,15 +1,14 @@
 """Feature-fusion kernel library: token-statistics attention, column/row
 channel mixing, directional detail capture, pixel attention, and the final
 weighted fusion, all as pure float64 tensor ops with hand-written backward
-passes."""
+passes.
+
+The stage ops live in their submodules (`mgdfis.ftssa`, `mgdfis.gdim`,
+`mgdfis.dpam`) and are not re-exported here: functions named `ftssa`, `gdim`
+and `dpam` would shadow those submodules on the package."""
 
 from .config import RunConfig, load_config, parse_config
-from .dpam import dpam, dpam_vjp, mgdfis_fuse, mgdfis_fuse_vjp
 from .errors import ConfigError, MgdfisError, ShapeError, TensorFormatError
-from .ftssa import (daff, dyt, ftssa, ftssa_vjp, mona, mona_op, seff, serr,
-                    tssa, tssa_tokens, xmona)
-from .gdim import (aggregate, dmm, dmm_attention, dmm_directional, gdim,
-                   gdim_vjp, gmm, gmm_vjp)
 from .gradcheck import GradReport, grad_check
 from .mgdt import read_tensor, write_tensor
 from .ops import (ConvSpec, activation, bilinear_resize, conv2d, conv2d_vjp,

@@ -7,10 +7,9 @@ two (reconciled) input maps; three scalar fusion weights balance the mix.
 import numpy as np
 
 from . import ops
-from .gdim import _reconcile, aggregate_vjp
+from .gdim import _reconcile_bwd, _reconcile_fwd
 from .ops import conv2d, conv2d_vjp, same_spec
-from .params import (AggregateParams, DpamParams, FusionWeights,
-                     add_params, zeros_like_params)
+from .params import AggregateParams, DpamParams, FusionWeights, add_params
 from .tensor import as_feature_map, require_same_shape
 
 
@@ -43,16 +42,15 @@ def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
     amap = as_feature_map(amap, "mgdfis_fuse")
     f_hat = as_feature_map(f_hat, "mgdfis_fuse")
     require_same_shape(amap, f_hat, "mgdfis_fuse")
-    x1p = x1 if x1.shape == f_hat.shape else _reconcile(x1, f_hat.shape, agg_p)
-    x2p = x2 if x2.shape == f_hat.shape else _reconcile(x2, f_hat.shape, agg_p)
-    base = w.w_x1 * x1p + w.w_x2 * x2p
+    base = (w.w_x1 * _reconcile_fwd(x1, f_hat.shape, agg_p)[0]
+            + w.w_x2 * _reconcile_fwd(x2, f_hat.shape, agg_p)[0])
     return w.w_map * (amap * f_hat + (1.0 - amap) * base)
 
 
 def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
-    x1p = x1 if x1.shape == f_hat.shape else _reconcile(x1, f_hat.shape, agg_p)
-    x2p = x2 if x2.shape == f_hat.shape else _reconcile(x2, f_hat.shape, agg_p)
+    x1p, c1 = _reconcile_fwd(x1, f_hat.shape, agg_p)
+    x2p, c2 = _reconcile_fwd(x2, f_hat.shape, agg_p)
     base = w.w_x1 * x1p + w.w_x2 * x2p
     inner = amap * f_hat + (1.0 - amap) * base
 
@@ -63,21 +61,9 @@ def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     g_base = g_inner * (1.0 - amap)
     g_w_x1 = float(np.sum(g_base * x1p))
     g_w_x2 = float(np.sum(g_base * x2p))
-    g_x1p = w.w_x1 * g_base
-    g_x2p = w.w_x2 * g_base
 
-    g_agg = zeros_like_params(agg_p) if agg_p is not None else None
-    g_x1, g_agg = _reconcile_vjp(x1, f_hat, agg_p, g_x1p, g_agg)
-    g_x2, g_agg = _reconcile_vjp(x2, f_hat, agg_p, g_x2p, g_agg)
+    g_x1, g_agg1 = _reconcile_bwd(c1, agg_p, w.w_x1 * g_base)
+    g_x2, g_agg2 = _reconcile_bwd(c2, agg_p, w.w_x2 * g_base)
+    g_agg = add_params(g_agg1, g_agg2) if agg_p is not None else None
     gw = FusionWeights(w_map=g_w_map, w_x1=g_w_x1, w_x2=g_w_x2)
     return g_amap, g_f_hat, g_x1, g_x2, gw, g_agg
-
-
-def _reconcile_vjp(x, f_hat, agg_p, gxp, g_agg_acc):
-    if x.shape == f_hat.shape:
-        return gxp, g_agg_acc
-    # reuse the aggregation backward with a zero primary input
-    _, gx, g_agg = aggregate_vjp(f_hat, x, agg_p, gxp)
-    if g_agg_acc is not None:
-        g_agg = add_params(g_agg_acc, g_agg)
-    return gx, g_agg

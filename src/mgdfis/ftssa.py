@@ -1,10 +1,14 @@
 """Attention stage: DyT transform, token-statistics self-attention, Mona
 bottleneck adapters, spectral feed-forward, composed as two serial stages.
 
-Each op exposes a forward function and a `*_vjp` returning (input gradient,
-parameter gradients) for a scalar loss, with parameter gradients packed into
-the same record type as the parameters.  `_*_parts` helpers compute the
-forward intermediates once so the VJPs do not drift from the forwards.
+Each op is a private pair, `_op_fwd(x, p) -> (out, cache)` and
+`_op_bwd(cache, p, gy) -> (input gradient, parameter gradients in the
+parameters' record type)`.  The public `op_vjp` is `_op_bwd(_op_fwd(...)[1],
+...)`, so it runs its forward once; composite pairs call their children's.
+A cache keeps only what backward cannot rebuild elementwise (conv, FFT and
+projection outputs, conv inputs) and backward pops each entry as it uses it.
+Public forwards hold no cache: `_op_fwd(...)[0]` for a leaf, a composition
+of the public child forwards otherwise.
 """
 
 import math
@@ -16,7 +20,7 @@ from . import ops
 from .errors import ShapeError
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (DyTParams, FtssaParams, MonaParams, SeffParams,
-                     TssaParams, zeros_like_params)
+                     TssaParams, add_params, zeros_like_params)
 from .tensor import as_feature_map, from_tokens, require_channels, to_tokens
 
 
@@ -24,15 +28,13 @@ from .tensor import as_feature_map, from_tokens, require_channels, to_tokens
 # DyT
 # ---------------------------------------------------------------------------
 
-def dyt(x, p: DyTParams):
-    """Per-channel gamma * tanh(alpha * x) + beta."""
-    x = as_feature_map(x, "dyt")
-    require_channels(x, p.gamma.shape[0], "dyt")
+def _dyt_fwd(x, p: DyTParams):
     t = np.tanh(p.alpha * x)
-    return p.gamma[None, :, None, None] * t + p.beta[None, :, None, None]
+    return p.gamma[None, :, None, None] * t + p.beta[None, :, None, None], {"x": x}
 
 
-def dyt_vjp(x, p: DyTParams, gy):
+def _dyt_bwd(cache, p: DyTParams, gy):
+    x = cache.pop("x")
     t = np.tanh(p.alpha * x)
     sech2 = 1.0 - t * t
     gx = gy * p.gamma[None, :, None, None] * p.alpha * sech2
@@ -42,32 +44,89 @@ def dyt_vjp(x, p: DyTParams, gy):
     return gx, DyTParams(alpha=g_alpha, gamma=g_gamma, beta=g_beta)
 
 
+def dyt(x, p: DyTParams):
+    """Per-channel gamma * tanh(alpha * x) + beta."""
+    x = as_feature_map(x, "dyt")
+    require_channels(x, p.gamma.shape[0], "dyt")
+    return _dyt_fwd(x, p)[0]
+
+
+def dyt_vjp(x, p: DyTParams, gy):
+    return _dyt_bwd(_dyt_fwd(x, p)[1], p, gy)
+
+
 # ---------------------------------------------------------------------------
 # token-statistics attention
 # ---------------------------------------------------------------------------
 
 def _tssa_parts(t, p: TssaParams):
+    """Token-level forward: the output under "out", beside the cache that
+    backward reads (the head distribution "pi" and the attention "attn")."""
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
     proj = t.reshape(b * n, c) @ p.qkv_weight          # (b*n, h*d)
     f = proj.reshape(b, n, h, d).transpose(0, 2, 1, 3)  # stats (b, h, n, d)
     r = np.sqrt(np.sum(f * f, axis=3, keepdims=True))
     v = f / (r + p.eps)
-    soms = v * v
-    s = soms.sum(axis=3)                               # (b, h, n)
+    s = (v * v).sum(axis=3)                            # (b, h, n)
     pi = ops.softmax(s, axis=1)                        # distribution over heads
+    ratio = pi / (d * pi + p.eps)
+    attn = 1.0 / (1.0 + ratio[..., None] * f * f)
+    out = (_tssa_pre(f, pi, attn, p) @ p.out_weight + p.out_bias).reshape(b, n, c)
+    return {"t": t, "f": f, "r": r, "s": s, "pi": pi, "attn": attn, "out": out}
+
+
+def _tssa_scale(pi, p: TssaParams):
+    return math.pi if p.pi_mode == "constant" else pi[..., None]
+
+
+def _tssa_pre(f, pi, attn, p: TssaParams):
+    """The attention-weighted statistics, laid out (tokens, heads*head_dim)
+    for the output projection."""
+    b, h, n, d = f.shape
+    pre = -f * _tssa_scale(pi, p) * attn
+    return pre.transpose(0, 2, 1, 3).reshape(b * n, h * d)
+
+
+def _tssa_fwd(x, p: TssaParams):
+    _, _, h, w = x.shape
+    cache = _tssa_parts(to_tokens(x), p)
+    return from_tokens(cache.pop("out"), h, w), cache
+
+
+def _tssa_bwd(cache, p: TssaParams, gy):
+    t, f, r = cache.pop("t"), cache.pop("f"), cache.pop("r")
+    pi, attn = cache.pop("pi"), cache.pop("attn")
+    b, n, c = t.shape
+    h, d = p.heads, p.head_dim
+    gy2 = to_tokens(gy).reshape(b * n, c)
+    g_out_w = _tssa_pre(f, pi, attn, p).T @ gy2
+    g_out_b = gy2.sum(axis=0)
+    g_pre = (gy2 @ p.out_weight.T).reshape(b, n, h, d).transpose(0, 2, 1, 3)
+    scale = _tssa_scale(pi, p)
+    gf = -scale * attn * g_pre
+    g_attn = -scale * f * g_pre
+    g_pi_direct = (0.0 if p.pi_mode == "constant"
+                   else np.sum(-f * attn * g_pre, axis=3))
     denom = d * pi + p.eps
-    ratio = pi / denom
-    dots = ratio[..., None] * f * f
-    attn = 1.0 / (1.0 + dots)
-    if p.pi_mode == "constant":
-        pre = -f * math.pi * attn
-    else:
-        pre = -f * pi[..., None] * attn
-    pre2 = pre.transpose(0, 2, 1, 3).reshape(b * n, h * d)
-    out = (pre2 @ p.out_weight + p.out_bias).reshape(b, n, c)
-    return {"t": t, "f": f, "r": r, "v": v, "s": s, "pi": pi, "denom": denom,
-            "ratio": ratio, "attn": attn, "pre2": pre2, "out": out}
+    g_dots = -g_attn * attn * attn
+    g_ratio = np.sum(g_dots * f * f, axis=3)
+    gf += g_dots * (pi / denom)[..., None] * 2.0 * f
+
+    # d(ratio)/d(pi) collapses to eps / denom^2
+    g_pi = g_ratio * p.eps / (denom * denom) + g_pi_direct
+    g_s = ops.softmax_vjp(cache.pop("s"), 1, g_pi)
+    g_v = 2.0 * (f / (r + p.eps)) * g_s[..., None]
+    # L2-normalize backward; guard the radius for exactly-zero token rows
+    rr = np.where(r > 0, r, 1.0)
+    proj = np.sum(g_v * f, axis=3, keepdims=True)
+    gf += g_v / (r + p.eps) - f * proj / (rr * (r + p.eps) ** 2)
+    g_proj = gf.transpose(0, 2, 1, 3).reshape(b * n, h * d)
+    g_qkv_w = t.reshape(b * n, c).T @ g_proj
+    gt = (g_proj @ p.qkv_weight.T).reshape(b, n, c)
+    gp = dataclasses.replace(p, qkv_weight=g_qkv_w, out_weight=g_out_w,
+                             out_bias=g_out_b)
+    return from_tokens(gt, gy.shape[2], gy.shape[3]), gp
 
 
 def tssa_tokens(t, p: TssaParams):
@@ -79,62 +138,15 @@ def tssa_tokens(t, p: TssaParams):
     return _tssa_parts(np.ascontiguousarray(t, dtype=np.float64), p)["out"]
 
 
-def tssa_tokens_vjp(t, p: TssaParams, gy):
-    parts = _tssa_parts(t, p)
-    b, n, c = t.shape
-    h, d = p.heads, p.head_dim
-    f, r, v = parts["f"], parts["r"], parts["v"]
-    pi, denom, ratio, attn = parts["pi"], parts["denom"], parts["ratio"], parts["attn"]
-
-    gy2 = gy.reshape(b * n, c)
-    g_out_w = parts["pre2"].T @ gy2
-    g_out_b = gy2.sum(axis=0)
-    g_pre = (gy2 @ p.out_weight.T).reshape(b, n, h, d).transpose(0, 2, 1, 3)
-
-    if p.pi_mode == "constant":
-        gf = -math.pi * attn * g_pre
-        g_attn = -math.pi * f * g_pre
-        g_pi_direct = 0.0
-    else:
-        gf = -pi[..., None] * attn * g_pre
-        g_attn = -pi[..., None] * f * g_pre
-        g_pi_direct = np.sum(-f * attn * g_pre, axis=3)
-
-    g_dots = -g_attn * attn * attn
-    g_ratio = np.sum(g_dots * f * f, axis=3)
-    gf += g_dots * ratio[..., None] * 2.0 * f
-
-    # d(ratio)/d(pi) collapses to eps / denom^2
-    g_pi = g_ratio * p.eps / (denom * denom) + g_pi_direct
-    g_s = ops.softmax_vjp(parts["s"], 1, g_pi)
-
-    g_soms = g_s[..., None]
-    g_v = 2.0 * v * g_soms
-    # L2-normalize backward; guard the radius for exactly-zero token rows
-    rr = np.where(r > 0, r, 1.0)
-    proj = np.sum(g_v * f, axis=3, keepdims=True)
-    gf += g_v / (r + p.eps) - f * proj / (rr * (r + p.eps) ** 2)
-
-    g_proj = gf.transpose(0, 2, 1, 3).reshape(b * n, h * d)
-    g_qkv_w = t.reshape(b * n, c).T @ g_proj
-    gt = (g_proj @ p.qkv_weight.T).reshape(b, n, c)
-    gp = dataclasses.replace(p, qkv_weight=g_qkv_w, out_weight=g_out_w,
-                             out_bias=g_out_b)
-    return gt, gp
-
-
 def tssa(x, p: TssaParams):
     """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
     x = as_feature_map(x, "tssa")
     require_channels(x, p.qkv_weight.shape[0], "tssa")
-    _, _, h, w = x.shape
-    return from_tokens(tssa_tokens(to_tokens(x), p), h, w)
+    return _tssa_fwd(x, p)[0]
 
 
 def tssa_vjp(x, p: TssaParams, gy):
-    _, _, h, w = x.shape
-    gt, gp = tssa_tokens_vjp(to_tokens(x), p, to_tokens(gy))
-    return from_tokens(gt, h, w), gp
+    return _tssa_bwd(_tssa_fwd(x, p)[1], p, gy)
 
 
 # ---------------------------------------------------------------------------
@@ -154,44 +166,20 @@ def _mona_specs(p: MonaParams):
     }
 
 
-def mona_op(z, p: MonaParams):
-    """Residual multi-scale mix on the reduced channel count."""
-    z = as_feature_map(z, "mona_op")
-    cr = p.down_weight.shape[0]
-    require_channels(z, cr, "mona_op")
+def _mona_op_fwd(z, p: MonaParams):
     sp = _mona_specs(p)
-    avg = (conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
-           + conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
-           + conv2d(z, p.dw7_weight, p.dw7_bias, sp["dw7"])) / 3.0
-    return z + conv2d(avg + z, p.mix_weight, p.mix_bias, sp["mix"])
+    mix_in = (conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
+              + conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
+              + conv2d(z, p.dw7_weight, p.dw7_bias, sp["dw7"])) / 3.0 + z
+    out = z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
+    return out, {"z": z, "mix_in": mix_in}
 
 
-def xmona(x, p: MonaParams):
-    """Tiny-scaled per-pixel linear skip across the full channel count."""
-    x = as_feature_map(x, "xmona")
-    require_channels(x, p.skip_weight.shape[1], "xmona")
-    return p.skip_scale * np.einsum("ce,nehw->nchw", p.skip_weight, x)
-
-
-def xmona_vjp(x, p: MonaParams, gy):
-    skip_lin = np.einsum("ce,nehw->nchw", p.skip_weight, x)
-    gx = p.skip_scale * np.einsum("ce,nchw->nehw", p.skip_weight, gy)
-    gp = dataclasses.replace(
-        zeros_like_params(p),
-        skip_weight=p.skip_scale * np.einsum("nchw,nehw->ce", gy, x),
-        skip_scale=float(np.sum(gy * skip_lin)))
-    return gx, gp
-
-
-def mona_op_vjp(z, p: MonaParams, gy):
+def _mona_op_bwd(cache, p: MonaParams, gy):
     sp = _mona_specs(p)
-    d3 = conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
-    d5 = conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
-    d7 = conv2d(z, p.dw7_weight, p.dw7_bias, sp["dw7"])
-    mix_in = (d3 + d5 + d7) / 3.0 + z
-    g_mix_in, g_mix_w, g_mix_b = conv2d_vjp(mix_in, p.mix_weight, p.mix_bias,
-                                            sp["mix"], gy)
-    gz = gy + g_mix_in
+    g_mix_in, g_mix_w, g_mix_b = conv2d_vjp(cache.pop("mix_in"), p.mix_weight,
+                                            p.mix_bias, sp["mix"], gy)
+    z = cache.pop("z")
     g_avg = g_mix_in / 3.0
     gz3, g3w, g3b = conv2d_vjp(z, p.dw3_weight, p.dw3_bias, sp["dw3"], g_avg)
     gz5, g5w, g5b = conv2d_vjp(z, p.dw5_weight, p.dw5_bias, sp["dw5"], g_avg)
@@ -200,63 +188,78 @@ def mona_op_vjp(z, p: MonaParams, gy):
         zeros_like_params(p),
         dw3_weight=g3w, dw3_bias=g3b, dw5_weight=g5w, dw5_bias=g5b,
         dw7_weight=g7w, dw7_bias=g7b, mix_weight=g_mix_w, mix_bias=g_mix_b)
-    return gz + gz3 + gz5 + gz7, gp
+    return gy + g_mix_in + gz3 + gz5 + gz7, gp
 
 
-def _mona_parts(x, p: MonaParams):
+def mona_op(z, p: MonaParams):
+    """Residual multi-scale mix on the reduced channel count."""
+    z = as_feature_map(z, "mona_op")
+    require_channels(z, p.down_weight.shape[0], "mona_op")
+    return _mona_op_fwd(z, p)[0]
+
+
+def mona_op_vjp(z, p: MonaParams, gy):
+    return _mona_op_bwd(_mona_op_fwd(z, p)[1], p, gy)
+
+
+def _xmona_fwd(x, p: MonaParams):
+    return p.skip_scale * np.einsum("ce,nehw->nchw", p.skip_weight, x), {"x": x}
+
+
+def _xmona_bwd(cache, p: MonaParams, gy):
+    # <gy, skip_weight . x> summed over pixels is <skip_weight, gy x^T>
+    g_lin = np.einsum("nchw,nehw->ce", gy, cache.pop("x"))
+    gx = p.skip_scale * np.einsum("ce,nchw->nehw", p.skip_weight, gy)
+    gp = dataclasses.replace(zeros_like_params(p),
+                             skip_weight=p.skip_scale * g_lin,
+                             skip_scale=float(np.sum(p.skip_weight * g_lin)))
+    return gx, gp
+
+
+def xmona(x, p: MonaParams):
+    """Tiny-scaled per-pixel linear skip across the full channel count."""
+    x = as_feature_map(x, "xmona")
+    require_channels(x, p.skip_weight.shape[1], "xmona")
+    return _xmona_fwd(x, p)[0]
+
+
+def xmona_vjp(x, p: MonaParams, gy):
+    return _xmona_bwd(_xmona_fwd(x, p)[1], p, gy)
+
+
+def _mona_fwd(x, p: MonaParams):
+    """xmona(x) + up(gelu(mona_op(down(x))))"""
     sp = _mona_specs(p)
-    z = conv2d(x, p.down_weight, p.down_bias, sp["down"])
-    d3 = conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
-    d5 = conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
-    d7 = conv2d(z, p.dw7_weight, p.dw7_bias, sp["dw7"])
-    mix_in = (d3 + d5 + d7) / 3.0 + z
-    mo = z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
-    act = ops.gelu(mo)
-    up = conv2d(act, p.up_weight, p.up_bias, sp["up"])
-    skip_lin = np.einsum("ce,nehw->nchw", p.skip_weight, x)
-    out = p.skip_scale * skip_lin + up
-    return {"sp": sp, "z": z, "mix_in": mix_in, "mo": mo, "act": act,
-            "skip_lin": skip_lin, "out": out}
+    skip, c_skip = _xmona_fwd(x, p)
+    mo, c_op = _mona_op_fwd(conv2d(x, p.down_weight, p.down_bias, sp["down"]), p)
+    out = skip + conv2d(ops.gelu(mo), p.up_weight, p.up_bias, sp["up"])
+    return out, {"x": x, "skip": c_skip, "op": c_op, "mo": mo}
+
+
+def _mona_bwd(cache, p: MonaParams, gy):
+    sp = _mona_specs(p)
+    gx, gp_skip = _xmona_bwd(cache.pop("skip"), p, gy)
+    mo = cache.pop("mo")
+    g_act, g_up_w, g_up_b = conv2d_vjp(ops.gelu(mo), p.up_weight, p.up_bias,
+                                       sp["up"], gy)
+    gz, gp_op = _mona_op_bwd(cache.pop("op"), p,
+                             ops.activation_grad("gelu", mo) * g_act)
+    gx_down, g_down_w, g_down_b = conv2d_vjp(cache.pop("x"), p.down_weight,
+                                             p.down_bias, sp["down"], gz)
+    gp = dataclasses.replace(add_params(gp_skip, gp_op),
+                             down_weight=g_down_w, down_bias=g_down_b,
+                             up_weight=g_up_w, up_bias=g_up_b)
+    return gx + gx_down, gp
 
 
 def mona(x, p: MonaParams):
     x = as_feature_map(x, "mona")
     require_channels(x, p.down_weight.shape[1], "mona")
-    return _mona_parts(x, p)["out"]
+    return _mona_fwd(x, p)[0]
 
 
 def mona_vjp(x, p: MonaParams, gy):
-    parts = _mona_parts(x, p)
-    sp = parts["sp"]
-    z, mix_in, mo, act = parts["z"], parts["mix_in"], parts["mo"], parts["act"]
-
-    g_scale = float(np.sum(gy * parts["skip_lin"]))
-    g_skip_w = p.skip_scale * np.einsum("nchw,nehw->ce", gy, x)
-    gx = p.skip_scale * np.einsum("ce,nchw->nehw", p.skip_weight, gy)
-
-    g_act, g_up_w, g_up_b = conv2d_vjp(act, p.up_weight, p.up_bias, sp["up"], gy)
-    g_mo = ops.activation_grad("gelu", mo) * g_act
-    g_mix_in, g_mix_w, g_mix_b = conv2d_vjp(mix_in, p.mix_weight, p.mix_bias,
-                                            sp["mix"], g_mo)
-    gz = g_mo + g_mix_in
-    g_avg = g_mix_in / 3.0
-    gz3, g_dw3_w, g_dw3_b = conv2d_vjp(z, p.dw3_weight, p.dw3_bias, sp["dw3"], g_avg)
-    gz5, g_dw5_w, g_dw5_b = conv2d_vjp(z, p.dw5_weight, p.dw5_bias, sp["dw5"], g_avg)
-    gz7, g_dw7_w, g_dw7_b = conv2d_vjp(z, p.dw7_weight, p.dw7_bias, sp["dw7"], g_avg)
-    gz += gz3 + gz5 + gz7
-    gx_down, g_down_w, g_down_b = conv2d_vjp(x, p.down_weight, p.down_bias,
-                                             sp["down"], gz)
-    gx += gx_down
-    gp = MonaParams(
-        down_weight=g_down_w, down_bias=g_down_b,
-        dw3_weight=g_dw3_w, dw3_bias=g_dw3_b,
-        dw5_weight=g_dw5_w, dw5_bias=g_dw5_b,
-        dw7_weight=g_dw7_w, dw7_bias=g_dw7_b,
-        mix_weight=g_mix_w, mix_bias=g_mix_b,
-        up_weight=g_up_w, up_bias=g_up_b,
-        skip_weight=g_skip_w, skip_scale=g_scale,
-    )
-    return gx, gp
+    return _mona_bwd(_mona_fwd(x, p)[1], p, gy)
 
 
 # ---------------------------------------------------------------------------
@@ -272,92 +275,100 @@ def _seff_specs(c):
     }
 
 
-def _freq_weight(re, im, h, w):
-    """Resample a per-channel complex weight plane to the runtime spatial
-    dims, real and imaginary parts independently."""
-    wr = ops.bilinear_resize(re[None], h, w)[0]
-    wi = ops.bilinear_resize(im[None], h, w)[0]
-    return wr + 1j * wi
+def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias):
+    """One spectral branch, ifft2(W * fft2(dwconv(half)) + bias).  W is the
+    per-channel complex weight, its real and imaginary planes resampled
+    independently to the runtime spatial dims."""
+    h, w = half.shape[2], half.shape[3]
+    spectrum = ops.fft2(conv2d(half, conv_w, conv_b, spec))
+    weight = (ops.bilinear_resize(re[None], h, w)[0]
+              + 1j * ops.bilinear_resize(im[None], h, w)[0])[None]
+    out = ops.ifft2(weight * spectrum + bias[None, :, None, None])
+    return out, {"half": half, "spectrum": spectrum, "weight": weight}
 
 
-def _seff_parts(x, p: SeffParams):
+def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
+    """(g_half, g_conv_w, g_conv_b, g_re, g_im, g_bias)"""
+    gz = ops.ifft2_vjp(g_t)
+    # complex product rule under the (dL/dRe + i dL/dIm) packing
+    gw = (np.conj(cache.pop("spectrum")) * gz).sum(axis=0)
+    g_re = ops.bilinear_resize_vjp(*base_hw, gw.real[None])[0]
+    g_im = ops.bilinear_resize_vjp(*base_hw, gw.imag[None])[0]
+    g_spatial = ops.fft2_vjp(np.conj(cache.pop("weight")) * gz)
+    return (*conv2d_vjp(cache.pop("half"), conv_w, conv_b, spec, g_spatial),
+            g_re, g_im, gz.real.sum(axis=(0, 2, 3)))
+
+
+def _seff_fwd(x, p: SeffParams):
     c = p.merge_weight.shape[0]
-    h, w = x.shape[2], x.shape[3]
     sp = _seff_specs(c)
     split = conv2d(x, p.split_weight, p.split_bias, sp["split"])
-    f1, f2 = split[:, :c], split[:, c:]
-    f1r = conv2d(f1, p.branch1_weight, p.branch1_bias, sp["b1"])
-    f2r = conv2d(f2, p.branch2_weight, p.branch2_bias, sp["b2"])
-    x1 = ops.fft2(f1r)
-    x2 = ops.fft2(f2r)
-    w1 = _freq_weight(p.w1_re, p.w1_im, h, w)[None]
-    w2 = _freq_weight(p.w2_re, p.w2_im, h, w)[None]
-    z1 = w1 * x1 + p.freq_bias1[None, :, None, None]
-    z2 = w2 * x2 + p.freq_bias2[None, :, None, None]
-    t1 = ops.ifft2(z1)
-    t2 = ops.ifft2(z2)
+    t1, c1 = _branch_fwd(split[:, :c], p.branch1_weight, p.branch1_bias,
+                         sp["b1"], p.w1_re, p.w1_im, p.freq_bias1)
+    t2, c2 = _branch_fwd(split[:, c:], p.branch2_weight, p.branch2_bias,
+                         sp["b2"], p.w2_re, p.w2_im, p.freq_bias2)
+    out = conv2d(ops.silu(t2) * t1, p.merge_weight, p.merge_bias, sp["merge"])
+    return out, {"x": x, "b1": c1, "b2": c2, "t1": t1, "t2": t2}
+
+
+def _seff_bwd(cache, p: SeffParams, gy):
+    c = p.merge_weight.shape[0]
+    sp = _seff_specs(c)
+    base_hw = p.w1_re.shape[1:]
+    t1, t2 = cache.pop("t1"), cache.pop("t2")
     gate = ops.silu(t2)
-    prod = gate * t1
-    out = conv2d(prod, p.merge_weight, p.merge_bias, sp["merge"])
-    return {"sp": sp, "c": c, "f1": f1, "f2": f2, "f1r": f1r, "f2r": f2r,
-            "x1": x1, "x2": x2, "w1": w1, "w2": w2, "t1": t1, "t2": t2,
-            "gate": gate, "prod": prod, "out": out}
-
-
-def seff(x, p: SeffParams):
-    x = as_feature_map(x, "seff")
-    require_channels(x, p.split_weight.shape[1], "seff")
-    return _seff_parts(x, p)["out"]
-
-
-def seff_vjp(x, p: SeffParams, gy):
-    parts = _seff_parts(x, p)
-    sp, c = parts["sp"], parts["c"]
-    h, wd = x.shape[2], x.shape[3]
-    base_h, base_w = p.w1_re.shape[1], p.w1_re.shape[2]
-
-    g_prod, g_merge_w, g_merge_b = conv2d_vjp(parts["prod"], p.merge_weight,
+    g_prod, g_merge_w, g_merge_b = conv2d_vjp(gate * t1, p.merge_weight,
                                               p.merge_bias, sp["merge"], gy)
-    g_t1 = parts["gate"] * g_prod
-    g_t2 = ops.activation_grad("silu", parts["t2"]) * parts["t1"] * g_prod
-
-    gz1 = ops.ifft2_vjp(g_t1)
-    gz2 = ops.ifft2_vjp(g_t2)
-    # complex product rule under the (dL/dRe + i dL/dIm) packing
-    gx1 = np.conj(parts["w1"]) * gz1
-    gx2 = np.conj(parts["w2"]) * gz2
-    gw1_full = (np.conj(parts["x1"]) * gz1).sum(axis=0)
-    gw2_full = (np.conj(parts["x2"]) * gz2).sum(axis=0)
-    g_fb1 = gz1.real.sum(axis=(0, 2, 3))
-    g_fb2 = gz2.real.sum(axis=(0, 2, 3))
-    g_w1_re = ops.bilinear_resize_vjp(base_h, base_w, gw1_full.real[None])[0]
-    g_w1_im = ops.bilinear_resize_vjp(base_h, base_w, gw1_full.imag[None])[0]
-    g_w2_re = ops.bilinear_resize_vjp(base_h, base_w, gw2_full.real[None])[0]
-    g_w2_im = ops.bilinear_resize_vjp(base_h, base_w, gw2_full.imag[None])[0]
-
-    g_f1r = ops.fft2_vjp(gx1)
-    g_f2r = ops.fft2_vjp(gx2)
-    g_f1, g_b1_w, g_b1_b = conv2d_vjp(parts["f1"], p.branch1_weight,
-                                      p.branch1_bias, sp["b1"], g_f1r)
-    g_f2, g_b2_w, g_b2_b = conv2d_vjp(parts["f2"], p.branch2_weight,
-                                      p.branch2_bias, sp["b2"], g_f2r)
-    g_split = np.concatenate([g_f1, g_f2], axis=1)
-    gx, g_split_w, g_split_b = conv2d_vjp(x, p.split_weight, p.split_bias,
-                                          sp["split"], g_split)
+    g_t1 = gate * g_prod
+    g_t2 = ops.activation_grad("silu", t2) * t1 * g_prod
+    del t1, t2, gate, g_prod     # freed before the FFT adjoints allocate
+    g_f1, g_b1_w, g_b1_b, g_w1_re, g_w1_im, g_fb1 = _branch_bwd(
+        cache.pop("b1"), p.branch1_weight, p.branch1_bias, sp["b1"], base_hw, g_t1)
+    g_f2, g_b2_w, g_b2_b, g_w2_re, g_w2_im, g_fb2 = _branch_bwd(
+        cache.pop("b2"), p.branch2_weight, p.branch2_bias, sp["b2"], base_hw, g_t2)
+    gx, g_split_w, g_split_b = conv2d_vjp(cache.pop("x"), p.split_weight,
+                                          p.split_bias, sp["split"],
+                                          np.concatenate([g_f1, g_f2], axis=1))
     gp = SeffParams(
         split_weight=g_split_w, split_bias=g_split_b,
         branch1_weight=g_b1_w, branch1_bias=g_b1_b,
         branch2_weight=g_b2_w, branch2_bias=g_b2_b,
         w1_re=g_w1_re, w1_im=g_w1_im, w2_re=g_w2_re, w2_im=g_w2_im,
         freq_bias1=g_fb1, freq_bias2=g_fb2,
-        merge_weight=g_merge_w, merge_bias=g_merge_b,
-    )
+        merge_weight=g_merge_w, merge_bias=g_merge_b)
     return gx, gp
+
+
+def seff(x, p: SeffParams):
+    x = as_feature_map(x, "seff")
+    require_channels(x, p.split_weight.shape[1], "seff")
+    return _seff_fwd(x, p)[0]
+
+
+def seff_vjp(x, p: SeffParams, gy):
+    return _seff_bwd(_seff_fwd(x, p)[1], p, gy)
 
 
 # ---------------------------------------------------------------------------
 # stage compositions
 # ---------------------------------------------------------------------------
+# daff and serr share one shape, mona(x + inner(dyt(x))), with tssa or seff
+# as the inner op; one pair serves both.
+
+def _stage_fwd(inner_fwd, x, dyt_p, inner_p, mona_p):
+    normed, c_dyt = _dyt_fwd(x, dyt_p)
+    y, c_inner = inner_fwd(normed, inner_p)
+    out, c_mona = _mona_fwd(x + y, mona_p)
+    return out, (c_dyt, c_inner, c_mona)
+
+
+def _stage_bwd(inner_bwd, cache, dyt_p, inner_p, mona_p, gy):
+    c_dyt, c_inner, c_mona = cache
+    g_res, g_mona = _mona_bwd(c_mona, mona_p, gy)
+    g_normed, g_inner = inner_bwd(c_inner, inner_p, g_res)
+    gx, g_dyt = _dyt_bwd(c_dyt, dyt_p, g_normed)
+    return gx + g_res, g_dyt, g_inner, g_mona
+
 
 def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams):
     """mona(x + attention(dyt(x)))"""
@@ -365,12 +376,8 @@ def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams):
 
 
 def daff_vjp(x, dyt_p, tssa_p, mona_p, gy):
-    normed = dyt(x, dyt_p)
-    res = x + tssa(normed, tssa_p)
-    g_res, g_mona = mona_vjp(res, mona_p, gy)
-    g_normed, g_tssa = tssa_vjp(normed, tssa_p, g_res)
-    gx, g_dyt = dyt_vjp(x, dyt_p, g_normed)
-    return gx + g_res, g_dyt, g_tssa, g_mona
+    cache = _stage_fwd(_tssa_fwd, x, dyt_p, tssa_p, mona_p)[1]
+    return _stage_bwd(_tssa_bwd, cache, dyt_p, tssa_p, mona_p, gy)
 
 
 def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams):
@@ -379,12 +386,23 @@ def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams):
 
 
 def serr_vjp(x, dyt_p, seff_p, mona_p, gy):
-    normed = dyt(x, dyt_p)
-    res = x + seff(normed, seff_p)
-    g_res, g_mona = mona_vjp(res, mona_p, gy)
-    g_normed, g_seff = seff_vjp(normed, seff_p, g_res)
-    gx, g_dyt = dyt_vjp(x, dyt_p, g_normed)
-    return gx + g_res, g_dyt, g_seff, g_mona
+    cache = _stage_fwd(_seff_fwd, x, dyt_p, seff_p, mona_p)[1]
+    return _stage_bwd(_seff_bwd, cache, dyt_p, seff_p, mona_p, gy)
+
+
+def _ftssa_fwd(x, p: FtssaParams):
+    stage1, c_daff = _stage_fwd(_tssa_fwd, x, p.dyt1, p.tssa, p.mona1)
+    out, c_serr = _stage_fwd(_seff_fwd, stage1, p.dyt2, p.seff, p.mona2)
+    return out, (c_daff, c_serr)
+
+
+def _ftssa_bwd(cache, p: FtssaParams, gy):
+    g1, g_dyt2, g_seff, g_mona2 = _stage_bwd(_seff_bwd, cache[1], p.dyt2,
+                                             p.seff, p.mona2, gy)
+    gx, g_dyt1, g_tssa, g_mona1 = _stage_bwd(_tssa_bwd, cache[0], p.dyt1,
+                                             p.tssa, p.mona1, g1)
+    return gx, FtssaParams(dyt1=g_dyt1, tssa=g_tssa, mona1=g_mona1,
+                           dyt2=g_dyt2, seff=g_seff, mona2=g_mona2)
 
 
 def ftssa(x, p: FtssaParams):
@@ -394,9 +412,4 @@ def ftssa(x, p: FtssaParams):
 
 
 def ftssa_vjp(x, p: FtssaParams, gy):
-    stage1 = daff(x, p.dyt1, p.tssa, p.mona1)
-    g1, g_dyt2, g_seff, g_mona2 = serr_vjp(stage1, p.dyt2, p.seff, p.mona2, gy)
-    gx, g_dyt1, g_tssa, g_mona1 = daff_vjp(x, p.dyt1, p.tssa, p.mona1, g1)
-    gp = FtssaParams(dyt1=g_dyt1, tssa=g_tssa, mona1=g_mona1,
-                     dyt2=g_dyt2, seff=g_seff, mona2=g_mona2)
-    return gx, gp
+    return _ftssa_bwd(_ftssa_fwd(x, p)[1], p, gy)

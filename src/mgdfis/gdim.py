@@ -5,6 +5,7 @@ The mixing module runs two sequential passes.  Each pass regroups channels
 into k groups, concatenates the groups along one spatial axis (width first,
 then height), adds a position embedding, convolves, restores the original
 layout, normalizes, and fuses with the pass input through a 1x1 convolution.
+The ops are fwd/bwd pairs with minimal caches, as in `mgdfis.ftssa`.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .ftssa import ftssa, ftssa_vjp
+from .ftssa import _ftssa_bwd, _ftssa_fwd, ftssa
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (AggregateParams, DmmParams, GmmParams, add_params,
                      zeros_like_params)
@@ -23,40 +24,50 @@ from .tensor import as_feature_map
 # aggregation of the two input maps
 # ---------------------------------------------------------------------------
 
+def _reconcile_fwd(x, target_shape, agg_p):
+    """x at the target's dims: bilinearly resampled to its spatial dims and
+    channel-projected, unless it has them already (then the cache is None)."""
+    if x.shape == target_shape:
+        return x, None
+    if agg_p is None:
+        raise ConfigError("aggregate: projection parameters required when "
+                          "input dims differ")
+    c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
+    if x.shape[1] != c2:
+        raise ShapeError("aggregate", "channel", c2, x.shape[1])
+    if target_shape[1] != c1:
+        raise ShapeError("aggregate", "channel", c1, target_shape[1])
+    res = ops.bilinear_resize(x, target_shape[2], target_shape[3])
+    out = conv2d(res, agg_p.proj_weight, agg_p.proj_bias,
+                 same_spec(c2, 1, 1, out_channels=c1))
+    return out, {"res": res, "hw": x.shape[2:]}
+
+
+def _reconcile_bwd(cache, agg_p, gy):
+    if cache is None:
+        return gy, zeros_like_params(agg_p) if agg_p is not None else None
+    c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
+    g_res, gw, gb = conv2d_vjp(cache.pop("res"), agg_p.proj_weight,
+                               agg_p.proj_bias,
+                               same_spec(c2, 1, 1, out_channels=c1), gy)
+    gx = ops.bilinear_resize_vjp(*cache.pop("hw"), g_res)
+    return gx, AggregateParams(proj_weight=gw, proj_bias=gb)
+
+
 def aggregate(f1, f2, agg_p: AggregateParams = None):
     """Sum the two inputs; a mismatched second input is bilinearly resampled
     to the first input's spatial dims and channel-projected first."""
     f1 = as_feature_map(f1, "aggregate")
     f2 = as_feature_map(f2, "aggregate")
-    if f1.shape == f2.shape:
-        return f1 + f2
-    return f1 + _reconcile(f2, f1.shape, agg_p)
-
-
-def _reconcile(f2, target_shape, agg_p):
-    if agg_p is None:
-        raise ConfigError("aggregate: projection parameters required when "
-                          "input dims differ")
-    c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
-    if f2.shape[1] != c2:
-        raise ShapeError("aggregate", "channel", c2, f2.shape[1])
-    if target_shape[1] != c1:
-        raise ShapeError("aggregate", "channel", c1, target_shape[1])
-    res = ops.bilinear_resize(f2, target_shape[2], target_shape[3])
-    return conv2d(res, agg_p.proj_weight, agg_p.proj_bias,
-                  same_spec(c2, 1, 1, out_channels=c1))
+    return f1 + _reconcile_fwd(f2, f1.shape, agg_p)[0]
 
 
 def aggregate_vjp(f1, f2, agg_p, gy):
-    if f1.shape == f2.shape:
-        gp = zeros_like_params(agg_p) if agg_p is not None else None
-        return gy, gy, gp
-    c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
-    res = ops.bilinear_resize(f2, f1.shape[2], f1.shape[3])
-    g_res, gw, gb = conv2d_vjp(res, agg_p.proj_weight, agg_p.proj_bias,
-                               same_spec(c2, 1, 1, out_channels=c1), gy)
-    g2 = ops.bilinear_resize_vjp(f2.shape[2], f2.shape[3], g_res)
-    return gy, g2, AggregateParams(proj_weight=gw, proj_bias=gb)
+    # backward reads only the resampled f2, so the projection is not run
+    cache = None if f1.shape == f2.shape else {
+        "res": ops.bilinear_resize(f2, f1.shape[2], f1.shape[3]),
+        "hw": f2.shape[2:]}
+    return (gy, *_reconcile_bwd(cache, agg_p, gy))
 
 
 # ---------------------------------------------------------------------------
@@ -97,48 +108,74 @@ def _bn_inference(x, scale, shift, mean, var, eps):
     return xhat, scale[None, :, None, None] * xhat + shift[None, :, None, None]
 
 
-def _gmm_pass_parts(f, pos, conv_w, conv_b, bn_scale, bn_shift, bn_mean,
-                    bn_var, bn_eps, fuse_w, fuse_b, k, axis):
-    regroup = regroup_w if axis == "w" else regroup_h
-    restore = restore_w if axis == "w" else restore_h
+def _gmm_pass(p: GmmParams, axis):
+    """(regroup, restore, position embedding, {field: value}) of the column
+    pass (axis "w", the col_* fields) or the row pass (axis "h", row_*)."""
+    pre = "col" if axis == "w" else "row"
+    q = {name: getattr(p, f"{pre}_{name}") for name in (
+        "conv_weight", "conv_bias", "bn_scale", "bn_shift", "bn_mean",
+        "bn_var", "fuse_weight", "fuse_bias")}
+    if axis == "w":
+        return regroup_w, restore_w, p.pos_w, q
+    return regroup_h, restore_h, p.pos_h, q
+
+
+def _gmm_pass_fwd(f, p: GmmParams, axis):
+    regroup, restore, pos, q = _gmm_pass(p, axis)
     c = f.shape[1]
-    grouped = regroup(f, k)
+    grouped = regroup(f, p.k)
     if pos.shape != (1,) + grouped.shape[1:]:
         raise ShapeError("gmm", "pos_embed", (1,) + grouped.shape[1:], pos.shape)
-    conv_in = grouped + pos
-    spec = same_spec(c // k, 3, 3)
-    conved = conv2d(conv_in, conv_w, conv_b, spec)
-    restored = restore(conved, k)
-    xhat, bn_out = _bn_inference(restored, bn_scale, bn_shift, bn_mean,
-                                 bn_var, bn_eps)
-    act = ops.gelu(bn_out)
-    cat = np.concatenate([f, act], axis=1)
-    fuse_spec = same_spec(2 * c, 1, 1, out_channels=c)
-    out = conv2d(cat, fuse_w, fuse_b, fuse_spec)
-    return {"conv_in": conv_in, "spec": spec, "xhat": xhat, "bn_out": bn_out,
-            "cat": cat, "fuse_spec": fuse_spec, "out": out}
+    conved = conv2d(grouped + pos, q["conv_weight"], q["conv_bias"],
+                    same_spec(c // p.k, 3, 3))
+    restored = restore(conved, p.k)
+    _, bn_out = _bn_inference(restored, q["bn_scale"], q["bn_shift"],
+                              q["bn_mean"], q["bn_var"], p.bn_eps)
+    cat = np.concatenate([f, ops.gelu(bn_out)], axis=1)
+    out = conv2d(cat, q["fuse_weight"], q["fuse_bias"],
+                 same_spec(2 * c, 1, 1, out_channels=c))
+    return out, {"f": f, "restored": restored}
 
 
-def _gmm_pass_vjp(f, parts, conv_w, conv_b, bn_scale, bn_var, bn_eps,
-                  fuse_w, fuse_b, k, axis, gy):
-    regroup = regroup_w if axis == "w" else regroup_h
-    restore = restore_w if axis == "w" else restore_h
+def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
+    """(g_f, g_pos, {field: gradient})"""
+    regroup, restore, pos, q = _gmm_pass(p, axis)
+    f = cache.pop("f")
     c = f.shape[1]
-    g_cat, g_fuse_w, g_fuse_b = conv2d_vjp(parts["cat"], fuse_w, fuse_b,
-                                           parts["fuse_spec"], gy)
-    gf = g_cat[:, :c].copy()
-    g_act = g_cat[:, c:]
-    g_bn = ops.activation_grad("gelu", parts["bn_out"]) * g_act
-    g_bn_scale = np.sum(g_bn * parts["xhat"], axis=(0, 2, 3))
-    g_bn_shift = np.sum(g_bn, axis=(0, 2, 3))
-    inv = 1.0 / np.sqrt(bn_var + bn_eps)
-    g_restored = g_bn * (bn_scale * inv)[None, :, None, None]
-    g_conved = regroup(g_restored, k)
-    g_conv_in, g_conv_w, g_conv_b = conv2d_vjp(parts["conv_in"], conv_w,
-                                               conv_b, parts["spec"], g_conved)
+    xhat, bn_out = _bn_inference(cache.pop("restored"), q["bn_scale"],
+                                 q["bn_shift"], q["bn_mean"], q["bn_var"],
+                                 p.bn_eps)
+    g = {}
+    g_cat, g["fuse_weight"], g["fuse_bias"] = conv2d_vjp(
+        np.concatenate([f, ops.gelu(bn_out)], axis=1), q["fuse_weight"],
+        q["fuse_bias"], same_spec(2 * c, 1, 1, out_channels=c), gy)
+    g_bn = ops.activation_grad("gelu", bn_out) * g_cat[:, c:]
+    g["bn_scale"] = np.sum(g_bn * xhat, axis=(0, 2, 3))
+    g["bn_shift"] = np.sum(g_bn, axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(q["bn_var"] + p.bn_eps)
+    g_conved = regroup(g_bn * (q["bn_scale"] * inv)[None, :, None, None], p.k)
+    g_conv_in, g["conv_weight"], g["conv_bias"] = conv2d_vjp(
+        regroup(f, p.k) + pos, q["conv_weight"], q["conv_bias"],
+        same_spec(c // p.k, 3, 3), g_conved)
     g_pos = g_conv_in.sum(axis=0, keepdims=True)
-    gf += restore(g_conv_in, k)
-    return gf, g_pos, g_conv_w, g_conv_b, g_bn_scale, g_bn_shift, g_fuse_w, g_fuse_b
+    return g_cat[:, :c] + restore(g_conv_in, p.k), g_pos, g
+
+
+def _gmm_fwd(f_agg, p: GmmParams):
+    col, c_col = _gmm_pass_fwd(f_agg, p, "w")
+    out, c_row = _gmm_pass_fwd(col, p, "h")
+    return out, (c_col, c_row)
+
+
+def _gmm_bwd(cache, p: GmmParams, gy):
+    c_col, c_row = cache
+    g_col, g_pos_h, g_row = _gmm_pass_bwd(c_row, p, "h", gy)
+    gf, g_pos_w, g_c = _gmm_pass_bwd(c_col, p, "w", g_col)
+    gp = dataclasses.replace(
+        p, pos_w=g_pos_w, pos_h=g_pos_h,
+        **{f"col_{name}": v for name, v in g_c.items()},
+        **{f"row_{name}": v for name, v in g_row.items()})
+    return gf, gp
 
 
 def gmm(f_agg, p: GmmParams):
@@ -147,125 +184,132 @@ def gmm(f_agg, p: GmmParams):
     if f_agg.shape[1] % p.k:
         raise ConfigError(f"gmm: group count {p.k} must divide channel count "
                           f"{f_agg.shape[1]}")
-    col = _gmm_pass_parts(f_agg, p.pos_w, p.col_conv_weight, p.col_conv_bias,
-                          p.col_bn_scale, p.col_bn_shift, p.col_bn_mean,
-                          p.col_bn_var, p.bn_eps, p.col_fuse_weight,
-                          p.col_fuse_bias, p.k, "w")["out"]
-    return _gmm_pass_parts(col, p.pos_h, p.row_conv_weight, p.row_conv_bias,
-                           p.row_bn_scale, p.row_bn_shift, p.row_bn_mean,
-                           p.row_bn_var, p.bn_eps, p.row_fuse_weight,
-                           p.row_fuse_bias, p.k, "h")["out"]
+    return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, "w")[0], p, "h")[0]
 
 
 def gmm_vjp(f_agg, p: GmmParams, gy):
-    col_parts = _gmm_pass_parts(f_agg, p.pos_w, p.col_conv_weight,
-                                p.col_conv_bias, p.col_bn_scale, p.col_bn_shift,
-                                p.col_bn_mean, p.col_bn_var, p.bn_eps,
-                                p.col_fuse_weight, p.col_fuse_bias, p.k, "w")
-    col = col_parts["out"]
-    row_parts = _gmm_pass_parts(col, p.pos_h, p.row_conv_weight,
-                                p.row_conv_bias, p.row_bn_scale, p.row_bn_shift,
-                                p.row_bn_mean, p.row_bn_var, p.bn_eps,
-                                p.row_fuse_weight, p.row_fuse_bias, p.k, "h")
-    (g_col, g_pos_h, g_row_conv_w, g_row_conv_b, g_row_bn_scale,
-     g_row_bn_shift, g_row_fuse_w, g_row_fuse_b) = _gmm_pass_vjp(
-        col, row_parts, p.row_conv_weight, p.row_conv_bias, p.row_bn_scale,
-        p.row_bn_var, p.bn_eps, p.row_fuse_weight, p.row_fuse_bias, p.k, "h", gy)
-    (gf, g_pos_w, g_col_conv_w, g_col_conv_b, g_col_bn_scale,
-     g_col_bn_shift, g_col_fuse_w, g_col_fuse_b) = _gmm_pass_vjp(
-        f_agg, col_parts, p.col_conv_weight, p.col_conv_bias, p.col_bn_scale,
-        p.col_bn_var, p.bn_eps, p.col_fuse_weight, p.col_fuse_bias, p.k, "w",
-        g_col)
-    gp = dataclasses.replace(
-        p,
-        pos_w=g_pos_w, col_conv_weight=g_col_conv_w, col_conv_bias=g_col_conv_b,
-        col_bn_scale=g_col_bn_scale, col_bn_shift=g_col_bn_shift,
-        col_fuse_weight=g_col_fuse_w, col_fuse_bias=g_col_fuse_b,
-        pos_h=g_pos_h, row_conv_weight=g_row_conv_w, row_conv_bias=g_row_conv_b,
-        row_bn_scale=g_row_bn_scale, row_bn_shift=g_row_bn_shift,
-        row_fuse_weight=g_row_fuse_w, row_fuse_bias=g_row_fuse_b,
-    )
-    return gf, gp
+    return _gmm_bwd(_gmm_fwd(f_agg, p)[1], p, gy)
 
 
 # ---------------------------------------------------------------------------
 # directional detail capture with channel gating
 # ---------------------------------------------------------------------------
 
-def _dmm_specs(c):
-    return (same_spec(c, 4, 6), same_spec(c, 6, 4))
-
-
-def dmm_directional(f_gmm, p: DmmParams):
-    """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
-    f_gmm = as_feature_map(f_gmm, "dmm")
+def _dmm_directional_fwd(f_gmm, p: DmmParams):
     c = f_gmm.shape[1]
-    s46, s64 = _dmm_specs(c)
-    return (f_gmm + conv2d(f_gmm, p.conv46_weight, p.conv46_bias, s46)
-            + conv2d(f_gmm, p.conv64_weight, p.conv64_bias, s64))
+    out = (f_gmm + conv2d(f_gmm, p.conv46_weight, p.conv46_bias, same_spec(c, 4, 6))
+           + conv2d(f_gmm, p.conv64_weight, p.conv64_bias, same_spec(c, 6, 4)))
+    return out, {"f": f_gmm}
 
 
-def _dmm_gate_parts(f_add, p: DmmParams, ftssa_fn=None):
-    feat = ftssa(f_add, p.ftssa) if ftssa_fn is None else ftssa_fn(f_add)
-    pooled = ops.global_avg_pool(feat)[:, :, 0, 0]
-    h1 = ops.linear(pooled, p.mlp_w1, p.mlp_b1)
-    a1 = ops.gelu(h1)
-    h2 = ops.linear(a1, p.mlp_w2, p.mlp_b2)
-    gate = ops.silu(h2)           # Swish(x) = x * sigmoid(x)
-    return {"feat": feat, "pooled": pooled, "h1": h1, "a1": a1, "h2": h2,
-            "gate": gate}
-
-
-def dmm_attention(f_add, p: DmmParams, ftssa_fn=None):
-    """Per-(batch, channel) gate with spatial dims 1x1.  `ftssa_fn` lets
-    tests substitute the attention stage."""
-    f_add = as_feature_map(f_add, "dmm")
-    return _dmm_gate_parts(f_add, p, ftssa_fn)["gate"][:, :, None, None]
-
-
-def dmm(f_gmm, p: DmmParams, gate_fn=None):
-    f_add = dmm_directional(f_gmm, p)
-    if gate_fn is not None:
-        return f_add * gate_fn(f_add)
-    return f_add * dmm_attention(f_add, p)
-
-
-def dmm_directional_vjp(f_gmm, p: DmmParams, gy):
-    s46, s64 = _dmm_specs(f_gmm.shape[1])
+def _dmm_directional_bwd(cache, p: DmmParams, gy):
+    f_gmm = cache.pop("f")
+    c = f_gmm.shape[1]
     gf46, g_w46, g_b46 = conv2d_vjp(f_gmm, p.conv46_weight, p.conv46_bias,
-                                    s46, gy)
+                                    same_spec(c, 4, 6), gy)
     gf64, g_w64, g_b64 = conv2d_vjp(f_gmm, p.conv64_weight, p.conv64_bias,
-                                    s64, gy)
+                                    same_spec(c, 6, 4), gy)
     gp = dataclasses.replace(zeros_like_params(p),
                              conv46_weight=g_w46, conv46_bias=g_b46,
                              conv64_weight=g_w64, conv64_bias=g_b64)
     return gy + gf46 + gf64, gp
 
 
-def dmm_attention_vjp(f_add, p: DmmParams, gy):
-    """gy has the gate's (N, C, 1, 1) dims."""
-    parts = _dmm_gate_parts(f_add, p)
-    g_h2 = ops.activation_grad("silu", parts["h2"]) * gy[:, :, 0, 0]
-    g_a1, g_mlp_w2, g_mlp_b2 = ops.linear_vjp(parts["a1"], p.mlp_w2, p.mlp_b2, g_h2)
-    g_h1 = ops.activation_grad("gelu", parts["h1"]) * g_a1
-    g_pooled, g_mlp_w1, g_mlp_b1 = ops.linear_vjp(parts["pooled"], p.mlp_w1,
+def dmm_directional(f_gmm, p: DmmParams):
+    """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
+    f_gmm = as_feature_map(f_gmm, "dmm")
+    return _dmm_directional_fwd(f_gmm, p)[0]
+
+
+def dmm_directional_vjp(f_gmm, p: DmmParams, gy):
+    return _dmm_directional_bwd(_dmm_directional_fwd(f_gmm, p)[1], p, gy)
+
+
+def _gate_fwd(feat, p: DmmParams):
+    """Pooled MLP with a Swish (x * sigmoid(x)) output, shaped (N, C, 1, 1)."""
+    pooled = ops.global_avg_pool(feat)[:, :, 0, 0]
+    h1 = ops.linear(pooled, p.mlp_w1, p.mlp_b1)
+    h2 = ops.linear(ops.gelu(h1), p.mlp_w2, p.mlp_b2)
+    return (ops.silu(h2)[:, :, None, None],
+            {"feat": feat, "pooled": pooled, "h1": h1, "h2": h2})
+
+
+def _gate_bwd(cache, p: DmmParams, gy):
+    h1, h2 = cache.pop("h1"), cache.pop("h2")
+    g_h2 = ops.activation_grad("silu", h2) * gy[:, :, 0, 0]
+    g_a1, g_mlp_w2, g_mlp_b2 = ops.linear_vjp(ops.gelu(h1), p.mlp_w2,
+                                              p.mlp_b2, g_h2)
+    g_h1 = ops.activation_grad("gelu", h1) * g_a1
+    g_pooled, g_mlp_w1, g_mlp_b1 = ops.linear_vjp(cache.pop("pooled"), p.mlp_w1,
                                                   p.mlp_b1, g_h1)
-    g_feat = ops.global_avg_pool_vjp(parts["feat"], g_pooled[:, :, None, None])
-    g_f_add, g_ftssa = ftssa_vjp(f_add, p.ftssa, g_feat)
-    gp = dataclasses.replace(zeros_like_params(p), ftssa=g_ftssa,
+    g_feat = ops.global_avg_pool_vjp(cache.pop("feat"),
+                                     g_pooled[:, :, None, None])
+    gp = dataclasses.replace(zeros_like_params(p),
                              mlp_w1=g_mlp_w1, mlp_b1=g_mlp_b1,
                              mlp_w2=g_mlp_w2, mlp_b2=g_mlp_b2)
-    return g_f_add, gp
+    return g_feat, gp
+
+
+def _dmm_attention_fwd(f_add, p: DmmParams):
+    feat, c_ftssa = _ftssa_fwd(f_add, p.ftssa)
+    gate, c_gate = _gate_fwd(feat, p)
+    return gate, (c_ftssa, c_gate)
+
+
+def _dmm_attention_bwd(cache, p: DmmParams, gy):
+    g_feat, gp = _gate_bwd(cache[1], p, gy)
+    g_f_add, g_ftssa = _ftssa_bwd(cache[0], p.ftssa, g_feat)
+    return g_f_add, dataclasses.replace(gp, ftssa=g_ftssa)
+
+
+def dmm_attention(f_add, p: DmmParams):
+    """Per-(batch, channel) gate with spatial dims 1x1."""
+    f_add = as_feature_map(f_add, "dmm")
+    return _gate_fwd(ftssa(f_add, p.ftssa), p)[0]
+
+
+def dmm_attention_vjp(f_add, p: DmmParams, gy):
+    """gy has the gate's (N, C, 1, 1) dims."""
+    return _dmm_attention_bwd(_dmm_attention_fwd(f_add, p)[1], p, gy)
+
+
+def _dmm_fwd(f_gmm, p: DmmParams):
+    f_add, c_dir = _dmm_directional_fwd(f_gmm, p)
+    gate, c_att = _dmm_attention_fwd(f_add, p)
+    return f_add * gate, {"dir": c_dir, "att": c_att, "f_add": f_add,
+                          "gate": gate}
+
+
+def _dmm_bwd(cache, p: DmmParams, gy):
+    g_gate = np.sum(gy * cache.pop("f_add"), axis=(2, 3), keepdims=True)
+    g_f_add_att, gp_att = _dmm_attention_bwd(cache.pop("att"), p, g_gate)
+    gf, gp_dir = _dmm_directional_bwd(cache.pop("dir"), p,
+                                      gy * cache.pop("gate") + g_f_add_att)
+    return gf, add_params(gp_att, gp_dir)
+
+
+def dmm(f_gmm, p: DmmParams):
+    f_add = dmm_directional(f_gmm, p)
+    return f_add * dmm_attention(f_add, p)
 
 
 def dmm_vjp(f_gmm, p: DmmParams, gy):
-    f_add = dmm_directional(f_gmm, p)
-    gate = dmm_attention(f_add, p)
-    g_f_add = gy * gate
-    g_gate = np.sum(gy * f_add, axis=(2, 3), keepdims=True)
-    g_f_add_att, gp_att = dmm_attention_vjp(f_add, p, g_gate)
-    gf, gp_dir = dmm_directional_vjp(f_gmm, p, g_f_add + g_f_add_att)
-    return gf, add_params(gp_att, gp_dir)
+    return _dmm_bwd(_dmm_fwd(f_gmm, p)[1], p, gy)
+
+
+def _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p):
+    x2, c_agg = _reconcile_fwd(f2, f1.shape, agg_p)
+    f_gmm, c_gmm = _gmm_fwd(f1 + x2, gmm_p)
+    out, c_dmm = _dmm_fwd(f_gmm, dmm_p)
+    return out, (c_agg, c_gmm, c_dmm)
+
+
+def _gdim_bwd(cache, gmm_p, dmm_p, agg_p, gy):
+    c_agg, c_gmm, c_dmm = cache
+    g_f_gmm, g_dmm = _dmm_bwd(c_dmm, dmm_p, gy)
+    g_f_agg, g_gmm = _gmm_bwd(c_gmm, gmm_p, g_f_gmm)
+    g2, g_agg = _reconcile_bwd(c_agg, agg_p, g_f_agg)
+    return g_f_agg, g2, g_gmm, g_dmm, g_agg
 
 
 def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams, agg_p: AggregateParams = None):
@@ -275,9 +319,5 @@ def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams, agg_p: AggregateParams = No
 
 def gdim_vjp(f1, f2, gmm_p, dmm_p, agg_p, gy):
     """Returns (g_f1, g_f2, g_gmm, g_dmm, g_agg)."""
-    f_agg = aggregate(f1, f2, agg_p)
-    f_gmm = gmm(f_agg, gmm_p)
-    g_f_gmm, g_dmm = dmm_vjp(f_gmm, dmm_p, gy)
-    g_f_agg, g_gmm = gmm_vjp(f_agg, gmm_p, g_f_gmm)
-    g1, g2, g_agg = aggregate_vjp(f1, f2, agg_p, g_f_agg)
-    return g1, g2, g_gmm, g_dmm, g_agg
+    return _gdim_bwd(_gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p)[1], gmm_p, dmm_p,
+                     agg_p, gy)

@@ -24,7 +24,7 @@ from .config import RunConfig
 from .dpam import dpam, mgdfis_fuse
 from .errors import ConfigError, ShapeError
 from .ftssa import ftssa
-from .gdim import aggregate, dmm, gdim, gmm
+from .gdim import _reconcile_fwd, aggregate, dmm, gdim, gmm
 from .mgdt import read_tensor, write_tensor
 from .params import all_tensors, init_pipeline, structural_fields
 from .rng import stream
@@ -77,12 +77,15 @@ def _stage_value(cfg, params, f1, f2):
         return dmm(gmm(aggregate(f1, f2, params.agg), params.gmm), params.dmm)
     if stage == "gdim":
         return gdim(f1, f2, params.gmm, params.dmm, params.agg)
-    f_agg = aggregate(f1, f2, params.agg)
-    f_hat = gdim(f1, f2, params.gmm, params.dmm, params.agg)
+    # f2 is reconciled to f1's dims once and reused by aggregate and fuse;
+    # the values equal those of the composition through the public ops
+    x2 = _reconcile_fwd(f2, f1.shape, params.agg)[0]
+    f_agg = f1 + x2
+    f_hat = dmm(gmm(f_agg, params.gmm), params.dmm)
     amap = dpam(f_agg, f_hat, params.dpam)
     if stage == "dpam":
         return amap
-    return mgdfis_fuse(amap, f_hat, f1, f2, params.fusion, params.agg)
+    return mgdfis_fuse(amap, f_hat, f1, x2, params.fusion, params.agg)
 
 
 def _thread_count():

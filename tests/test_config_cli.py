@@ -196,6 +196,35 @@ def test_run_stage_ftssa_uses_primary_input_only(tmp_path):
     assert np.array_equal(res.output, ftssa(f1, params.dmm.ftssa))
 
 
+@pytest.mark.parametrize("stage", ["dpam", "full"])
+def test_dpam_and_full_stages_equal_public_composition(stage):
+    # f2 differs from f1 in dims and channels, so it goes through the
+    # resample-and-project reconcile that the stage runs only once
+    from mgdfis.dpam import dpam, mgdfis_fuse
+    from mgdfis.gdim import aggregate, gdim
+    cfg = tiny_cfg(stage=stage, f2_shape=(1, 6, 3, 3))
+    params = pipeline.build_params(cfg)
+    f1, f2 = pipeline.load_inputs(cfg)
+    f_agg = aggregate(f1, f2, params.agg)
+    f_hat = gdim(f1, f2, params.gmm, params.dmm, params.agg)
+    want = dpam(f_agg, f_hat, params.dpam)
+    if stage == "full":
+        want = mgdfis_fuse(want, f_hat, f1, f2, params.fusion, params.agg)
+    got = pipeline.execute_stage(cfg, params, f1, f2, threads=1)
+    assert np.array_equal(got, want)
+
+
+def test_stage_submodules_are_not_shadowed():
+    import importlib
+    import types
+    for name in ("ftssa", "gdim", "dpam"):
+        mod = importlib.import_module("mgdfis." + name)
+        assert isinstance(mod, types.ModuleType)
+        # `import mgdfis.<name> as m` binds the package attribute
+        assert isinstance(getattr(importlib.import_module("mgdfis"), name),
+                          types.ModuleType)
+
+
 def test_run_loads_input_files(tmp_path):
     f1 = stream(99, "alt.f1").uniform((1, 4, 6, 6), -1.0, 1.0)
     path = tmp_path / "f1.mgdt"

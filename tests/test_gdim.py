@@ -10,6 +10,7 @@ import pytest
 import oracles as orc
 from mgdfis import ops
 from mgdfis.errors import ConfigError, ShapeError
+from mgdfis.ftssa import ftssa
 from mgdfis.gdim import (aggregate, dmm, dmm_attention, dmm_directional, gdim,
                          gmm, regroup_h, regroup_w, restore_h, restore_w)
 from mgdfis.params import (init_aggregate, init_dmm, init_gmm,
@@ -156,21 +157,30 @@ def test_dmm_directional_matches_reference():
 
 def test_dmm_attention_zero_params_zero_gate():
     p = zeros_like_params(_dmm_params(19, 2))
-    gate = dmm_attention(u(19, "dm.f", (1, 2, 4, 4)), p,
-                         ftssa_fn=lambda f: f)
+    gate = dmm_attention(u(19, "dm.f", (1, 2, 4, 4)), p)
     assert gate.shape == (1, 2, 1, 1)
     assert np.max(np.abs(gate)) == 0.0
 
 
+def _identity_ftssa(c):
+    """Attention-stage params under which ftssa(f) is exactly f: everything
+    zero but the Mona skips, which become identity maps."""
+    p = zeros_like_params(_dmm_params(20, c).ftssa)
+    skip = dataclasses.replace(p.mona1, skip_weight=np.eye(c), skip_scale=1.0)
+    return dataclasses.replace(p, mona1=skip, mona2=skip)
+
+
 def test_dmm_attention_identity_mlp_gates_on_pooled_mean():
-    # bypass the attention stage and make both affine layers identity: the
-    # gate collapses to silu(gelu(channel mean))
+    # an identity attention stage and identity affine layers: the gate
+    # collapses to silu(gelu(channel mean))
     c = 2
     p = dataclasses.replace(_dmm_params(20, c, mlp_ratio=1),
+                            ftssa=_identity_ftssa(c),
                             mlp_w1=np.eye(c), mlp_b1=np.zeros(c),
                             mlp_w2=np.eye(c), mlp_b2=np.zeros(c))
     f = u(20, "dm.f", (2, c, 4, 4))
-    gate = dmm_attention(f, p, ftssa_fn=lambda t: t)
+    assert np.array_equal(ftssa(f, p.ftssa), f)
+    gate = dmm_attention(f, p)
     want = ops.silu(ops.gelu(f.mean(axis=(2, 3))))[:, :, None, None]
     assert np.max(np.abs(gate - want)) < 1e-12
 
@@ -185,10 +195,12 @@ def test_dmm_attention_matches_reference():
 def test_dmm_gate_hooks():
     p = _dmm_params(22, 2)
     f = u(22, "dm.f", (1, 2, 6, 6))
-    zero = dmm(f, p, gate_fn=lambda fa: np.zeros((1, 2, 1, 1)))
-    assert np.max(np.abs(zero)) == 0.0
-    passthrough = dmm(f, p, gate_fn=lambda fa: np.ones((1, 2, 1, 1)))
-    assert np.array_equal(passthrough, dmm_directional(f, p))
+    # a zero last layer gives silu(0) = 0, a closed gate
+    shut = dataclasses.replace(p, mlp_w2=np.zeros_like(p.mlp_w2),
+                               mlp_b2=np.zeros_like(p.mlp_b2))
+    assert np.max(np.abs(dmm(f, shut))) == 0.0
+    f_add = dmm_directional(f, p)
+    assert np.array_equal(dmm(f, p), f_add * dmm_attention(f_add, p))
 
 
 def test_dmm_matches_reference():

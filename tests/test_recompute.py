@@ -1,0 +1,50 @@
+"""Each VJP runs its forward once: a backward pass may evaluate no more
+forward convolutions than one forward evaluation of the same op."""
+
+import numpy as np
+import pytest
+
+from mgdfis import checks, dpam, ftssa, gdim, ops
+from mgdfis.params import init_aggregate, init_dmm, init_gmm
+from mgdfis.rng import stream
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """Count forward conv2d calls made through every module binding."""
+    calls = [0]
+    real = ops.conv2d
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    for mod in (ops, ftssa, gdim, dpam):
+        monkeypatch.setattr(mod, "conv2d", counting)
+    return calls
+
+
+def _count(calls, fn, *args):
+    calls[0] = 0
+    fn(*args)
+    return calls[0]
+
+
+@pytest.mark.parametrize("name", list(checks.OP_CHECKS))
+def test_backward_closure_runs_at_most_one_forward(name, conv_calls):
+    fwd, bwd, leaves = checks.OP_CHECKS[name](1)
+    assert _count(conv_calls, bwd, leaves) <= _count(conv_calls, fwd, leaves)
+
+
+def test_gdim_vjp_runs_exactly_one_forward(conv_calls):
+    c = 4
+    f1 = stream(1, "rc.f1").uniform((1, c, 6, 6), -1.0, 1.0)
+    f2 = stream(1, "rc.f2").uniform((1, 6, 3, 3), -1.0, 1.0)
+    gp = init_gmm(1, "rc.gmm", c, 6, 6, k=2)
+    dp = init_dmm(1, "rc.dmm", c, heads=2, head_dim=2, seff_base=4)
+    ap = init_aggregate(1, "rc.agg", c, 6)
+    n_fwd = _count(conv_calls, gdim.gdim, f1, f2, gp, dp, ap)
+    n_vjp = _count(conv_calls, gdim.gdim_vjp, f1, f2, gp, dp, ap,
+                   np.ones_like(f1))
+    assert n_fwd == 23
+    assert n_vjp == n_fwd
