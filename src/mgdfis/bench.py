@@ -67,12 +67,6 @@ def attention_core(q, k, v, block=256, work=None):
     return out
 
 
-def quadratic_attention(t, wq, wk, wv, block=256, work=None):
-    """Reference O(N^2) softmax attention over (1, N, C) tokens."""
-    tokens = t[0]
-    return attention_core(tokens @ wq, tokens @ wk, tokens @ wv, block, work)
-
-
 def _attach_ratios(rows):
     out = [rows[0]]
     for prev, cur in zip(rows, rows[1:]):

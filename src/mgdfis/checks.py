@@ -1,10 +1,16 @@
 """Registry of gradient-check cases, one per differentiable op.
 
-Each builder takes a seed and returns (forward, backward, leaves) closures
-over a flat leaf dict, sized small enough (spatial dims <= 6, C <= 4) that
-exhaustive central differences stay cheap.  Parameters are seeded through
-their init functions and then jittered so no leaf sits at a special value.
+`OP_CHECKS[name](seed)` returns (forward, backward, leaves) closures over a
+flat leaf dict, sized small enough (spatial dims <= 6, C <= 4) that
+exhaustive central differences stay cheap.  Every case is one call to
+`_case` with the op, its public VJP, the op's named arguments and the
+loss cotangent; ops with extra non-differentiable arguments (conv spec,
+activation kind, resize dims, softmax axis) bind them with a lambda.
+Parameters are seeded through their init functions and then jittered so no
+leaf sits at a special value.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -23,6 +29,12 @@ from .params import (FusionWeights, init_aggregate, init_dmm, init_dpam,
 from .rng import stream
 
 OP_CHECKS = {}
+
+# Deep composites weight their loss by this constant: gradient entries they
+# shrink by cancellation then land below the relative-error floor, where both
+# sides only agree to their own rounding, which scales with the loss.
+_SMALL = 0.05
+_MAP = (1, 2, 3, 3)     # the common input: two channels on a 3x3 map
 
 
 def _register(name):
@@ -45,24 +57,35 @@ def _jitter(p, seed, label, span=0.3):
     return replace_leaves(p, bumped)
 
 
-def _record_case(op, vjp, p, x, scale=1.0, out_shape=None):
-    """Closures for the common (input, params) -> output signature.
+def _flat(name, value):
+    """The leaves of one argument: an array under its name, a parameter
+    record's learnable leaves under "name." (bare when name is empty)."""
+    if dataclasses.is_dataclass(value):
+        return param_leaves(value, name + "." if name else "")
+    return {name: value}
 
-    scale weights the loss; deep composites pass a small value so gradient
-    entries they shrink by cancellation land below the relative-error floor,
-    where the fixed absolute slop covers both sides' own rounding.
-    out_shape is the op's output shape when it differs from the input's; the
-    backward closure builds its cotangent from it rather than running the
-    forward, so it evaluates the op once, inside the VJP."""
-    leaves = {"x": x, **param_leaves(p)}
-    cot = np.full(out_shape or x.shape, scale)
+
+def _case(op, vjp, args, cot):
+    """(forward, backward, leaves) for the loss sum(cot * op(*values)), args
+    being the op's arguments as ordered (name, value) pairs.  backward maps
+    vjp(*values, cot), one gradient per argument in order (bare for a
+    one-argument op), onto the same leaf names.  A scaled loss passes
+    np.full(out_shape, s): the same bits as s * op(...)."""
+    leaves = {k: v for name, value in args for k, v in _flat(name, value).items()}
+
+    def values(lv):
+        return [replace_leaves(v, lv, name + "." if name else "")
+                if dataclasses.is_dataclass(v) else lv[name] for name, v in args]
 
     def forward(lv):
-        return scale * op(lv["x"], replace_leaves(p, lv))
+        return cot * op(*values(lv))
 
     def backward(lv):
-        gx, gp = vjp(lv["x"], replace_leaves(p, lv), cot)
-        return {"x": gx, **param_leaves(gp)}
+        grads = vjp(*values(lv), cot)
+        if len(args) == 1:
+            grads = (grads,)
+        return {k: g for (name, _), grad in zip(args, grads)
+                for k, g in _flat(name, grad).items()}
 
     return forward, backward, leaves
 
@@ -71,253 +94,151 @@ def _record_case(op, vjp, p, x, scale=1.0, out_shape=None):
 # tensor-core primitives
 # ---------------------------------------------------------------------------
 
-def _conv_case(seed, label, spec, shape):
-    x = _u(seed, label + ".x", shape)
-    w = _u(seed, label + ".w", spec.weight_shape)
-    b = _u(seed, label + ".b", (spec.out_channels,))
-    out_shape = (shape[0], spec.out_channels) + spec.output_hw(shape[2], shape[3])
-
-    def forward(lv):
-        return ops.conv2d(lv["x"], lv["w"], lv["b"], spec)
-
-    def backward(lv):
-        gx, gw, gb = ops.conv2d_vjp(lv["x"], lv["w"], lv["b"], spec,
-                                    np.ones(out_shape))
-        return {"x": gx, "w": gw, "b": gb}
-
-    return forward, backward, {"x": x, "w": w, "b": b}
+def _conv_check(label, spec, shape):
+    def build(seed):
+        out_shape = (shape[0], spec.out_channels) + spec.output_hw(*shape[2:])
+        return _case(lambda x, w, b: ops.conv2d(x, w, b, spec),
+                     lambda x, w, b, gy: ops.conv2d_vjp(x, w, b, spec, gy),
+                     [("x", _u(seed, label + ".x", shape)),
+                      ("w", _u(seed, label + ".w", spec.weight_shape)),
+                      ("b", _u(seed, label + ".b", (spec.out_channels,)))],
+                     np.ones(out_shape))
+    return build
 
 
-@_register("conv2d_depthwise")
-def _check_conv_dw(seed):
-    return _conv_case(seed, "check.convdw", ops.same_spec(3, 3, 3, groups=3),
-                      (1, 3, 4, 4))
-
-
-@_register("conv2d_grouped_strided")
-def _check_conv_gs(seed):
-    spec = ops.ConvSpec(4, 4, 3, 2, stride=(2, 1), padding=(1, 0, 2, 1),
-                        dilation=(1, 2), groups=2)
-    return _conv_case(seed, "check.convgs", spec, (2, 4, 4, 4))
+OP_CHECKS["conv2d_depthwise"] = _conv_check(
+    "check.convdw", ops.same_spec(3, 3, 3, groups=3), (1, 3, 4, 4))
+OP_CHECKS["conv2d_grouped_strided"] = _conv_check(
+    "check.convgs", ops.ConvSpec(4, 4, 3, 2, stride=(2, 1), padding=(1, 0, 2, 1),
+                                 dilation=(1, 2), groups=2), (2, 4, 4, 4))
 
 
 @_register("linear")
 def _check_linear(seed):
-    x = _u(seed, "check.lin.x", (3, 4))
-    w = _u(seed, "check.lin.w", (4, 2))
-    b = _u(seed, "check.lin.b", (2,))
-
-    def forward(lv):
-        return ops.linear(lv["x"], lv["w"], lv["b"])
-
-    def backward(lv):
-        gx, gw, gb = ops.linear_vjp(lv["x"], lv["w"], lv["b"], np.ones((3, 2)))
-        return {"x": gx, "w": gw, "b": gb}
-
-    return forward, backward, {"x": x, "w": w, "b": b}
+    return _case(ops.linear, ops.linear_vjp,
+                 [("x", _u(seed, "check.lin.x", (3, 4))),
+                  ("w", _u(seed, "check.lin.w", (4, 2))),
+                  ("b", _u(seed, "check.lin.b", (2,)))], np.ones((3, 2)))
 
 
 @_register("softmax")
 def _check_softmax(seed):
     # weight the outputs: the plain sum is constant along the softmax axis,
     # which would make both gradients identically zero
-    x = _u(seed, "check.sm.x", (2, 3, 4), -2.0, 2.0)
-    cot = _u(seed, "check.sm.cot", (2, 3, 4))
-
-    def forward(lv):
-        return cot * ops.softmax(lv["x"], 1)
-
-    def backward(lv):
-        return {"x": ops.softmax_vjp(lv["x"], 1, cot)}
-
-    return forward, backward, {"x": x}
+    return _case(lambda x: ops.softmax(x, 1),
+                 lambda x, gy: ops.softmax_vjp(x, 1, gy),
+                 [("x", _u(seed, "check.sm.x", (2, 3, 4), -2.0, 2.0))],
+                 _u(seed, "check.sm.cot", (2, 3, 4)))
 
 
-def _act_case(kind):
-    def build(seed):
-        x = _u(seed, f"check.act.{kind}.x", (2, 5), -2.0, 2.0)
-
-        def forward(lv):
-            return ops.activation(kind, lv["x"])
-
-        def backward(lv):
-            return {"x": ops.activation_vjp(kind, lv["x"], np.ones((2, 5)))}
-
-        return forward, backward, {"x": x}
-    return build
+def _act_check(kind):
+    return lambda seed: _case(
+        lambda x: ops.activation(kind, x),
+        lambda x, gy: ops.activation_vjp(kind, x, gy),
+        [("x", _u(seed, f"check.act.{kind}.x", (2, 5), -2.0, 2.0))], np.ones((2, 5)))
 
 
 for _kind in ops.ACTIVATIONS:
-    OP_CHECKS[f"activation_{_kind}"] = _act_case(_kind)
+    OP_CHECKS[f"activation_{_kind}"] = _act_check(_kind)
 
 
 @_register("global_avg_pool")
 def _check_gap(seed):
-    x = _u(seed, "check.gap.x", (2, 3, 4, 4))
-
-    def forward(lv):
-        return ops.global_avg_pool(lv["x"])
-
-    def backward(lv):
-        return {"x": ops.global_avg_pool_vjp(lv["x"], np.ones((2, 3, 1, 1)))}
-
-    return forward, backward, {"x": x}
+    return _case(ops.global_avg_pool, ops.global_avg_pool_vjp,
+                 [("x", _u(seed, "check.gap.x", (2, 3, 4, 4)))], np.ones((2, 3, 1, 1)))
 
 
 @_register("bilinear_resize")
 def _check_resize(seed):
-    x = _u(seed, "check.rsz.x", (1, 2, 3, 3))
+    return _case(lambda x: ops.bilinear_resize(x, 5, 4),
+                 lambda x, gy: ops.bilinear_resize_vjp(3, 3, gy),
+                 [("x", _u(seed, "check.rsz.x", _MAP))], np.ones((1, 2, 5, 4)))
 
-    def forward(lv):
-        return ops.bilinear_resize(lv["x"], 5, 4)
 
-    def backward(lv):
-        return {"x": ops.bilinear_resize_vjp(3, 3, np.ones((1, 2, 5, 4)))}
+def _fft_filter(x, w_re, w_im):
+    """Spectral reweighting in isolation: Re(ifft2(W * fft2(x)))."""
+    return ops.ifft2((w_re + 1j * w_im) * ops.fft2(x))
 
-    return forward, backward, {"x": x}
+
+def _fft_filter_vjp(x, w_re, w_im, gy):
+    gz = ops.ifft2_vjp(gy)
+    gw = np.conj(ops.fft2(x)) * gz
+    return ops.fft2_vjp(np.conj(w_re + 1j * w_im) * gz), gw.real, gw.imag
 
 
 @_register("fft_filter")
 def _check_fft_filter(seed):
-    """Spectral reweighting in isolation: Re(ifft2(W * fft2(x))).  The plain
-    sum of an inverse transform reads only the DC bin, so the loss is
-    weighted to make the whole spectrum observable."""
-    shape = (1, 2, 3, 3)
-    x = _u(seed, "check.fftf.x", shape)
-    wr = _u(seed, "check.fftf.wr", shape)
-    wi = _u(seed, "check.fftf.wi", shape)
-    cot = _u(seed, "check.fftf.cot", shape)
-
-    def forward(lv):
-        w = lv["w_re"] + 1j * lv["w_im"]
-        return cot * ops.ifft2(w * ops.fft2(lv["x"]))
-
-    def backward(lv):
-        w = lv["w_re"] + 1j * lv["w_im"]
-        spec = ops.fft2(lv["x"])
-        gz = ops.ifft2_vjp(cot)
-        gw = np.conj(spec) * gz
-        gx = ops.fft2_vjp(np.conj(w) * gz)
-        return {"x": gx, "w_re": gw.real, "w_im": gw.imag}
-
-    return forward, backward, {"x": x, "w_re": wr, "w_im": wi}
+    # the plain sum of an inverse transform reads only the DC bin, so the
+    # loss is weighted to make the whole spectrum observable
+    return _case(_fft_filter, _fft_filter_vjp,
+                 [("x", _u(seed, "check.fftf.x", _MAP)),
+                  ("w_re", _u(seed, "check.fftf.wr", _MAP)),
+                  ("w_im", _u(seed, "check.fftf.wi", _MAP))],
+                 _u(seed, "check.fftf.cot", _MAP))
 
 
 # ---------------------------------------------------------------------------
 # attention-stage ops
 # ---------------------------------------------------------------------------
 
-@_register("dyt")
-def _check_dyt(seed):
-    p = _jitter(init_dyt(3), seed, "check.dyt.p")
-    return _record_case(dyt, dyt_vjp, p, _u(seed, "check.dyt.x", (2, 3, 3, 3)))
+def _param_check(op, vjp, label, shape, init, scale=1.0, out_shape=None,
+                 jitter=".j"):
+    """A case for op(x, params): x drawn under label + ".x", the record built
+    by init(seed, label) and jittered under label + jitter."""
+    def build(seed):
+        x = _u(seed, label + ".x", shape)
+        p = _jitter(init(seed, label), seed, label + jitter)
+        return _case(op, vjp, [("x", x), ("", p)],
+                     np.full(out_shape or shape, scale))
+    return build
 
 
-@_register("tssa")
-def _check_tssa(seed):
-    p = _jitter(init_tssa(seed, "check.tssa", 2, heads=2, head_dim=1),
-                seed, "check.tssa.j")
-    return _record_case(tssa, tssa_vjp, p, _u(seed, "check.tssa.x", (1, 2, 3, 3)))
-
-
-@_register("tssa_distribution")
-def _check_tssa_dist(seed):
-    # head_dim 2 keeps the per-head radius away from its kink at zero, which
-    # a single component can hit within finite-difference range
-    p = _jitter(init_tssa(seed, "check.tssad", 2, heads=2, head_dim=2,
-                          pi_mode="distribution"), seed, "check.tssad.j")
-    return _record_case(tssa, tssa_vjp, p, _u(seed, "check.tssad.x", (1, 2, 3, 3)))
-
-
-@_register("xmona")
-def _check_xmona(seed):
-    p = _jitter(init_mona(seed, "check.xmona", 2), seed, "check.xmona.j")
-    return _record_case(xmona, xmona_vjp, p, _u(seed, "check.xmona.x", (1, 2, 3, 3)))
-
-
-@_register("mona_op")
-def _check_mona_op(seed):
-    p = _jitter(init_mona(seed, "check.monaop", 4), seed, "check.monaop.j")
-    # reduced channel count for C=4 at ratio 4 is 1
-    return _record_case(mona_op, mona_op_vjp, p,
-                        _u(seed, "check.monaop.x", (1, 1, 4, 4)))
-
-
-@_register("mona")
-def _check_mona(seed):
-    p = _jitter(init_mona(seed, "check.mona", 2), seed, "check.mona.j")
-    return _record_case(mona, mona_vjp, p, _u(seed, "check.mona.x", (1, 2, 3, 3)))
-
-
-@_register("seff")
-def _check_seff(seed):
-    p = _jitter(init_seff(seed, "check.seff", 2, base=2), seed, "check.seff.j")
-    return _record_case(seff, seff_vjp, p, _u(seed, "check.seff.x", (1, 2, 3, 3)))
+OP_CHECKS["dyt"] = _param_check(dyt, dyt_vjp, "check.dyt", (2, 3, 3, 3),
+                                lambda s, l: init_dyt(3), jitter=".p")
+OP_CHECKS["tssa"] = _param_check(
+    tssa, tssa_vjp, "check.tssa", _MAP,
+    lambda s, l: init_tssa(s, l, 2, heads=2, head_dim=1))
+# head_dim 2 keeps the per-head radius away from its kink at zero, which a
+# single component can hit within finite-difference range
+OP_CHECKS["tssa_distribution"] = _param_check(
+    tssa, tssa_vjp, "check.tssad", _MAP,
+    lambda s, l: init_tssa(s, l, 2, heads=2, head_dim=2, pi_mode="distribution"))
+OP_CHECKS["xmona"] = _param_check(xmona, xmona_vjp, "check.xmona", _MAP,
+                                  lambda s, l: init_mona(s, l, 2))
+# reduced channel count for C=4 at ratio 4 is 1
+OP_CHECKS["mona_op"] = _param_check(mona_op, mona_op_vjp, "check.monaop",
+                                    (1, 1, 4, 4), lambda s, l: init_mona(s, l, 4))
+OP_CHECKS["mona"] = _param_check(mona, mona_vjp, "check.mona", _MAP,
+                                 lambda s, l: init_mona(s, l, 2))
+OP_CHECKS["seff"] = _param_check(seff, seff_vjp, "check.seff", _MAP,
+                                 lambda s, l: init_seff(s, l, 2, base=2))
 
 
 @_register("daff")
 def _check_daff(seed):
-    c = 2
-    x = _u(seed, "check.daff.x", (1, c, 3, 3))
-    dp = _jitter(init_dyt(c), seed, "check.daff.dyt")
-    tp = _jitter(init_tssa(seed, "check.daff.tssa", c, 2, 1), seed, "check.daff.tj")
-    mp = _jitter(init_mona(seed, "check.daff.mona", c), seed, "check.daff.mj")
-    leaves = {"x": x, **param_leaves(dp, "dyt."), **param_leaves(tp, "tssa."),
-              **param_leaves(mp, "mona.")}
-
-    def rebuild(lv):
-        return (replace_leaves(dp, lv, "dyt."), replace_leaves(tp, lv, "tssa."),
-                replace_leaves(mp, lv, "mona."))
-
-    def forward(lv):
-        d, t, m = rebuild(lv)
-        return daff(lv["x"], d, t, m)
-
-    def backward(lv):
-        d, t, m = rebuild(lv)
-        gx, gd, gt, gm = daff_vjp(lv["x"], d, t, m, np.ones_like(lv["x"]))
-        return {"x": gx, **param_leaves(gd, "dyt."), **param_leaves(gt, "tssa."),
-                **param_leaves(gm, "mona.")}
-
-    return forward, backward, leaves
+    return _case(daff, daff_vjp, [
+        ("x", _u(seed, "check.daff.x", _MAP)),
+        ("dyt", _jitter(init_dyt(2), seed, "check.daff.dyt")),
+        ("tssa", _jitter(init_tssa(seed, "check.daff.tssa", 2, 2, 1), seed,
+                         "check.daff.tj")),
+        ("mona", _jitter(init_mona(seed, "check.daff.mona", 2), seed,
+                         "check.daff.mj"))], np.ones(_MAP))
 
 
 @_register("serr")
 def _check_serr(seed):
-    c = 2
-    x = _u(seed, "check.serr.x", (1, c, 3, 3))
-    dp = _jitter(init_dyt(c), seed, "check.serr.dyt")
-    sp = _jitter(init_seff(seed, "check.serr.seff", c, base=2), seed, "check.serr.sj")
-    mp = _jitter(init_mona(seed, "check.serr.mona", c), seed, "check.serr.mj")
-    leaves = {"x": x, **param_leaves(dp, "dyt."), **param_leaves(sp, "seff."),
-              **param_leaves(mp, "mona.")}
-
-    def rebuild(lv):
-        return (replace_leaves(dp, lv, "dyt."), replace_leaves(sp, lv, "seff."),
-                replace_leaves(mp, lv, "mona."))
-
-    scale = 0.05
-
-    def forward(lv):
-        d, s, m = rebuild(lv)
-        return scale * serr(lv["x"], d, s, m)
-
-    def backward(lv):
-        d, s, m = rebuild(lv)
-        gx, gd, gs, gm = serr_vjp(lv["x"], d, s, m,
-                                  np.full_like(lv["x"], scale))
-        return {"x": gx, **param_leaves(gd, "dyt."), **param_leaves(gs, "seff."),
-                **param_leaves(gm, "mona.")}
-
-    return forward, backward, leaves
+    return _case(serr, serr_vjp, [
+        ("x", _u(seed, "check.serr.x", _MAP)),
+        ("dyt", _jitter(init_dyt(2), seed, "check.serr.dyt")),
+        ("seff", _jitter(init_seff(seed, "check.serr.seff", 2, base=2), seed,
+                         "check.serr.sj")),
+        ("mona", _jitter(init_mona(seed, "check.serr.mona", 2), seed,
+                         "check.serr.mj"))], np.full(_MAP, _SMALL))
 
 
-@_register("ftssa")
-def _check_ftssa(seed):
-    p = _jitter(init_ftssa(seed, "check.ftssa", 2, heads=2, head_dim=1,
-                           seff_base=2), seed, "check.ftssa.j")
-    return _record_case(ftssa, ftssa_vjp, p, _u(seed, "check.ftssa.x", (1, 2, 3, 3)),
-                        scale=0.05)
+OP_CHECKS["ftssa"] = _param_check(
+    ftssa, ftssa_vjp, "check.ftssa", _MAP,
+    lambda s, l: init_ftssa(s, l, 2, heads=2, head_dim=1, seff_base=2), _SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -326,143 +247,62 @@ def _check_ftssa(seed):
 
 @_register("aggregate")
 def _check_aggregate(seed):
-    f1 = _u(seed, "check.agg.f1", (1, 2, 3, 3))
-    f2 = _u(seed, "check.agg.f2", (1, 3, 2, 2))
-    ap = _jitter(init_aggregate(seed, "check.agg", 2, 3), seed, "check.agg.j")
-    leaves = {"f1": f1, "f2": f2, **param_leaves(ap, "agg.")}
-
-    def forward(lv):
-        return aggregate(lv["f1"], lv["f2"], replace_leaves(ap, lv, "agg."))
-
-    def backward(lv):
-        a = replace_leaves(ap, lv, "agg.")
-        g1, g2, ga = aggregate_vjp(lv["f1"], lv["f2"], a, np.ones_like(lv["f1"]))
-        return {"f1": g1, "f2": g2, **param_leaves(ga, "agg.")}
-
-    return forward, backward, leaves
+    return _case(aggregate, aggregate_vjp, [
+        ("f1", _u(seed, "check.agg.f1", _MAP)),
+        ("f2", _u(seed, "check.agg.f2", (1, 3, 2, 2))),
+        ("agg", _jitter(init_aggregate(seed, "check.agg", 2, 3), seed,
+                        "check.agg.j"))], np.ones(_MAP))
 
 
-@_register("gmm")
-def _check_gmm(seed):
-    p = _jitter(init_gmm(seed, "check.gmm", 2, 3, 3, k=2), seed, "check.gmm.j")
-    return _record_case(gmm, gmm_vjp, p, _u(seed, "check.gmm.x", (1, 2, 3, 3)))
+OP_CHECKS["gmm"] = _param_check(gmm, gmm_vjp, "check.gmm", _MAP,
+                                lambda s, l: init_gmm(s, l, 2, 3, 3, k=2))
 
 
-@_register("dmm_directional")
-def _check_dmm_dir(seed):
-    p = _jitter(init_dmm(seed, "check.dmmdir", 2, heads=2, head_dim=1,
-                         seff_base=2), seed, "check.dmmdir.j")
-    return _record_case(dmm_directional, dmm_directional_vjp, p,
-                        _u(seed, "check.dmmdir.x", (1, 2, 3, 3)))
+def _init_dmm(seed, label):
+    return init_dmm(seed, label, 2, heads=2, head_dim=1, seff_base=2)
 
 
-@_register("dmm_attention")
-def _check_dmm_att(seed):
-    p = _jitter(init_dmm(seed, "check.dmmatt", 2, heads=2, head_dim=1,
-                         seff_base=2), seed, "check.dmmatt.j")
-    return _record_case(dmm_attention, dmm_attention_vjp, p,
-                        _u(seed, "check.dmmatt.x", (1, 2, 3, 3)), scale=0.05,
-                        out_shape=(1, 2, 1, 1))
-
-
-@_register("dmm")
-def _check_dmm(seed):
-    p = _jitter(init_dmm(seed, "check.dmm", 2, heads=2, head_dim=1,
-                         seff_base=2), seed, "check.dmm.j")
-    return _record_case(dmm, dmm_vjp, p, _u(seed, "check.dmm.x", (1, 2, 3, 3)),
-                        scale=0.05)
+OP_CHECKS["dmm_directional"] = _param_check(
+    dmm_directional, dmm_directional_vjp, "check.dmmdir", _MAP, _init_dmm)
+OP_CHECKS["dmm_attention"] = _param_check(
+    dmm_attention, dmm_attention_vjp, "check.dmmatt", _MAP, _init_dmm, _SMALL,
+    out_shape=(1, 2, 1, 1))
+OP_CHECKS["dmm"] = _param_check(dmm, dmm_vjp, "check.dmm", _MAP, _init_dmm,
+                                _SMALL)
 
 
 @_register("gdim")
 def _check_gdim(seed):
-    c = 2
-    f1 = _u(seed, "check.gdim.f1", (1, c, 3, 3))
-    f2 = _u(seed, "check.gdim.f2", (1, 3, 2, 2))
-    gp = _jitter(init_gmm(seed, "check.gdim.gmm", c, 3, 3, k=2), seed,
-                 "check.gdim.gj")
-    dp = _jitter(init_dmm(seed, "check.gdim.dmm", c, heads=2, head_dim=1,
-                          seff_base=2), seed, "check.gdim.dj")
-    ap = _jitter(init_aggregate(seed, "check.gdim.agg", c, 3), seed,
-                 "check.gdim.aj")
-    leaves = {"f1": f1, "f2": f2, **param_leaves(gp, "gmm."),
-              **param_leaves(dp, "dmm."), **param_leaves(ap, "agg.")}
-
-    def rebuild(lv):
-        return (replace_leaves(gp, lv, "gmm."), replace_leaves(dp, lv, "dmm."),
-                replace_leaves(ap, lv, "agg."))
-
-    # small loss weighting: gradient entries this deep composite shrinks by
-    # cancellation sit under the relative-error floor, where both sides only
-    # agree to their own rounding, which scales with the loss
-    scale = 0.05
-
-    def forward(lv):
-        g, d, a = rebuild(lv)
-        return scale * gdim(lv["f1"], lv["f2"], g, d, a)
-
-    def backward(lv):
-        g, d, a = rebuild(lv)
-        g1, g2, gg, gd, ga = gdim_vjp(lv["f1"], lv["f2"], g, d, a,
-                                      np.full_like(lv["f1"], scale))
-        return {"f1": g1, "f2": g2, **param_leaves(gg, "gmm."),
-                **param_leaves(gd, "dmm."), **param_leaves(ga, "agg.")}
-
-    return forward, backward, leaves
+    return _case(gdim, gdim_vjp, [
+        ("f1", _u(seed, "check.gdim.f1", _MAP)),
+        ("f2", _u(seed, "check.gdim.f2", (1, 3, 2, 2))),
+        ("gmm", _jitter(init_gmm(seed, "check.gdim.gmm", 2, 3, 3, k=2), seed,
+                        "check.gdim.gj")),
+        ("dmm", _jitter(_init_dmm(seed, "check.gdim.dmm"), seed, "check.gdim.dj")),
+        ("agg", _jitter(init_aggregate(seed, "check.gdim.agg", 2, 3), seed,
+                        "check.gdim.aj"))], np.full(_MAP, _SMALL))
 
 
 @_register("dpam")
 def _check_dpam(seed):
-    c = 2
-    fa = _u(seed, "check.dpam.fa", (1, c, 3, 3))
-    fh = _u(seed, "check.dpam.fh", (1, c, 3, 3))
-    p = _jitter(init_dpam(seed, "check.dpam", c), seed, "check.dpam.j")
-    leaves = {"f_agg": fa, "f_hat": fh, **param_leaves(p)}
-
-    def forward(lv):
-        return dpam(lv["f_agg"], lv["f_hat"], replace_leaves(p, lv))
-
-    def backward(lv):
-        pp = replace_leaves(p, lv)
-        ga, gh, gp = dpam_vjp(lv["f_agg"], lv["f_hat"], pp,
-                              np.ones_like(lv["f_agg"]))
-        return {"f_agg": ga, "f_hat": gh, **param_leaves(gp)}
-
-    return forward, backward, leaves
+    return _case(dpam, dpam_vjp, [
+        ("f_agg", _u(seed, "check.dpam.fa", _MAP)),
+        ("f_hat", _u(seed, "check.dpam.fh", _MAP)),
+        ("", _jitter(init_dpam(seed, "check.dpam", 2), seed, "check.dpam.j"))],
+        np.ones(_MAP))
 
 
 @_register("mgdfis_fuse")
 def _check_fuse(seed):
-    c = 2
-    amap = stream(seed, "check.fuse.amap").uniform((1, c, 3, 3), 0.05, 0.95)
-    fh = _u(seed, "check.fuse.fh", (1, c, 3, 3))
-    x1 = _u(seed, "check.fuse.x1", (1, c, 3, 3))
-    x2 = _u(seed, "check.fuse.x2", (1, 3, 2, 2))
-    w = _jitter(FusionWeights(), seed, "check.fuse.w")
-    ap = _jitter(init_aggregate(seed, "check.fuse.agg", c, 3), seed,
-                 "check.fuse.aj")
-    leaves = {"amap": amap, "f_hat": fh, "x1": x1, "x2": x2,
-              **param_leaves(w, "w."), **param_leaves(ap, "agg.")}
+    return _case(mgdfis_fuse, mgdfis_fuse_vjp, [
+        ("amap", stream(seed, "check.fuse.amap").uniform(_MAP, 0.05, 0.95)),
+        ("f_hat", _u(seed, "check.fuse.fh", _MAP)),
+        ("x1", _u(seed, "check.fuse.x1", _MAP)),
+        ("x2", _u(seed, "check.fuse.x2", (1, 3, 2, 2))),
+        ("w", _jitter(FusionWeights(), seed, "check.fuse.w")),
+        ("agg", _jitter(init_aggregate(seed, "check.fuse.agg", 2, 3), seed,
+                        "check.fuse.aj"))], np.ones(_MAP))
 
-    def forward(lv):
-        return mgdfis_fuse(lv["amap"], lv["f_hat"], lv["x1"], lv["x2"],
-                           replace_leaves(w, lv, "w."),
-                           replace_leaves(ap, lv, "agg."))
-
-    def backward(lv):
-        ww = replace_leaves(w, lv, "w.")
-        aa = replace_leaves(ap, lv, "agg.")
-        gm, gh, g1, g2, gw, ga = mgdfis_fuse_vjp(
-            lv["amap"], lv["f_hat"], lv["x1"], lv["x2"], ww, aa,
-            np.ones_like(lv["f_hat"]))
-        return {"amap": gm, "f_hat": gh, "x1": g1, "x2": g2,
-                **param_leaves(gw, "w."), **param_leaves(ga, "agg.")}
-
-    return forward, backward, leaves
-
-
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
 
 def run_check(name, seeds=20, eps=1e-4, tol=1e-4):
     """Merge one op's reports over several seeds into a single report."""

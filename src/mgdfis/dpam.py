@@ -2,6 +2,8 @@
 
 The attention map gates the refined features against a weighted sum of the
 two (reconciled) input maps; three scalar fusion weights balance the mix.
+Both ops are fwd/bwd pairs with input and cotangent checks, as in
+`mgdfis.ftssa`.
 """
 
 import numpy as np
@@ -10,11 +12,10 @@ from . import ops
 from .gdim import _reconcile_bwd, _reconcile_fwd
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import AggregateParams, DpamParams, FusionWeights, add_params
-from .tensor import as_feature_map, require_same_shape
+from .tensor import as_feature_map, require_cotangent, require_same_shape
 
 
-def dpam(f_agg, f_hat, p: DpamParams):
-    """Channel-concat, 7x7 convolve down to C, sigmoid: a map in (0,1)."""
+def _dpam_fwd(f_agg, f_hat, p: DpamParams):
     f_agg = as_feature_map(f_agg, "dpam")
     f_hat = as_feature_map(f_hat, "dpam")
     require_same_shape(f_agg, f_hat, "dpam")
@@ -22,37 +23,50 @@ def dpam(f_agg, f_hat, p: DpamParams):
     cat = np.concatenate([f_agg, f_hat], axis=1)
     local = conv2d(cat, p.conv_weight, p.conv_bias,
                    same_spec(2 * c, 7, 7, out_channels=c))
-    return ops.sigmoid(local)
+    return ops.sigmoid(local), {"cat": cat, "local": local}
+
+
+def dpam(f_agg, f_hat, p: DpamParams):
+    """Channel-concat, 7x7 convolve down to C, sigmoid: a map in (0,1)."""
+    return _dpam_fwd(f_agg, f_hat, p)[0]
 
 
 def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
-    c = f_agg.shape[1]
-    cat = np.concatenate([f_agg, f_hat], axis=1)
-    spec = same_spec(2 * c, 7, 7, out_channels=c)
-    local = conv2d(cat, p.conv_weight, p.conv_bias, spec)
-    g_local = ops.activation_grad("sigmoid", local) * gy
-    g_cat, gw, gb = conv2d_vjp(cat, p.conv_weight, p.conv_bias, spec, g_local)
+    out, cache = _dpam_fwd(f_agg, f_hat, p)
+    gy = require_cotangent(gy, out, "dpam_vjp")
+    c = out.shape[1]
+    g_local = ops.activation_grad("sigmoid", cache.pop("local")) * gy
+    g_cat, gw, gb = conv2d_vjp(cache.pop("cat"), p.conv_weight, p.conv_bias,
+                               same_spec(2 * c, 7, 7, out_channels=c), g_local)
     return g_cat[:, :c], g_cat[:, c:], DpamParams(conv_weight=gw, conv_bias=gb)
+
+
+def _fuse_fwd(amap, f_hat, x1, x2, w: FusionWeights, agg_p):
+    amap = as_feature_map(amap, "mgdfis_fuse")
+    f_hat = as_feature_map(f_hat, "mgdfis_fuse")
+    require_same_shape(amap, f_hat, "mgdfis_fuse")
+    x1p, c1 = _reconcile_fwd(x1, f_hat.shape, agg_p)
+    x2p, c2 = _reconcile_fwd(x2, f_hat.shape, agg_p)
+    base = w.w_x1 * x1p + w.w_x2 * x2p
+    inner = amap * f_hat + (1.0 - amap) * base
+    return w.w_map * inner, {"amap": amap, "f_hat": f_hat, "x1p": x1p,
+                             "x2p": x2p, "c1": c1, "c2": c2, "base": base,
+                             "inner": inner}
 
 
 def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
                 agg_p: AggregateParams = None):
     """w_map * (amap*f_hat + (1-amap)*(w_x1*x1' + w_x2*x2')) where x1, x2
     are reconciled to f_hat dims by the aggregation resampler."""
-    amap = as_feature_map(amap, "mgdfis_fuse")
-    f_hat = as_feature_map(f_hat, "mgdfis_fuse")
-    require_same_shape(amap, f_hat, "mgdfis_fuse")
-    base = (w.w_x1 * _reconcile_fwd(x1, f_hat.shape, agg_p)[0]
-            + w.w_x2 * _reconcile_fwd(x2, f_hat.shape, agg_p)[0])
-    return w.w_map * (amap * f_hat + (1.0 - amap) * base)
+    return _fuse_fwd(amap, f_hat, x1, x2, w, agg_p)[0]
 
 
 def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
-    x1p, c1 = _reconcile_fwd(x1, f_hat.shape, agg_p)
-    x2p, c2 = _reconcile_fwd(x2, f_hat.shape, agg_p)
-    base = w.w_x1 * x1p + w.w_x2 * x2p
-    inner = amap * f_hat + (1.0 - amap) * base
+    out, cache = _fuse_fwd(amap, f_hat, x1, x2, w, agg_p)
+    gy = require_cotangent(gy, out, "mgdfis_fuse_vjp")
+    amap, f_hat, base = cache["amap"], cache["f_hat"], cache["base"]
+    x1p, x2p, inner = cache["x1p"], cache["x2p"], cache["inner"]
 
     g_w_map = float(np.sum(gy * inner))
     g_inner = w.w_map * gy
@@ -62,8 +76,8 @@ def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     g_w_x1 = float(np.sum(g_base * x1p))
     g_w_x2 = float(np.sum(g_base * x2p))
 
-    g_x1, g_agg1 = _reconcile_bwd(c1, agg_p, w.w_x1 * g_base)
-    g_x2, g_agg2 = _reconcile_bwd(c2, agg_p, w.w_x2 * g_base)
+    g_x1, g_agg1 = _reconcile_bwd(cache["c1"], agg_p, w.w_x1 * g_base)
+    g_x2, g_agg2 = _reconcile_bwd(cache["c2"], agg_p, w.w_x2 * g_base)
     g_agg = add_params(g_agg1, g_agg2) if agg_p is not None else None
     gw = FusionWeights(w_map=g_w_map, w_x1=g_w_x1, w_x2=g_w_x2)
     return g_amap, g_f_hat, g_x1, g_x2, gw, g_agg

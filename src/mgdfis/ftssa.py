@@ -8,7 +8,9 @@ parameters' record type)`.  The public `op_vjp` is `_op_bwd(_op_fwd(...)[1],
 A cache keeps only what backward cannot rebuild elementwise (conv, FFT and
 projection outputs, conv inputs) and backward pops each entry as it uses it.
 Public forwards hold no cache: `_op_fwd(...)[0]` for a leaf, a composition
-of the public child forwards otherwise.
+of the public child forwards otherwise.  A leaf `_op_fwd` validates its
+inputs, so a public VJP rejects what its forward rejects; it also rejects a
+cotangent `gy` whose shape is not the forward output's.
 """
 
 import math
@@ -21,7 +23,8 @@ from .errors import ShapeError
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (DyTParams, FtssaParams, MonaParams, SeffParams,
                      TssaParams, add_params, zeros_like_params)
-from .tensor import as_feature_map, from_tokens, require_channels, to_tokens
+from .tensor import (as_feature_map, from_tokens, require_channels,
+                     require_cotangent, to_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +32,8 @@ from .tensor import as_feature_map, from_tokens, require_channels, to_tokens
 # ---------------------------------------------------------------------------
 
 def _dyt_fwd(x, p: DyTParams):
+    x = as_feature_map(x, "dyt")
+    require_channels(x, p.gamma.shape[0], "dyt")
     t = np.tanh(p.alpha * x)
     return p.gamma[None, :, None, None] * t + p.beta[None, :, None, None], {"x": x}
 
@@ -46,13 +51,12 @@ def _dyt_bwd(cache, p: DyTParams, gy):
 
 def dyt(x, p: DyTParams):
     """Per-channel gamma * tanh(alpha * x) + beta."""
-    x = as_feature_map(x, "dyt")
-    require_channels(x, p.gamma.shape[0], "dyt")
     return _dyt_fwd(x, p)[0]
 
 
 def dyt_vjp(x, p: DyTParams, gy):
-    return _dyt_bwd(_dyt_fwd(x, p)[1], p, gy)
+    out, cache = _dyt_fwd(x, p)
+    return _dyt_bwd(cache, p, require_cotangent(gy, out, "dyt_vjp"))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +93,8 @@ def _tssa_pre(f, pi, attn, p: TssaParams):
 
 
 def _tssa_fwd(x, p: TssaParams):
+    x = as_feature_map(x, "tssa")
+    require_channels(x, p.qkv_weight.shape[0], "tssa")
     _, _, h, w = x.shape
     cache = _tssa_parts(to_tokens(x), p)
     return from_tokens(cache.pop("out"), h, w), cache
@@ -140,13 +146,12 @@ def tssa_tokens(t, p: TssaParams):
 
 def tssa(x, p: TssaParams):
     """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
-    x = as_feature_map(x, "tssa")
-    require_channels(x, p.qkv_weight.shape[0], "tssa")
     return _tssa_fwd(x, p)[0]
 
 
 def tssa_vjp(x, p: TssaParams, gy):
-    return _tssa_bwd(_tssa_fwd(x, p)[1], p, gy)
+    out, cache = _tssa_fwd(x, p)
+    return _tssa_bwd(cache, p, require_cotangent(gy, out, "tssa_vjp"))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +172,8 @@ def _mona_specs(p: MonaParams):
 
 
 def _mona_op_fwd(z, p: MonaParams):
+    z = as_feature_map(z, "mona_op")
+    require_channels(z, p.down_weight.shape[0], "mona_op")
     sp = _mona_specs(p)
     mix_in = (conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
               + conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
@@ -193,16 +200,17 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
 
 def mona_op(z, p: MonaParams):
     """Residual multi-scale mix on the reduced channel count."""
-    z = as_feature_map(z, "mona_op")
-    require_channels(z, p.down_weight.shape[0], "mona_op")
     return _mona_op_fwd(z, p)[0]
 
 
 def mona_op_vjp(z, p: MonaParams, gy):
-    return _mona_op_bwd(_mona_op_fwd(z, p)[1], p, gy)
+    out, cache = _mona_op_fwd(z, p)
+    return _mona_op_bwd(cache, p, require_cotangent(gy, out, "mona_op_vjp"))
 
 
 def _xmona_fwd(x, p: MonaParams):
+    x = as_feature_map(x, "xmona")
+    require_channels(x, p.skip_weight.shape[1], "xmona")
     return p.skip_scale * np.einsum("ce,nehw->nchw", p.skip_weight, x), {"x": x}
 
 
@@ -218,17 +226,18 @@ def _xmona_bwd(cache, p: MonaParams, gy):
 
 def xmona(x, p: MonaParams):
     """Tiny-scaled per-pixel linear skip across the full channel count."""
-    x = as_feature_map(x, "xmona")
-    require_channels(x, p.skip_weight.shape[1], "xmona")
     return _xmona_fwd(x, p)[0]
 
 
 def xmona_vjp(x, p: MonaParams, gy):
-    return _xmona_bwd(_xmona_fwd(x, p)[1], p, gy)
+    out, cache = _xmona_fwd(x, p)
+    return _xmona_bwd(cache, p, require_cotangent(gy, out, "xmona_vjp"))
 
 
 def _mona_fwd(x, p: MonaParams):
     """xmona(x) + up(gelu(mona_op(down(x))))"""
+    x = as_feature_map(x, "mona")
+    require_channels(x, p.down_weight.shape[1], "mona")
     sp = _mona_specs(p)
     skip, c_skip = _xmona_fwd(x, p)
     mo, c_op = _mona_op_fwd(conv2d(x, p.down_weight, p.down_bias, sp["down"]), p)
@@ -253,13 +262,12 @@ def _mona_bwd(cache, p: MonaParams, gy):
 
 
 def mona(x, p: MonaParams):
-    x = as_feature_map(x, "mona")
-    require_channels(x, p.down_weight.shape[1], "mona")
     return _mona_fwd(x, p)[0]
 
 
 def mona_vjp(x, p: MonaParams, gy):
-    return _mona_bwd(_mona_fwd(x, p)[1], p, gy)
+    out, cache = _mona_fwd(x, p)
+    return _mona_bwd(cache, p, require_cotangent(gy, out, "mona_vjp"))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,8 @@ def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
 
 
 def _seff_fwd(x, p: SeffParams):
+    x = as_feature_map(x, "seff")
+    require_channels(x, p.split_weight.shape[1], "seff")
     c = p.merge_weight.shape[0]
     sp = _seff_specs(c)
     split = conv2d(x, p.split_weight, p.split_bias, sp["split"])
@@ -340,13 +350,12 @@ def _seff_bwd(cache, p: SeffParams, gy):
 
 
 def seff(x, p: SeffParams):
-    x = as_feature_map(x, "seff")
-    require_channels(x, p.split_weight.shape[1], "seff")
     return _seff_fwd(x, p)[0]
 
 
 def seff_vjp(x, p: SeffParams, gy):
-    return _seff_bwd(_seff_fwd(x, p)[1], p, gy)
+    out, cache = _seff_fwd(x, p)
+    return _seff_bwd(cache, p, require_cotangent(gy, out, "seff_vjp"))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +385,9 @@ def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams):
 
 
 def daff_vjp(x, dyt_p, tssa_p, mona_p, gy):
-    cache = _stage_fwd(_tssa_fwd, x, dyt_p, tssa_p, mona_p)[1]
-    return _stage_bwd(_tssa_bwd, cache, dyt_p, tssa_p, mona_p, gy)
+    out, cache = _stage_fwd(_tssa_fwd, x, dyt_p, tssa_p, mona_p)
+    return _stage_bwd(_tssa_bwd, cache, dyt_p, tssa_p, mona_p,
+                      require_cotangent(gy, out, "daff_vjp"))
 
 
 def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams):
@@ -386,8 +396,9 @@ def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams):
 
 
 def serr_vjp(x, dyt_p, seff_p, mona_p, gy):
-    cache = _stage_fwd(_seff_fwd, x, dyt_p, seff_p, mona_p)[1]
-    return _stage_bwd(_seff_bwd, cache, dyt_p, seff_p, mona_p, gy)
+    out, cache = _stage_fwd(_seff_fwd, x, dyt_p, seff_p, mona_p)
+    return _stage_bwd(_seff_bwd, cache, dyt_p, seff_p, mona_p,
+                      require_cotangent(gy, out, "serr_vjp"))
 
 
 def _ftssa_fwd(x, p: FtssaParams):
@@ -412,4 +423,5 @@ def ftssa(x, p: FtssaParams):
 
 
 def ftssa_vjp(x, p: FtssaParams, gy):
-    return _ftssa_bwd(_ftssa_fwd(x, p)[1], p, gy)
+    out, cache = _ftssa_fwd(x, p)
+    return _ftssa_bwd(cache, p, require_cotangent(gy, out, "ftssa_vjp"))

@@ -5,7 +5,8 @@ The mixing module runs two sequential passes.  Each pass regroups channels
 into k groups, concatenates the groups along one spatial axis (width first,
 then height), adds a position embedding, convolves, restores the original
 layout, normalizes, and fuses with the pass input through a 1x1 convolution.
-The ops are fwd/bwd pairs with minimal caches, as in `mgdfis.ftssa`.
+The ops are fwd/bwd pairs with minimal caches and the same input and
+cotangent checks, as in `mgdfis.ftssa`.
 """
 
 import dataclasses
@@ -17,18 +18,20 @@ from .ftssa import _ftssa_bwd, _ftssa_fwd, ftssa
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (AggregateParams, DmmParams, GmmParams, add_params,
                      zeros_like_params)
-from .tensor import as_feature_map
+from .tensor import as_feature_map, require_cotangent
 
 
 # ---------------------------------------------------------------------------
 # aggregation of the two input maps
 # ---------------------------------------------------------------------------
 
-def _reconcile_fwd(x, target_shape, agg_p):
-    """x at the target's dims: bilinearly resampled to its spatial dims and
-    channel-projected, unless it has them already (then the cache is None)."""
+def _needs_reconcile(x, target_shape, agg_p):
+    """Whether x differs from the target's dims; raises if it cannot be
+    resampled and projected to them."""
     if x.shape == target_shape:
-        return x, None
+        return False
+    if x.shape[0] != target_shape[0]:
+        raise ShapeError("aggregate", "batch", target_shape[0], x.shape[0])
     if agg_p is None:
         raise ConfigError("aggregate: projection parameters required when "
                           "input dims differ")
@@ -37,6 +40,15 @@ def _reconcile_fwd(x, target_shape, agg_p):
         raise ShapeError("aggregate", "channel", c2, x.shape[1])
     if target_shape[1] != c1:
         raise ShapeError("aggregate", "channel", c1, target_shape[1])
+    return True
+
+
+def _reconcile_fwd(x, target_shape, agg_p):
+    """x at the target's dims: bilinearly resampled to its spatial dims and
+    channel-projected, unless it has them already (then the cache is None)."""
+    if not _needs_reconcile(x, target_shape, agg_p):
+        return x, None
+    c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
     res = ops.bilinear_resize(x, target_shape[2], target_shape[3])
     out = conv2d(res, agg_p.proj_weight, agg_p.proj_bias,
                  same_spec(c2, 1, 1, out_channels=c1))
@@ -54,19 +66,25 @@ def _reconcile_bwd(cache, agg_p, gy):
     return gx, AggregateParams(proj_weight=gw, proj_bias=gb)
 
 
+def _aggregate_fwd(f1, f2, agg_p):
+    f1 = as_feature_map(f1, "aggregate")
+    x2, cache = _reconcile_fwd(as_feature_map(f2, "aggregate"), f1.shape, agg_p)
+    return f1 + x2, cache
+
+
 def aggregate(f1, f2, agg_p: AggregateParams = None):
     """Sum the two inputs; a mismatched second input is bilinearly resampled
     to the first input's spatial dims and channel-projected first."""
-    f1 = as_feature_map(f1, "aggregate")
-    f2 = as_feature_map(f2, "aggregate")
-    return f1 + _reconcile_fwd(f2, f1.shape, agg_p)[0]
+    return _aggregate_fwd(f1, f2, agg_p)[0]
 
 
 def aggregate_vjp(f1, f2, agg_p, gy):
+    f1 = as_feature_map(f1, "aggregate")
+    f2 = as_feature_map(f2, "aggregate")
+    gy = require_cotangent(gy, f1, "aggregate_vjp")
     # backward reads only the resampled f2, so the projection is not run
-    cache = None if f1.shape == f2.shape else {
-        "res": ops.bilinear_resize(f2, f1.shape[2], f1.shape[3]),
-        "hw": f2.shape[2:]}
+    cache = {"res": ops.bilinear_resize(f2, f1.shape[2], f1.shape[3]),
+             "hw": f2.shape[2:]} if _needs_reconcile(f2, f1.shape, agg_p) else None
     return (gy, *_reconcile_bwd(cache, agg_p, gy))
 
 
@@ -121,6 +139,10 @@ def _gmm_pass(p: GmmParams, axis):
 
 
 def _gmm_pass_fwd(f, p: GmmParams, axis):
+    f = as_feature_map(f, "gmm")
+    if f.shape[1] % p.k:
+        raise ConfigError(f"gmm: group count {p.k} must divide channel count "
+                          f"{f.shape[1]}")
     regroup, restore, pos, q = _gmm_pass(p, axis)
     c = f.shape[1]
     grouped = regroup(f, p.k)
@@ -180,15 +202,12 @@ def _gmm_bwd(cache, p: GmmParams, gy):
 
 def gmm(f_agg, p: GmmParams):
     """Column pass then row pass; output dims equal input dims."""
-    f_agg = as_feature_map(f_agg, "gmm")
-    if f_agg.shape[1] % p.k:
-        raise ConfigError(f"gmm: group count {p.k} must divide channel count "
-                          f"{f_agg.shape[1]}")
     return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, "w")[0], p, "h")[0]
 
 
 def gmm_vjp(f_agg, p: GmmParams, gy):
-    return _gmm_bwd(_gmm_fwd(f_agg, p)[1], p, gy)
+    out, cache = _gmm_fwd(f_agg, p)
+    return _gmm_bwd(cache, p, require_cotangent(gy, out, "gmm_vjp"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +215,7 @@ def gmm_vjp(f_agg, p: GmmParams, gy):
 # ---------------------------------------------------------------------------
 
 def _dmm_directional_fwd(f_gmm, p: DmmParams):
+    f_gmm = as_feature_map(f_gmm, "dmm")
     c = f_gmm.shape[1]
     out = (f_gmm + conv2d(f_gmm, p.conv46_weight, p.conv46_bias, same_spec(c, 4, 6))
            + conv2d(f_gmm, p.conv64_weight, p.conv64_bias, same_spec(c, 6, 4)))
@@ -217,12 +237,13 @@ def _dmm_directional_bwd(cache, p: DmmParams, gy):
 
 def dmm_directional(f_gmm, p: DmmParams):
     """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
-    f_gmm = as_feature_map(f_gmm, "dmm")
     return _dmm_directional_fwd(f_gmm, p)[0]
 
 
 def dmm_directional_vjp(f_gmm, p: DmmParams, gy):
-    return _dmm_directional_bwd(_dmm_directional_fwd(f_gmm, p)[1], p, gy)
+    out, cache = _dmm_directional_fwd(f_gmm, p)
+    return _dmm_directional_bwd(cache, p,
+                                require_cotangent(gy, out, "dmm_directional_vjp"))
 
 
 def _gate_fwd(feat, p: DmmParams):
@@ -251,7 +272,7 @@ def _gate_bwd(cache, p: DmmParams, gy):
 
 
 def _dmm_attention_fwd(f_add, p: DmmParams):
-    feat, c_ftssa = _ftssa_fwd(f_add, p.ftssa)
+    feat, c_ftssa = _ftssa_fwd(as_feature_map(f_add, "dmm"), p.ftssa)
     gate, c_gate = _gate_fwd(feat, p)
     return gate, (c_ftssa, c_gate)
 
@@ -270,7 +291,9 @@ def dmm_attention(f_add, p: DmmParams):
 
 def dmm_attention_vjp(f_add, p: DmmParams, gy):
     """gy has the gate's (N, C, 1, 1) dims."""
-    return _dmm_attention_bwd(_dmm_attention_fwd(f_add, p)[1], p, gy)
+    out, cache = _dmm_attention_fwd(f_add, p)
+    return _dmm_attention_bwd(cache, p,
+                              require_cotangent(gy, out, "dmm_attention_vjp"))
 
 
 def _dmm_fwd(f_gmm, p: DmmParams):
@@ -294,12 +317,13 @@ def dmm(f_gmm, p: DmmParams):
 
 
 def dmm_vjp(f_gmm, p: DmmParams, gy):
-    return _dmm_bwd(_dmm_fwd(f_gmm, p)[1], p, gy)
+    out, cache = _dmm_fwd(f_gmm, p)
+    return _dmm_bwd(cache, p, require_cotangent(gy, out, "dmm_vjp"))
 
 
 def _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p):
-    x2, c_agg = _reconcile_fwd(f2, f1.shape, agg_p)
-    f_gmm, c_gmm = _gmm_fwd(f1 + x2, gmm_p)
+    f_agg, c_agg = _aggregate_fwd(f1, f2, agg_p)
+    f_gmm, c_gmm = _gmm_fwd(f_agg, gmm_p)
     out, c_dmm = _dmm_fwd(f_gmm, dmm_p)
     return out, (c_agg, c_gmm, c_dmm)
 
@@ -319,5 +343,6 @@ def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams, agg_p: AggregateParams = No
 
 def gdim_vjp(f1, f2, gmm_p, dmm_p, agg_p, gy):
     """Returns (g_f1, g_f2, g_gmm, g_dmm, g_agg)."""
-    return _gdim_bwd(_gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p)[1], gmm_p, dmm_p,
-                     agg_p, gy)
+    out, cache = _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p)
+    return _gdim_bwd(cache, gmm_p, dmm_p, agg_p,
+                     require_cotangent(gy, out, "gdim_vjp"))

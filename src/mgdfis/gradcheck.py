@@ -4,8 +4,9 @@ An op under test is presented as two closures over a flat dict of leaves
 (parameter name -> scalar or array): `forward(leaves)` returning the op
 output, and `backward(leaves)` returning the analytic gradient of the
 sum-of-outputs loss for every leaf.  Central differences perturb each leaf
-entry in turn; the report carries the worst relative error and any leaf
-whose analytic gradient is missing or non-finite.
+entry in turn; the report carries the worst relative error, any leaf
+whose analytic gradient is missing or non-finite, and any analytic gradient
+whose key names no leaf.
 """
 
 from dataclasses import dataclass, field
@@ -93,4 +94,6 @@ def grad_check(name, forward, backward, leaves, eps=1e-4, tol=1e-4):
             else:
                 idx = np.unravel_index(int(np.argmax(rel)), rel.shape)
                 report.worst_leaf = key + str(tuple(int(i) for i in idx))
+    report.failures.extend(f"{key}: gradient returned for no leaf"
+                           for key in analytic if key not in leaves)
     return report

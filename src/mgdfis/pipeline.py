@@ -98,17 +98,19 @@ def _thread_count():
 
 
 def execute_stage(cfg, params, f1, f2, threads):
-    """Evaluate the selected stage; independent batch items may run on a
-    small thread pool of at most `threads` workers."""
+    """Evaluate the selected stage one batch item per call, serially or on a
+    thread pool of at most `threads` workers.  Both run the same per-item
+    call, so their outputs are bit-identical: a batched GEMM would round
+    differently from the per-item ones."""
     batch = f1.shape[0]
+
+    def item(i):
+        return _stage_value(cfg, params, f1[i:i + 1], f2[i:i + 1])
+
     if threads <= 1 or batch <= 1:
-        return _stage_value(cfg, params, f1, f2)
-    workers = min(threads, batch)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda i: _stage_value(cfg, params, f1[i:i + 1], f2[i:i + 1]),
-            range(batch)))
-    return np.concatenate(parts, axis=0)
+        return np.concatenate(list(map(item, range(batch))), axis=0)
+    with ThreadPoolExecutor(max_workers=min(threads, batch)) as pool:
+        return np.concatenate(list(pool.map(item, range(batch))), axis=0)
 
 
 def _shape_str(shape):

@@ -37,6 +37,13 @@ def require_same_shape(a, b, op):
         raise ShapeError(op, "rank", a.shape, b.shape)
 
 
+def require_cotangent(gy, out, op):
+    """gy as float64, checked to have the shape of the forward output out."""
+    gy = np.asarray(gy, dtype=np.float64)
+    require_same_shape(out, gy, op)
+    return gy
+
+
 def to_tokens(x):
     """(N, C, H, W) -> (N, H*W, C), token n = h*W + w (width fastest)."""
     n, c, h, w = x.shape

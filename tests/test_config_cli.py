@@ -247,13 +247,18 @@ def test_run_rejects_input_with_wrong_dims(tmp_path):
 
 
 def test_batch_thread_pool_matches_serial(tmp_path, monkeypatch):
-    cfg = tiny_cfg(stage="full", out_dir=str(tmp_path / "a"),
-                   f1_shape=(3, 4, 6, 6), f2_shape=(3, 4, 6, 6))
-    serial = pipeline.run(cfg).output
-    monkeypatch.setenv("MGDFIS_THREADS", "3")
-    threaded = pipeline.run(dataclasses.replace(
-        cfg, out_dir=str(tmp_path / "b"))).output
-    assert np.array_equal(serial, threaded)
+    # at the second input's size a batched evaluation would round
+    # differently from the per-item one
+    for f1_shape, f2_shape in [((3, 4, 6, 6), (3, 4, 6, 6)),
+                               ((2, 16, 8, 8), (2, 16, 4, 4))]:
+        cfg = tiny_cfg(stage="full", out_dir=str(tmp_path / "a"),
+                       f1_shape=f1_shape, f2_shape=f2_shape)
+        monkeypatch.delenv("MGDFIS_THREADS", raising=False)
+        serial = pipeline.run(cfg).output
+        monkeypatch.setenv("MGDFIS_THREADS", "3")
+        threaded = pipeline.run(dataclasses.replace(
+            cfg, out_dir=str(tmp_path / "b"))).output
+        assert np.array_equal(serial, threaded), f1_shape
 
 
 def test_summary_statistics_are_plain_floats(tmp_path):

@@ -60,6 +60,17 @@ def test_missing_leaf_gradient_is_reported():
     assert any("b: no analytic gradient" in m for m in rep.failures)
 
 
+def test_unexpected_gradient_key_is_reported():
+    def extra(lv):
+        g = _bwd(lv)
+        g["bias"] = g["b"]
+        return g
+
+    rep = grad_check("linear_extra", _fwd, extra, _leaves(1))
+    assert not rep.passed
+    assert any("bias: gradient returned for no leaf" in m for m in rep.failures)
+
+
 def test_non_finite_gradient_is_reported():
     def poisoned(lv):
         g = _bwd(lv)

@@ -1,0 +1,110 @@
+"""Input contracts of the public VJPs: each rejects what its forward rejects,
+and a cotangent whose shape is not the forward output's is a ShapeError
+rather than a silently broadcast gradient."""
+
+import numpy as np
+import pytest
+
+from mgdfis import dpam as D
+from mgdfis import ftssa as F
+from mgdfis import gdim as G
+from mgdfis.errors import ShapeError
+from mgdfis.params import (FusionWeights, init_aggregate, init_dmm, init_dpam,
+                           init_dyt, init_ftssa, init_gmm, init_mona, init_seff,
+                           init_tssa)
+from mgdfis.rng import stream
+
+C = 2
+
+
+def u(label, shape=(1, C, 3, 3)):
+    return stream(1, label).uniform(shape, -1.0, 1.0)
+
+
+def _cases():
+    x, f2 = u("vc.x"), u("vc.f2", (1, 3, 2, 2))
+    mona_p = init_mona(1, "vc.mona", C)
+    tssa_p = init_tssa(1, "vc.tssa", C, heads=2, head_dim=1)
+    seff_p = init_seff(1, "vc.seff", C, base=2)
+    gmm_p = init_gmm(1, "vc.gmm", C, 3, 3, k=2)
+    dmm_p = init_dmm(1, "vc.dmm", C, heads=2, head_dim=1, seff_base=2)
+    agg_p = init_aggregate(1, "vc.agg", C, 3)
+    return {
+        "dyt": (F.dyt, F.dyt_vjp, (x, init_dyt(C))),
+        "tssa": (F.tssa, F.tssa_vjp, (x, tssa_p)),
+        "mona_op": (F.mona_op, F.mona_op_vjp,
+                    (u("vc.z", (1, 1, 3, 3)), init_mona(1, "vc.m4", 4))),
+        "xmona": (F.xmona, F.xmona_vjp, (x, mona_p)),
+        "mona": (F.mona, F.mona_vjp, (x, mona_p)),
+        "seff": (F.seff, F.seff_vjp, (x, seff_p)),
+        "daff": (F.daff, F.daff_vjp, (x, init_dyt(C), tssa_p, mona_p)),
+        "serr": (F.serr, F.serr_vjp, (x, init_dyt(C), seff_p, mona_p)),
+        "ftssa": (F.ftssa, F.ftssa_vjp,
+                  (x, init_ftssa(1, "vc.ft", C, heads=2, head_dim=1,
+                                 seff_base=2))),
+        "aggregate": (G.aggregate, G.aggregate_vjp, (x, f2, agg_p)),
+        "gmm": (G.gmm, G.gmm_vjp, (x, gmm_p)),
+        "dmm_directional": (G.dmm_directional, G.dmm_directional_vjp,
+                            (x, dmm_p)),
+        "dmm_attention": (G.dmm_attention, G.dmm_attention_vjp, (x, dmm_p)),
+        "dmm": (G.dmm, G.dmm_vjp, (x, dmm_p)),
+        "gdim": (G.gdim, G.gdim_vjp, (x, f2, gmm_p, dmm_p, agg_p)),
+        "dpam": (D.dpam, D.dpam_vjp, (x, u("vc.fh"), init_dpam(1, "vc.dp", C))),
+        "mgdfis_fuse": (D.mgdfis_fuse, D.mgdfis_fuse_vjp,
+                        (u("vc.amap"), u("vc.fh"), x, f2, FusionWeights(),
+                         agg_p)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cases()))
+def test_vjp_rejects_cotangent_not_shaped_like_output(name):
+    fwd, vjp, args = _cases()[name]
+    shape = fwd(*args).shape
+    vjp(*args, np.ones(shape))
+    for bad in [(2,) + shape[1:], shape[:3] + (shape[3] + 1,), shape[:3]]:
+        with pytest.raises(ShapeError, match=f"{name}_vjp"):
+            vjp(*args, np.ones(bad))
+
+
+def test_dyt_vjp_rejects_batch_two_cotangent_for_batch_one_input():
+    with pytest.raises(ShapeError, match="'batch' expected 1, got 2"):
+        F.dyt_vjp(u("vc.x"), init_dyt(C), np.ones((2, C, 3, 3)))
+
+
+def test_dmm_attention_vjp_wants_the_gate_shape():
+    x = u("vc.x")
+    p = init_dmm(1, "vc.dmm", C, heads=2, head_dim=1, seff_base=2)
+    g_x, _ = G.dmm_attention_vjp(x, p, np.ones((1, C, 1, 1)))
+    assert g_x.shape == x.shape
+    with pytest.raises(ShapeError, match="height"):
+        G.dmm_attention_vjp(x, p, np.ones_like(x))
+
+
+def test_fuse_vjp_rejects_amap_its_forward_rejects():
+    amap, fh, x1 = u("vc.amap", (1, 1, 3, 3)), u("vc.fh"), u("vc.x")
+    args = (amap, fh, x1, x1, FusionWeights(), None)
+    with pytest.raises(ShapeError, match="mgdfis_fuse"):
+        D.mgdfis_fuse(*args)
+    with pytest.raises(ShapeError, match="mgdfis_fuse"):
+        D.mgdfis_fuse_vjp(*args, np.ones_like(fh))
+
+
+def test_gdim_vjp_rejects_what_gdim_rejects():
+    gmm_p = init_gmm(1, "vc.gmm", C, 3, 3, k=2)
+    dmm_p = init_dmm(1, "vc.dmm", C, heads=2, head_dim=1, seff_base=2)
+    agg_p = init_aggregate(1, "vc.agg", C, 3)
+    f1 = u("vc.x")
+    f2 = u("vc.f2", (1, 4, 2, 2))        # projection expects 3 channels
+    for call in (lambda: G.gdim(f1, f2, gmm_p, dmm_p, agg_p),
+                 lambda: G.gdim_vjp(f1, f2, gmm_p, dmm_p, agg_p, np.ones_like(f1))):
+        with pytest.raises(ShapeError, match="channel"):
+            call()
+
+
+def test_aggregate_rejects_batch_mismatch_instead_of_broadcasting():
+    f1, f2 = u("vc.x"), u("vc.f2", (2, 3, 2, 2))
+    agg_p = init_aggregate(1, "vc.agg", C, 3)
+    with pytest.raises(ShapeError, match="batch"):
+        G.aggregate(f1, f2, agg_p)
+    with pytest.raises(ShapeError, match="batch"):
+        G.aggregate_vjp(f1, f2, agg_p, np.ones_like(f1))
