@@ -1,11 +1,13 @@
 """Wall-clock scaling benchmark for the token-statistics attention.
 
-Medians over 9 timed repetitions (2 discarded warmup runs) per token count,
-for the linear-cost attention and for a bundled naive quadratic softmax
-attention baseline.  The ratio column normalizes consecutive timings to a
-per-doubling growth factor, (t_i / t_{i-1}) ** (1 / log2(N_i / N_{i-1})),
-which for an exactly doubling sweep is just t(2N) / t(N).  Timing runs in
-a single thread; nothing here spawns workers.
+Medians over at least 9 timed repetitions (2 discarded warmup runs) per
+token count, for the linear-cost attention and for a bundled naive
+quadratic softmax attention baseline; fast token counts repeat until the
+timed runs total 0.2 s, so a sub-10 ms median rests on enough samples.
+The ratio column normalizes consecutive timings to a per-doubling growth
+factor, (t_i / t_{i-1}) ** (1 / log2(N_i / N_{i-1})), which for an
+exactly doubling sweep is just t(2N) / t(N).  Timing runs in a single
+thread; nothing here spawns workers.
 """
 
 import math
@@ -31,11 +33,15 @@ class BenchRow:
     ratio: float = None   # per-doubling growth vs the previous row
 
 
+# Timing keeps repeating past `reps` until the timed runs add up to this.
+_MIN_TIMED_S = 0.2
+
+
 def _time_median(fn, reps=9, warmup=2):
     for _ in range(warmup):
         fn()
     times = []
-    for _ in range(reps):
+    while len(times) < reps or sum(times) < _MIN_TIMED_S:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)

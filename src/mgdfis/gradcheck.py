@@ -41,27 +41,25 @@ def _loss(forward, leaves):
 
 
 def _numeric_grad(forward, leaves, key, value, eps):
+    """Central differences of the loss in every entry of one leaf.  An array
+    leaf is perturbed in place in one working copy, each entry restored
+    before the next."""
+    bumped = dict(leaves)
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
-        bumped = dict(leaves)
         bumped[key] = float(arr) + eps
         hi = _loss(forward, bumped)
         bumped[key] = float(arr) - eps
         lo = _loss(forward, bumped)
         return np.asarray((hi - lo) / (2.0 * eps))
     num = np.empty_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        plus = arr.copy()
-        plus[idx] += eps
-        minus = arr.copy()
-        minus[idx] -= eps
-        bumped = dict(leaves)
-        bumped[key] = plus
+    work = bumped[key] = arr.copy()
+    for idx in np.ndindex(arr.shape):
+        work[idx] = arr[idx] + eps
         hi = _loss(forward, bumped)
-        bumped[key] = minus
+        work[idx] = arr[idx] - eps
         lo = _loss(forward, bumped)
+        work[idx] = arr[idx]
         num[idx] = (hi - lo) / (2.0 * eps)
     return num
 

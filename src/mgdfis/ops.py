@@ -6,11 +6,13 @@ comes with a hand-written vector-Jacobian product (`*_vjp`) so gradients can
 be verified against central differences.  There is no tape: composite ops
 chain these VJPs explicitly.
 
-conv2d is one shift-and-accumulate kernel (kn2row style): each kernel offset
-adds W[:, :, i, j] @ x[window] into the output range whose input lies inside
-the unpadded map, so there is no patch tensor and no padded copy.  One
-product serves a kernel row, depthwise rows are broadcast multiplies, and a
-1x1 conv is one matmul.  conv2d_vjp is the adjoint of the same schedule.
+conv2d folds the kernel columns into the GEMM (kn2col style): rows are
+zero-padded, a column stack holds kw copies of them, each shifted by its tap,
+and every kernel row is one product W_i (og, kw * cg) @ stack rows plus one
+contiguous add into an output as wide as the padded row, cropped at the end.
+conv2d_vjp runs on the same plan and layout: gy is stacked once per kernel
+row, so one GEMM gives gw and one the column stack's gradient, whose kw
+shifted copies add into gx.
 """
 
 from dataclasses import dataclass
@@ -98,7 +100,48 @@ def same_spec(channels, kernel_h, kernel_w, out_channels=None, groups=1, dilatio
     )
 
 
-def _check_conv_args(x, w, b, spec):
+# Most float64 entries per image in a block's column stack plus gy stack.
+_STACK_ENTRIES = 1 << 19
+
+
+@lru_cache(maxsize=256)
+def _conv_plan(spec, h, w):
+    """Schedule over an (h, w) input: (ho, wo, wp, blocks).  The conv runs
+    at stride 1 over rows padded to wp columns and keeps every stride-th
+    output; output row o of kernel row i reads input row o + i * dil_h -
+    pad_top.  A block (rows, ks, taps, fresh) stacks the input rows `rows`,
+    ks slices the kernel rows reading them, each tap (i, src, dst) pairs
+    their flat stack and output columns, and fresh: no earlier block wrote
+    the first tap's output rows."""
+    ho, wo = spec.output_hw(h, w)
+    hs, wp = (ho - 1) * spec.stride[0] + 1, w + spec.padding[2] + spec.padding[3]
+    spans = [(i, q, max(0, -q), min(hs, h - q)) for i in range(spec.kernel_h)
+             for q in [i * spec.dilation[0] - spec.padding[0]] if min(hs, h - q) > max(0, -q)]
+    if not spans:
+        return ho, wo, wp, ()
+    top, end = spans[0][1] + spans[0][2], spans[-1][1] + spans[-1][3]
+    per_row = wp * (spec.kernel_w * spec.in_channels + spec.kernel_h * spec.out_channels)
+    step = -(-(end - top) // -(-per_row * (end - top) // _STACK_ENTRIES))
+    blocks, written = [], set()
+    for r0 in range(top, end, step):
+        r1 = min(end, r0 + step)
+        outs = [(i, q, max(lo, r0 - q), min(hi, r1 - q)) for i, q, lo, hi in spans
+                if min(hi, r1 - q) > max(lo, r0 - q)]
+        if not outs:  # a dilation wider than the output skips rows
+            continue
+        fresh = written.isdisjoint(range(*outs[0][2:]))
+        written.update(o for *_, a, b in outs for o in range(a, b))
+        blocks.append((slice(r0, r1), slice(outs[0][0], outs[-1][0] + 1), tuple(
+            (i, slice((a + q - r0) * wp, (b + q - r0) * wp), slice(a * wp, b * wp))
+            for i, q, a, b in outs), fresh))
+    return ho, wo, wp, tuple(blocks)
+
+
+def _conv_setup(x, w, b, spec):
+    """Checked arguments on the conv's plan: (ho, wo, wp, blocks, xp, wt).
+    xp is x in (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself
+    for an unpadded 1x1 conv), so every tap reads within its row; wt is
+    (g, kh, og, kw * cg), column j * cg + c holding tap j of channel c."""
     if x.ndim != 4:
         raise ShapeError("conv2d", "rank", 4, x.ndim)
     if x.shape[1] != spec.in_channels:
@@ -107,109 +150,77 @@ def _check_conv_args(x, w, b, spec):
         raise ShapeError("conv2d", "weights", spec.weight_shape, tuple(w.shape))
     if b.shape != (spec.out_channels,):
         raise ShapeError("conv2d", "bias", (spec.out_channels,), tuple(b.shape))
-
-
-def _tap_span(n_in, n_out, offset, stride):
-    """Slices of the outputs o whose input o * stride + offset lies in
-    [0, n_in), and of those inputs; None when all of them read padding."""
-    lo = max(0, -(offset // stride))
-    hi = min(n_out, (n_in - 1 - offset) // stride + 1)
-    if hi <= lo:
-        return None
-    start = lo * stride + offset
-    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
-
-
-@lru_cache(maxsize=256)
-def _conv_plan(spec, h, w):
-    """Schedule over an (h, w) input: (ho, wo, j0, j1, rows).
-
-    Kernel columns [j0, j1) read inside the map.  Each kernel row i that
-    does gives (i, input rows, output row count nr, taps).  Its product
-    fills the first nr rows of an (n, g, j1 - j0, og, ho, w) buffer, and a
-    tap pairs an index into the (n, g, og, ho, wo) output with its part of
-    that buffer, which covers the same columns in every row.
-    """
-    ho, wo = spec.output_hw(h, w)
-    cols = [_tap_span(w, wo, j * spec.dilation[1] - spec.padding[2], spec.stride[1])
-            for j in range(spec.kernel_w)]
-    inside = [j for j, c in enumerate(cols) if c is not None]
-    if not inside:
-        return ho, wo, 0, 0, ()
-    j0, every = inside[0], slice(None)
-    rows = []
-    for i in range(spec.kernel_h):
-        span = _tap_span(h, ho, i * spec.dilation[0] - spec.padding[0], spec.stride[0])
-        if span is not None:
-            nr = span[0].stop - span[0].start
-            rows.append((i, span[1], nr, tuple(
-                ((every, every, every, span[0], cols[j][0]),
-                 (every, every, j - j0, every, slice(0, nr), cols[j][1]))
-                for j in inside)))
-    return ho, wo, j0, inside[-1] + 1, tuple(rows)
-
-
-def _tap_weights(w, spec, j0, j1):
-    """Weights as (kh, g, (j1 - j0) * og, cg): one matrix per kernel row."""
-    g = spec.groups
+    n, _, h, wd = x.shape
+    ho, wo, wp, blocks = _conv_plan(spec, h, wd)
+    g, pl = spec.groups, spec.padding[2]
+    xp = x.reshape(n, g, -1, h, wd)
+    span = wp + (spec.kernel_w - 1) * spec.dilation[1]
+    if span != wd:
+        xp = np.zeros(xp.shape[:-1] + (span,))
+        xp[..., pl:pl + wd] = x.reshape(n, g, -1, h, wd)
     wt = w.reshape(g, spec.out_channels // g, -1, spec.kernel_h, spec.kernel_w)
-    wt = np.ascontiguousarray(wt[..., j0:j1].transpose(3, 0, 4, 1, 2))
-    return wt.reshape(spec.kernel_h, g, -1, wt.shape[-1])
+    wt = wt.transpose(0, 3, 1, 4, 2).reshape(g, spec.kernel_h, wt.shape[1], -1)
+    return ho, wo, wp, blocks, xp, wt
+
+
+def _stack(xp, spec, wp, rows):
+    """(n, g, kw * cg, nr * wp) column stack of the input rows `rows`, entry
+    j * cg + c holding channel c shifted by tap j: one copy of a view whose
+    tap axis steps by the dilation.  A 1x1 conv reads the rows in place."""
+    n, g, cg = xp.shape[:3]
+    src = xp[..., rows, :]
+    if spec.kernel_w == 1:
+        return src.reshape(n, g, cg, -1)
+    sn, sg, sc, sr, sw = src.strides
+    taps = np.ndarray((n, g, spec.kernel_w, cg, src.shape[-2], wp), xp.dtype, xp,
+                      rows.start * sr, (sn, sg, spec.dilation[1] * sw, sc, sr, sw))
+    return taps.reshape(n, g, -1, src.shape[-2] * wp)
 
 
 def conv2d(x, w, b, spec: ConvSpec):
     """Grouped / strided / dilated 2-D convolution (cross-correlation
-    convention), one product per kernel row."""
-    _check_conv_args(x, w, b, spec)
-    n, _, h, wd = x.shape
-    ho, wo, j0, j1, rows = _conv_plan(spec, h, wd)
-    g = spec.groups
-    cg, og = spec.in_channels // g, spec.out_channels // g
-    xg = x.reshape(n, g, cg, h, wd)
-    wt = _tap_weights(w, spec, j0, j1)
-    out = np.empty((n, g, og, ho, wo))
-    out[...] = b.reshape(g, og, 1, 1)
-    prod = np.empty((n, g, (j1 - j0) * og, ho * wd))
-    by_tap = prod.reshape(n, g, j1 - j0, og, ho, wd)
-    # depthwise rows are broadcast multiplies, the rest one GEMM each
-    row_product = np.multiply if cg == 1 else np.matmul
-    for i, in_rows, nr, taps in rows:
-        xr = xg[:, :, :, in_rows].reshape(n, g, cg, nr * wd)
-        row_product(wt[i], xr, out=prod[..., :nr * wd])
-        for dst, src in taps:
-            out[dst] += by_tap[src]
-    return out.reshape(n, spec.out_channels, ho, wo)
+    convention); per kernel row, one GEMM and one contiguous add."""
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
+    (s0, s1), n = spec.stride, x.shape[0]
+    wide = np.zeros((n, spec.groups, wt.shape[2], ((ho - 1) * s0 + 1) * wp))
+    for rows, _, taps, fresh in blocks:
+        st = _stack(xp, spec, wp, rows)
+        for k, (i, src, dst) in enumerate(taps):
+            out = wide[..., dst]  # a fresh block's first product lands on zeros
+            prod = np.matmul(wt[:, i], st[..., src], out=out if k == 0 and fresh else None)
+            if prod is not out:
+                out += prod
+    wide = wide.reshape(n, spec.out_channels, -1, wp)[..., ::s0, :(wo - 1) * s1 + 1:s1]
+    return wide + b[:, None, None]
 
 
 def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     """Gradients of sum-style losses through conv2d: returns (gx, gw, gb).
-    Per kernel row, gy is scattered into the forward's product layout; gx is
-    then the adjoint product and gw one GEMM against the same input rows."""
-    _check_conv_args(x, w, b, spec)
-    n, _, h, wd = x.shape
-    ho, wo, j0, j1, rows = _conv_plan(spec, h, wd)
+    Per block, gy stacked once per kernel row meets the column stack in one
+    GEMM for gw and the weights in one GEMM for the stack's gradient."""
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
+    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
     if gy.shape != (n, spec.out_channels, ho, wo):
         raise ShapeError("conv2d_vjp", "grad", (n, spec.out_channels, ho, wo), gy.shape)
-    g, kh, kj = spec.groups, spec.kernel_h, j1 - j0
-    cg, og = spec.in_channels // g, spec.out_channels // g
-    xg = x.reshape(n, g, cg, h, wd)
-    gyg = gy.reshape(n, g, og, ho, wo)
-    wt = _tap_weights(w, spec, j0, j1).swapaxes(-1, -2)
-    gx = np.zeros((n, g, cg, h, wd))
-    gwt = np.zeros((kh, g, kj * og, cg))
-    # the taps overwrite the same columns in every row; the rest stays zero
-    gprod = np.zeros((n, g, kj * og, ho * wd))
-    by_tap = gprod.reshape(n, g, kj, og, ho, wd)
-    for i, in_rows, nr, taps in rows:
-        for dst, src in taps:
-            by_tap[src] = gyg[dst]
-        gr = gprod[..., :nr * wd]
-        gx[:, :, :, in_rows] += np.matmul(wt[i], gr).reshape(n, g, cg, nr, wd)
-        xr = xg[:, :, :, in_rows].reshape(n, g, cg, nr * wd)
-        gwt[i] = np.matmul(gr, xr.swapaxes(-1, -2)).sum(axis=0)
-    gw = np.zeros((g, og, cg, kh, spec.kernel_w))
-    gw[..., j0:j1] = gwt.reshape(kh, g, kj, og, cg).transpose(1, 3, 4, 0, 2)
-    return gx.reshape(x.shape), gw.reshape(spec.weight_shape), gy.sum(axis=(0, 2, 3))
+    gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
+    gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
+    gwide, gxp, gwt = gwide.reshape(n, g, og, -1), np.zeros(xp.shape), np.zeros_like(wt)
+    for rows, ks, taps, _ in blocks:
+        gys = np.zeros((n, g, len(taps), og, (rows.stop - rows.start) * wp))
+        for k, (_, src, dst) in enumerate(taps):
+            gys[:, :, k, :, src] = gwide[..., dst]
+        gys = gys.reshape(n, g, len(taps) * og, -1)
+        # the column stack lives for this product only; its gradient follows
+        gwt[:, ks] += np.matmul(gys, _stack(xp, spec, wp, rows).swapaxes(-1, -2)).sum(
+            axis=0).reshape(wt[:, ks].shape)
+        gst = np.matmul(wt[:, ks].reshape(g, gys.shape[2], -1).swapaxes(-1, -2), gys)
+        gst = gst.reshape(n, g, spec.kernel_w, -1, rows.stop - rows.start, wp)
+        for j in range(spec.kernel_w):
+            gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
+        del gys, gst  # before the next block allocates its own
+    gx = gxp[..., spec.padding[2]:spec.padding[2] + x.shape[3]].reshape(x.shape)
+    gw = gwt.reshape(g, spec.kernel_h, og, spec.kernel_w, -1).transpose(0, 2, 4, 1, 3)
+    return gx, gw.reshape(spec.weight_shape), gy.sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------

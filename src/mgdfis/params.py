@@ -13,6 +13,7 @@ biases and position embeddings start at zero.
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,42 +225,47 @@ class PipelineParams:
 # flatten / rebuild / arithmetic over learnable leaves
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _fields(cls):
+    """((name, is_record) per learnable field, other constructor fields) of
+    a record class; a field annotated with a record class holds a record."""
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+    learnable = tuple((name, dataclasses.is_dataclass(types[name]))
+                      for name in cls._learnable_)
+    return learnable, tuple(name for name in types if name not in cls._learnable_)
+
+
 def param_leaves(p, prefix=""):
     """Depth-first dict of learnable leaves, dotted names -> float|ndarray."""
     out = {}
-    for name in type(p)._learnable_:
+    for name, nested in _fields(type(p))[0]:
         v = getattr(p, name)
-        key = prefix + name
-        if dataclasses.is_dataclass(v):
-            out.update(param_leaves(v, key + "."))
+        if nested:
+            out.update(param_leaves(v, prefix + name + "."))
         else:
-            out[key] = v
+            out[prefix + name] = v
     return out
 
 
 def replace_leaves(p, leaves, prefix=""):
-    """Rebuild a record with any leaves present in `leaves` substituted."""
-    updates = {}
-    for name in type(p)._learnable_:
-        v = getattr(p, name)
+    """Rebuild a record, through its constructor, with any leaves present in
+    `leaves` substituted."""
+    learnable, fixed = _fields(type(p))
+    args = {name: getattr(p, name) for name in fixed}
+    for name, nested in learnable:
         key = prefix + name
-        if dataclasses.is_dataclass(v):
-            updates[name] = replace_leaves(v, leaves, key + ".")
-        elif key in leaves:
-            updates[name] = leaves[key]
-    return dataclasses.replace(p, **updates)
+        if nested:
+            args[name] = replace_leaves(getattr(p, name), leaves, key + ".")
+        else:
+            args[name] = leaves[key] if key in leaves else getattr(p, name)
+    return type(p)(**args)
 
 
 def map_leaves(fn, p):
     """New record with fn applied to every learnable leaf."""
-    updates = {}
-    for name in type(p)._learnable_:
-        v = getattr(p, name)
-        if dataclasses.is_dataclass(v):
-            updates[name] = map_leaves(fn, v)
-        else:
-            updates[name] = fn(v)
-    return dataclasses.replace(p, **updates)
+    return dataclasses.replace(p, **{
+        name: map_leaves(fn, getattr(p, name)) if nested else fn(getattr(p, name))
+        for name, nested in _fields(type(p))[0]})
 
 
 def zeros_like_params(p):
@@ -269,12 +275,9 @@ def zeros_like_params(p):
 def add_params(a, b):
     """Leafwise sum of two same-shape records (gradient accumulation)."""
     updates = {}
-    for name in type(a)._learnable_:
+    for name, nested in _fields(type(a))[0]:
         va, vb = getattr(a, name), getattr(b, name)
-        if dataclasses.is_dataclass(va):
-            updates[name] = add_params(va, vb)
-        else:
-            updates[name] = va + vb
+        updates[name] = add_params(va, vb) if nested else va + vb
     return dataclasses.replace(a, **updates)
 
 

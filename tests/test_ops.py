@@ -82,7 +82,7 @@ def test_conv_matches_reference(spec, shape):
 
 @pytest.mark.parametrize("spec,shape", _SPEC_CASES)
 def test_conv_paths_agree(spec, shape):
-    # the shift-and-accumulate kernel against the scalar loop, to rounding
+    # the column-stack GEMM kernel against the scalar loop, to rounding
     x = u(11, "p.x", shape)
     w = u(11, "p.w", spec.weight_shape)
     b = u(11, "p.b", (spec.out_channels,))
@@ -107,6 +107,50 @@ def test_conv_vjp_is_adjoint(spec, shape):
     assert abs(float(np.sum(x * gx)) - lhs) < 1e-10
     assert abs(float(np.sum(w * gw)) - lhs) < 1e-10
     assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-12
+
+
+def _fuzz_geometries(count=80, seed=5):
+    """Seeded conv geometries: groups, strides (2, 1) and (1, 3), dilation
+    along the width, unpadded kernels wider than one column, asymmetric and
+    oversized padding, batch 2, and maps down to 1x1."""
+    rng = np.random.default_rng(seed)
+    strides = [(1, 1), (2, 1), (1, 3), (2, 2)]
+    dilations = [(1, 1), (1, 2), (1, 3), (2, 1)]
+    cases = []
+    while len(cases) < count:
+        k = len(cases)
+        g = int(rng.integers(1, 4))
+        kh, kw = int(rng.integers(1, 6)), int(rng.integers(2 if k % 5 == 0 else 1, 6))
+        pad = (0, 0, 0, 0) if k % 5 == 0 else tuple(int(p) for p in rng.integers(0, 7, 4))
+        spec = ops.ConvSpec(g * int(rng.integers(1, 3)), g * int(rng.integers(1, 3)),
+                            kh, kw, stride=strides[k % 4], padding=pad,
+                            dilation=dilations[k // 4 % 4], groups=g)
+        hw = (1, 1) if k % 10 == 1 else tuple(int(s) for s in rng.integers(1, 7, 2))
+        shape = (1 + k % 2, spec.in_channels) + hw
+        try:
+            spec.output_hw(*shape[2:])
+        except ShapeError:
+            continue
+        cases.append((spec, shape))
+    return cases
+
+
+def test_conv_fuzz_matches_reference_and_adjoint():
+    for t, (spec, shape) in enumerate(_fuzz_geometries()):
+        x = u(t, "fz.x", shape)
+        w = u(t, "fz.w", spec.weight_shape)
+        b = u(t, "fz.b", (spec.out_channels,))
+        got = ops.conv2d(x, w, b, spec)
+        want = orc.conv2d_ref(x, w, b, spec.stride, spec.padding,
+                              spec.dilation, spec.groups)
+        assert got.shape == want.shape, (spec, shape)
+        assert np.max(np.abs(got - want)) < 1e-12, (spec, shape)
+        gy = u(t, "fz.gy", got.shape)
+        gx, gw, gb = ops.conv2d_vjp(x, w, b, spec, gy)
+        lhs = float(np.sum((got - b[:, None, None]) * gy))
+        assert abs(float(np.sum(x * gx)) - lhs) < 1e-10, (spec, shape)
+        assert abs(float(np.sum(w * gw)) - lhs) < 1e-10, (spec, shape)
+        assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-12, (spec, shape)
 
 
 def test_conv_channel_mismatch_names_axis():

@@ -7,6 +7,7 @@ import pytest
 from mgdfis import checks, dpam, ftssa, gdim, ops
 from mgdfis.params import init_aggregate, init_dmm, init_gmm
 from mgdfis.rng import stream
+from test_ops import _SPEC_CASES
 
 
 @pytest.fixture
@@ -48,3 +49,12 @@ def test_gdim_vjp_runs_exactly_one_forward(conv_calls):
                    np.ones_like(f1))
     assert n_fwd == 23
     assert n_vjp == n_fwd
+
+
+@pytest.mark.parametrize("spec,shape", _SPEC_CASES)
+def test_conv_vjp_makes_no_forward_conv_call(spec, shape, conv_calls):
+    x = stream(1, "rc.cx").uniform(shape, -1.0, 1.0)
+    w = stream(1, "rc.cw").uniform(spec.weight_shape, -1.0, 1.0)
+    b = np.zeros(spec.out_channels)
+    gy = np.ones((shape[0], spec.out_channels) + spec.output_hw(*shape[2:]))
+    assert _count(conv_calls, ops.conv2d_vjp, x, w, b, spec, gy) == 0
