@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 tensor-file or other
-I/O error, 3 contract violation (shape errors, failed gradient checks).
+Exit codes: 0 success, 1 usage/configuration error (a config too large to
+allocate included), 2 tensor-file or other I/O error, 3 contract violation
+(shape errors, failed gradient checks).
 """
 
 import argparse
@@ -126,6 +127,10 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"mgdfis: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"mgdfis: configuration too large to allocate: {exc}",
+              file=sys.stderr)
         return 1
     except TensorFormatError as exc:
         print(f"mgdfis: {exc}", file=sys.stderr)

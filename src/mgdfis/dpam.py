@@ -2,8 +2,8 @@
 
 The attention map gates the refined features against a weighted sum of the
 two (reconciled) input maps; three scalar fusion weights balance the mix.
-Both ops are fwd/bwd pairs with input and cotangent checks, as in
-`mgdfis.ftssa`.
+Each op is defined once, as a forward with a cache argument and the same
+input and cotangent checks, as in `mgdfis.ftssa`.
 """
 
 import numpy as np
@@ -12,10 +12,11 @@ from . import ops
 from .gdim import _reconcile_bwd, _reconcile_fwd
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import AggregateParams, DpamParams, FusionWeights, add_params
-from .tensor import as_feature_map, require_cotangent, require_same_shape
+from .tensor import (NO_CACHE, as_feature_map, cached, require_cotangent,
+                     require_same_shape)
 
 
-def _dpam_fwd(f_agg, f_hat, p: DpamParams):
+def _dpam_fwd(f_agg, f_hat, p: DpamParams, cache):
     f_agg = as_feature_map(f_agg, "dpam")
     f_hat = as_feature_map(f_hat, "dpam")
     require_same_shape(f_agg, f_hat, "dpam")
@@ -23,16 +24,17 @@ def _dpam_fwd(f_agg, f_hat, p: DpamParams):
     cat = np.concatenate([f_agg, f_hat], axis=1)
     local = conv2d(cat, p.conv_weight, p.conv_bias,
                    same_spec(2 * c, 7, 7, out_channels=c))
-    return ops.sigmoid(local), {"cat": cat, "local": local}
+    cache.keep(cat=cat, local=local)
+    return ops.sigmoid(local)
 
 
 def dpam(f_agg, f_hat, p: DpamParams):
     """Channel-concat, 7x7 convolve down to C, sigmoid: a map in (0,1)."""
-    return _dpam_fwd(f_agg, f_hat, p)[0]
+    return _dpam_fwd(f_agg, f_hat, p, NO_CACHE)
 
 
 def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
-    out, cache = _dpam_fwd(f_agg, f_hat, p)
+    out, cache = cached(_dpam_fwd, f_agg, f_hat, p)
     gy = require_cotangent(gy, out, "dpam_vjp")
     c = out.shape[1]
     g_local = ops.activation_grad("sigmoid", cache.pop("local")) * gy
@@ -41,29 +43,28 @@ def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
     return g_cat[:, :c], g_cat[:, c:], DpamParams(conv_weight=gw, conv_bias=gb)
 
 
-def _fuse_fwd(amap, f_hat, x1, x2, w: FusionWeights, agg_p):
+def _fuse_fwd(amap, f_hat, x1, x2, w: FusionWeights, agg_p, cache):
     amap = as_feature_map(amap, "mgdfis_fuse")
     f_hat = as_feature_map(f_hat, "mgdfis_fuse")
     require_same_shape(amap, f_hat, "mgdfis_fuse")
-    x1p, c1 = _reconcile_fwd(x1, f_hat.shape, agg_p)
-    x2p, c2 = _reconcile_fwd(x2, f_hat.shape, agg_p)
+    x1p = _reconcile_fwd(x1, f_hat.shape, agg_p, cache.sub("x1"))
+    x2p = _reconcile_fwd(x2, f_hat.shape, agg_p, cache.sub("x2"))
     base = w.w_x1 * x1p + w.w_x2 * x2p
     inner = amap * f_hat + (1.0 - amap) * base
-    return w.w_map * inner, {"amap": amap, "f_hat": f_hat, "x1p": x1p,
-                             "x2p": x2p, "c1": c1, "c2": c2, "base": base,
-                             "inner": inner}
+    cache.keep(amap=amap, f_hat=f_hat, x1p=x1p, x2p=x2p, base=base, inner=inner)
+    return w.w_map * inner
 
 
 def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
                 agg_p: AggregateParams = None):
     """w_map * (amap*f_hat + (1-amap)*(w_x1*x1' + w_x2*x2')) where x1, x2
     are reconciled to f_hat dims by the aggregation resampler."""
-    return _fuse_fwd(amap, f_hat, x1, x2, w, agg_p)[0]
+    return _fuse_fwd(amap, f_hat, x1, x2, w, agg_p, NO_CACHE)
 
 
 def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
-    out, cache = _fuse_fwd(amap, f_hat, x1, x2, w, agg_p)
+    out, cache = cached(_fuse_fwd, amap, f_hat, x1, x2, w, agg_p)
     gy = require_cotangent(gy, out, "mgdfis_fuse_vjp")
     amap, f_hat, base = cache["amap"], cache["f_hat"], cache["base"]
     x1p, x2p, inner = cache["x1p"], cache["x2p"], cache["inner"]
@@ -76,8 +77,8 @@ def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     g_w_x1 = float(np.sum(g_base * x1p))
     g_w_x2 = float(np.sum(g_base * x2p))
 
-    g_x1, g_agg1 = _reconcile_bwd(cache["c1"], agg_p, w.w_x1 * g_base)
-    g_x2, g_agg2 = _reconcile_bwd(cache["c2"], agg_p, w.w_x2 * g_base)
+    g_x1, g_agg1 = _reconcile_bwd(cache["x1"], agg_p, w.w_x1 * g_base)
+    g_x2, g_agg2 = _reconcile_bwd(cache["x2"], agg_p, w.w_x2 * g_base)
     g_agg = add_params(g_agg1, g_agg2) if agg_p is not None else None
     gw = FusionWeights(w_map=g_w_map, w_x1=g_w_x1, w_x2=g_w_x2)
     return g_amap, g_f_hat, g_x1, g_x2, gw, g_agg

@@ -11,6 +11,7 @@ Totals are exact sums of the recorded entries; the ablation series enables
 stages cumulatively so its totals must strictly increase.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -155,13 +156,12 @@ def _count_ftssa(rep, module, cfg, c, h, w, batch):
     _count_mona(rep, module, "serr.mona", cfg, c, h, w, batch)
 
 
-def _count_dmm(rep, cfg, with_ftssa=True):
+def _count_dmm(rep, cfg):
     n, c, h, w = cfg.f1_shape
     rep.add("gdim", "dmm.conv46", conv_flops(same_spec(c, 4, 6), h, w, n))
     rep.add("gdim", "dmm.conv64", conv_flops(same_spec(c, 6, 4), h, w, n))
     rep.add("gdim", "dmm.add", 2 * n * c * h * w)
-    if with_ftssa:
-        _count_ftssa(rep, "ftssa", cfg, c, h, w, n)
+    _count_ftssa(rep, "ftssa", cfg, c, h, w, n)
     rep.add("gdim", "dmm.gap", n * c * h * w)
     ch = reduced_channels(c, cfg.mlp_ratio)
     rep.add("gdim", "dmm.mlp", n * (linear_flops(1, c, ch) + linear_flops(1, ch, c)))
@@ -174,14 +174,13 @@ def _count_dpam(rep, cfg):
     rep.add("dpam", "dpam.conv",
             conv_flops(same_spec(2 * c, 7, 7, out_channels=c), h, w, n))
     rep.add("dpam", "dpam.sigmoid", n * c * h * w)
-    if cfg.f1_shape != cfg.f2_shape:
-        c2 = cfg.f2_shape[1]
-        rep.add("dpam", "fuse.reconcile", _resample_flops(c2, h, w, n)
-                + conv_flops(same_spec(c2, 1, 1, out_channels=c), h, w, n))
     rep.add("dpam", "fuse.blend", 6 * n * c * h * w)
 
 
 ABLATION_ORDER = ("aggregate", "+gmm", "+dmm_wo_ftssa", "+ftssa", "+dpam")
+# the stage each step enables: an entry's module, or for a gdim entry the
+# first part of its op name
+_ABLATION_STAGES = ("aggregate", "gmm", "dmm", "ftssa", "dpam")
 
 
 def pipeline_flops(cfg):
@@ -189,37 +188,16 @@ def pipeline_flops(cfg):
     rep = FlopReport()
     _count_aggregate(rep, cfg)
     _count_gmm(rep, cfg)
-    _count_dmm(rep, cfg, with_ftssa=True)
+    _count_dmm(rep, cfg)
     _count_dpam(rep, cfg)
     return rep
 
 
 def ablation_series(cfg):
     """Cumulative stage enablement: (label, total) pairs whose totals must
-    strictly increase."""
-    series = []
-
-    rep = FlopReport()
-    _count_aggregate(rep, cfg)
-    series.append((ABLATION_ORDER[0], rep.total))
-
-    rep = FlopReport()
-    _count_aggregate(rep, cfg)
-    _count_gmm(rep, cfg)
-    series.append((ABLATION_ORDER[1], rep.total))
-
-    rep = FlopReport()
-    _count_aggregate(rep, cfg)
-    _count_gmm(rep, cfg)
-    _count_dmm(rep, cfg, with_ftssa=False)
-    series.append((ABLATION_ORDER[2], rep.total))
-
-    rep = FlopReport()
-    _count_aggregate(rep, cfg)
-    _count_gmm(rep, cfg)
-    _count_dmm(rep, cfg, with_ftssa=True)
-    series.append((ABLATION_ORDER[3], rep.total))
-
-    rep = pipeline_flops(cfg)
-    series.append((ABLATION_ORDER[4], rep.total))
-    return series
+    strictly increase, summed from one full-pipeline report."""
+    steps = [0] * len(ABLATION_ORDER)
+    for e in pipeline_flops(cfg).entries:
+        stage = e.op.split(".")[0] if e.module == "gdim" else e.module
+        steps[_ABLATION_STAGES.index(stage)] += e.flops
+    return list(zip(ABLATION_ORDER, itertools.accumulate(steps)))

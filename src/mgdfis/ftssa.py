@@ -1,16 +1,14 @@
 """Attention stage: DyT transform, token-statistics self-attention, Mona
 bottleneck adapters, spectral feed-forward, composed as two serial stages.
 
-Each op is a private pair, `_op_fwd(x, p) -> (out, cache)` and
-`_op_bwd(cache, p, gy) -> (input gradient, parameter gradients in the
-parameters' record type)`.  The public `op_vjp` is `_op_bwd(_op_fwd(...)[1],
-...)`, so it runs its forward once; composite pairs call their children's.
-A cache keeps only what backward cannot rebuild elementwise (conv, FFT and
-projection outputs, conv inputs) and backward pops each entry as it uses it.
-Public forwards hold no cache: `_op_fwd(...)[0]` for a leaf, a composition
-of the public child forwards otherwise.  A leaf `_op_fwd` validates its
-inputs, so a public VJP rejects what its forward rejects; it also rejects a
-cotangent `gy` whose shape is not the forward output's.
+Each op is defined once, as a private pair: `_op_fwd(x, p, cache) -> out`
+and `_op_bwd(cache, p, gy) -> (input gradient, parameter gradients in the
+parameters' record type)`.  The forward keeps in `cache` only what backward
+cannot rebuild elementwise (conv, FFT and projection outputs, conv inputs),
+running each child pair on `cache.sub(name)`; backward pops each entry as it
+uses it.  The public `op` is `_op_fwd(..., NO_CACHE)`, which keeps nothing,
+and `op_vjp` is `_op_bwd` on the cache of one forward run.  A VJP rejects
+what its forward rejects and a cotangent `gy` not shaped like the output.
 """
 
 import math
@@ -23,19 +21,20 @@ from .errors import ShapeError
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (DyTParams, FtssaParams, MonaParams, SeffParams,
                      TssaParams, add_params, zeros_like_params)
-from .tensor import (as_feature_map, from_tokens, require_channels,
-                     require_cotangent, to_tokens)
+from .tensor import (NO_CACHE, as_feature_map, cached, from_tokens,
+                     require_channels, require_cotangent, to_tokens)
 
 
 # ---------------------------------------------------------------------------
 # DyT
 # ---------------------------------------------------------------------------
 
-def _dyt_fwd(x, p: DyTParams):
+def _dyt_fwd(x, p: DyTParams, cache):
     x = as_feature_map(x, "dyt")
     require_channels(x, p.gamma.shape[0], "dyt")
+    cache.keep(x=x)
     t = np.tanh(p.alpha * x)
-    return p.gamma[None, :, None, None] * t + p.beta[None, :, None, None], {"x": x}
+    return p.gamma[None, :, None, None] * t + p.beta[None, :, None, None]
 
 
 def _dyt_bwd(cache, p: DyTParams, gy):
@@ -51,11 +50,11 @@ def _dyt_bwd(cache, p: DyTParams, gy):
 
 def dyt(x, p: DyTParams):
     """Per-channel gamma * tanh(alpha * x) + beta."""
-    return _dyt_fwd(x, p)[0]
+    return _dyt_fwd(x, p, NO_CACHE)
 
 
 def dyt_vjp(x, p: DyTParams, gy):
-    out, cache = _dyt_fwd(x, p)
+    out, cache = cached(_dyt_fwd, x, p)
     return _dyt_bwd(cache, p, require_cotangent(gy, out, "dyt_vjp"))
 
 
@@ -92,12 +91,13 @@ def _tssa_pre(f, pi, attn, p: TssaParams):
     return pre.transpose(0, 2, 1, 3).reshape(b * n, h * d)
 
 
-def _tssa_fwd(x, p: TssaParams):
+def _tssa_fwd(x, p: TssaParams, cache):
     x = as_feature_map(x, "tssa")
     require_channels(x, p.qkv_weight.shape[0], "tssa")
-    _, _, h, w = x.shape
-    cache = _tssa_parts(to_tokens(x), p)
-    return from_tokens(cache.pop("out"), h, w), cache
+    parts = _tssa_parts(to_tokens(x), p)
+    out = parts.pop("out")
+    cache.keep(**parts)
+    return from_tokens(out, x.shape[2], x.shape[3])
 
 
 def _tssa_bwd(cache, p: TssaParams, gy):
@@ -146,11 +146,11 @@ def tssa_tokens(t, p: TssaParams):
 
 def tssa(x, p: TssaParams):
     """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
-    return _tssa_fwd(x, p)[0]
+    return _tssa_fwd(x, p, NO_CACHE)
 
 
 def tssa_vjp(x, p: TssaParams, gy):
-    out, cache = _tssa_fwd(x, p)
+    out, cache = cached(_tssa_fwd, x, p)
     return _tssa_bwd(cache, p, require_cotangent(gy, out, "tssa_vjp"))
 
 
@@ -171,15 +171,15 @@ def _mona_specs(p: MonaParams):
     }
 
 
-def _mona_op_fwd(z, p: MonaParams):
+def _mona_op_fwd(z, p: MonaParams, cache):
     z = as_feature_map(z, "mona_op")
     require_channels(z, p.down_weight.shape[0], "mona_op")
     sp = _mona_specs(p)
     mix_in = (conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
               + conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
               + conv2d(z, p.dw7_weight, p.dw7_bias, sp["dw7"])) / 3.0 + z
-    out = z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
-    return out, {"z": z, "mix_in": mix_in}
+    cache.keep(z=z, mix_in=mix_in)
+    return z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
 
 
 def _mona_op_bwd(cache, p: MonaParams, gy):
@@ -200,18 +200,19 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
 
 def mona_op(z, p: MonaParams):
     """Residual multi-scale mix on the reduced channel count."""
-    return _mona_op_fwd(z, p)[0]
+    return _mona_op_fwd(z, p, NO_CACHE)
 
 
 def mona_op_vjp(z, p: MonaParams, gy):
-    out, cache = _mona_op_fwd(z, p)
+    out, cache = cached(_mona_op_fwd, z, p)
     return _mona_op_bwd(cache, p, require_cotangent(gy, out, "mona_op_vjp"))
 
 
-def _xmona_fwd(x, p: MonaParams):
+def _xmona_fwd(x, p: MonaParams, cache):
     x = as_feature_map(x, "xmona")
     require_channels(x, p.skip_weight.shape[1], "xmona")
-    return p.skip_scale * np.einsum("ce,nehw->nchw", p.skip_weight, x), {"x": x}
+    cache.keep(x=x)
+    return p.skip_scale * np.einsum("ce,nehw->nchw", p.skip_weight, x)
 
 
 def _xmona_bwd(cache, p: MonaParams, gy):
@@ -226,23 +227,24 @@ def _xmona_bwd(cache, p: MonaParams, gy):
 
 def xmona(x, p: MonaParams):
     """Tiny-scaled per-pixel linear skip across the full channel count."""
-    return _xmona_fwd(x, p)[0]
+    return _xmona_fwd(x, p, NO_CACHE)
 
 
 def xmona_vjp(x, p: MonaParams, gy):
-    out, cache = _xmona_fwd(x, p)
+    out, cache = cached(_xmona_fwd, x, p)
     return _xmona_bwd(cache, p, require_cotangent(gy, out, "xmona_vjp"))
 
 
-def _mona_fwd(x, p: MonaParams):
+def _mona_fwd(x, p: MonaParams, cache):
     """xmona(x) + up(gelu(mona_op(down(x))))"""
     x = as_feature_map(x, "mona")
     require_channels(x, p.down_weight.shape[1], "mona")
     sp = _mona_specs(p)
-    skip, c_skip = _xmona_fwd(x, p)
-    mo, c_op = _mona_op_fwd(conv2d(x, p.down_weight, p.down_bias, sp["down"]), p)
-    out = skip + conv2d(ops.gelu(mo), p.up_weight, p.up_bias, sp["up"])
-    return out, {"x": x, "skip": c_skip, "op": c_op, "mo": mo}
+    skip = _xmona_fwd(x, p, cache.sub("skip"))
+    mo = _mona_op_fwd(conv2d(x, p.down_weight, p.down_bias, sp["down"]), p,
+                      cache.sub("op"))
+    cache.keep(x=x, mo=mo)
+    return skip + conv2d(ops.gelu(mo), p.up_weight, p.up_bias, sp["up"])
 
 
 def _mona_bwd(cache, p: MonaParams, gy):
@@ -262,11 +264,11 @@ def _mona_bwd(cache, p: MonaParams, gy):
 
 
 def mona(x, p: MonaParams):
-    return _mona_fwd(x, p)[0]
+    return _mona_fwd(x, p, NO_CACHE)
 
 
 def mona_vjp(x, p: MonaParams, gy):
-    out, cache = _mona_fwd(x, p)
+    out, cache = cached(_mona_fwd, x, p)
     return _mona_bwd(cache, p, require_cotangent(gy, out, "mona_vjp"))
 
 
@@ -283,7 +285,7 @@ def _seff_specs(c):
     }
 
 
-def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias):
+def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
     """One spectral branch, ifft2(W * fft2(dwconv(half)) + bias).  W is the
     per-channel complex weight, its real and imaginary planes resampled
     independently to the runtime spatial dims."""
@@ -291,8 +293,8 @@ def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias):
     spectrum = ops.fft2(conv2d(half, conv_w, conv_b, spec))
     weight = (ops.bilinear_resize(re[None], h, w)[0]
               + 1j * ops.bilinear_resize(im[None], h, w)[0])[None]
-    out = ops.ifft2(weight * spectrum + bias[None, :, None, None])
-    return out, {"half": half, "spectrum": spectrum, "weight": weight}
+    cache.keep(half=half, spectrum=spectrum, weight=weight)
+    return ops.ifft2(weight * spectrum + bias[None, :, None, None])
 
 
 def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
@@ -307,18 +309,18 @@ def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
             g_re, g_im, gz.real.sum(axis=(0, 2, 3)))
 
 
-def _seff_fwd(x, p: SeffParams):
+def _seff_fwd(x, p: SeffParams, cache):
     x = as_feature_map(x, "seff")
     require_channels(x, p.split_weight.shape[1], "seff")
     c = p.merge_weight.shape[0]
     sp = _seff_specs(c)
     split = conv2d(x, p.split_weight, p.split_bias, sp["split"])
-    t1, c1 = _branch_fwd(split[:, :c], p.branch1_weight, p.branch1_bias,
-                         sp["b1"], p.w1_re, p.w1_im, p.freq_bias1)
-    t2, c2 = _branch_fwd(split[:, c:], p.branch2_weight, p.branch2_bias,
-                         sp["b2"], p.w2_re, p.w2_im, p.freq_bias2)
-    out = conv2d(ops.silu(t2) * t1, p.merge_weight, p.merge_bias, sp["merge"])
-    return out, {"x": x, "b1": c1, "b2": c2, "t1": t1, "t2": t2}
+    t1 = _branch_fwd(split[:, :c], p.branch1_weight, p.branch1_bias, sp["b1"],
+                     p.w1_re, p.w1_im, p.freq_bias1, cache.sub("b1"))
+    t2 = _branch_fwd(split[:, c:], p.branch2_weight, p.branch2_bias, sp["b2"],
+                     p.w2_re, p.w2_im, p.freq_bias2, cache.sub("b2"))
+    cache.keep(x=x, t1=t1, t2=t2)
+    return conv2d(ops.silu(t2) * t1, p.merge_weight, p.merge_bias, sp["merge"])
 
 
 def _seff_bwd(cache, p: SeffParams, gy):
@@ -350,11 +352,11 @@ def _seff_bwd(cache, p: SeffParams, gy):
 
 
 def seff(x, p: SeffParams):
-    return _seff_fwd(x, p)[0]
+    return _seff_fwd(x, p, NO_CACHE)
 
 
 def seff_vjp(x, p: SeffParams, gy):
-    out, cache = _seff_fwd(x, p)
+    out, cache = cached(_seff_fwd, x, p)
     return _seff_bwd(cache, p, require_cotangent(gy, out, "seff_vjp"))
 
 
@@ -364,64 +366,60 @@ def seff_vjp(x, p: SeffParams, gy):
 # daff and serr share one shape, mona(x + inner(dyt(x))), with tssa or seff
 # as the inner op; one pair serves both.
 
-def _stage_fwd(inner_fwd, x, dyt_p, inner_p, mona_p):
-    normed, c_dyt = _dyt_fwd(x, dyt_p)
-    y, c_inner = inner_fwd(normed, inner_p)
-    out, c_mona = _mona_fwd(x + y, mona_p)
-    return out, (c_dyt, c_inner, c_mona)
+def _stage_fwd(inner_fwd, x, dyt_p, inner_p, mona_p, cache):
+    return _mona_fwd(x + inner_fwd(_dyt_fwd(x, dyt_p, cache.sub("dyt")),
+                                   inner_p, cache.sub("inner")),
+                     mona_p, cache.sub("mona"))
 
 
 def _stage_bwd(inner_bwd, cache, dyt_p, inner_p, mona_p, gy):
-    c_dyt, c_inner, c_mona = cache
-    g_res, g_mona = _mona_bwd(c_mona, mona_p, gy)
-    g_normed, g_inner = inner_bwd(c_inner, inner_p, g_res)
-    gx, g_dyt = _dyt_bwd(c_dyt, dyt_p, g_normed)
+    g_res, g_mona = _mona_bwd(cache.pop("mona"), mona_p, gy)
+    g_normed, g_inner = inner_bwd(cache.pop("inner"), inner_p, g_res)
+    gx, g_dyt = _dyt_bwd(cache.pop("dyt"), dyt_p, g_normed)
     return gx + g_res, g_dyt, g_inner, g_mona
 
 
 def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams):
     """mona(x + attention(dyt(x)))"""
-    return mona(x + tssa(dyt(x, dyt_p), tssa_p), mona_p)
+    return _stage_fwd(_tssa_fwd, x, dyt_p, tssa_p, mona_p, NO_CACHE)
 
 
 def daff_vjp(x, dyt_p, tssa_p, mona_p, gy):
-    out, cache = _stage_fwd(_tssa_fwd, x, dyt_p, tssa_p, mona_p)
+    out, cache = cached(_stage_fwd, _tssa_fwd, x, dyt_p, tssa_p, mona_p)
     return _stage_bwd(_tssa_bwd, cache, dyt_p, tssa_p, mona_p,
                       require_cotangent(gy, out, "daff_vjp"))
 
 
 def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams):
     """mona(x + seff(dyt(x)))"""
-    return mona(x + seff(dyt(x, dyt_p), seff_p), mona_p)
+    return _stage_fwd(_seff_fwd, x, dyt_p, seff_p, mona_p, NO_CACHE)
 
 
 def serr_vjp(x, dyt_p, seff_p, mona_p, gy):
-    out, cache = _stage_fwd(_seff_fwd, x, dyt_p, seff_p, mona_p)
+    out, cache = cached(_stage_fwd, _seff_fwd, x, dyt_p, seff_p, mona_p)
     return _stage_bwd(_seff_bwd, cache, dyt_p, seff_p, mona_p,
                       require_cotangent(gy, out, "serr_vjp"))
 
 
-def _ftssa_fwd(x, p: FtssaParams):
-    stage1, c_daff = _stage_fwd(_tssa_fwd, x, p.dyt1, p.tssa, p.mona1)
-    out, c_serr = _stage_fwd(_seff_fwd, stage1, p.dyt2, p.seff, p.mona2)
-    return out, (c_daff, c_serr)
+def _ftssa_fwd(x, p: FtssaParams, cache):
+    stage1 = _stage_fwd(_tssa_fwd, x, p.dyt1, p.tssa, p.mona1, cache.sub("daff"))
+    return _stage_fwd(_seff_fwd, stage1, p.dyt2, p.seff, p.mona2, cache.sub("serr"))
 
 
 def _ftssa_bwd(cache, p: FtssaParams, gy):
-    g1, g_dyt2, g_seff, g_mona2 = _stage_bwd(_seff_bwd, cache[1], p.dyt2,
-                                             p.seff, p.mona2, gy)
-    gx, g_dyt1, g_tssa, g_mona1 = _stage_bwd(_tssa_bwd, cache[0], p.dyt1,
-                                             p.tssa, p.mona1, g1)
+    g1, g_dyt2, g_seff, g_mona2 = _stage_bwd(_seff_bwd, cache.pop("serr"),
+                                             p.dyt2, p.seff, p.mona2, gy)
+    gx, g_dyt1, g_tssa, g_mona1 = _stage_bwd(_tssa_bwd, cache.pop("daff"),
+                                             p.dyt1, p.tssa, p.mona1, g1)
     return gx, FtssaParams(dyt1=g_dyt1, tssa=g_tssa, mona1=g_mona1,
                            dyt2=g_dyt2, seff=g_seff, mona2=g_mona2)
 
 
 def ftssa(x, p: FtssaParams):
     """Both stages in series; dims preserved."""
-    stage1 = daff(x, p.dyt1, p.tssa, p.mona1)
-    return serr(stage1, p.dyt2, p.seff, p.mona2)
+    return _ftssa_fwd(x, p, NO_CACHE)
 
 
 def ftssa_vjp(x, p: FtssaParams, gy):
-    out, cache = _ftssa_fwd(x, p)
+    out, cache = cached(_ftssa_fwd, x, p)
     return _ftssa_bwd(cache, p, require_cotangent(gy, out, "ftssa_vjp"))

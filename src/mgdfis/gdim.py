@@ -5,8 +5,8 @@ The mixing module runs two sequential passes.  Each pass regroups channels
 into k groups, concatenates the groups along one spatial axis (width first,
 then height), adds a position embedding, convolves, restores the original
 layout, normalizes, and fuses with the pass input through a 1x1 convolution.
-The ops are fwd/bwd pairs with minimal caches and the same input and
-cotangent checks, as in `mgdfis.ftssa`.
+Each op is defined once, as a fwd/bwd pair with a cache argument and the
+same input and cotangent checks, as in `mgdfis.ftssa`.
 """
 
 import dataclasses
@@ -14,22 +14,23 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .ftssa import _ftssa_bwd, _ftssa_fwd, ftssa
+from .ftssa import _ftssa_bwd, _ftssa_fwd
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (AggregateParams, DmmParams, GmmParams, add_params,
                      zeros_like_params)
-from .tensor import as_feature_map, require_cotangent
+from .tensor import NO_CACHE, as_feature_map, cached, require_cotangent
 
 
 # ---------------------------------------------------------------------------
 # aggregation of the two input maps
 # ---------------------------------------------------------------------------
 
-def _needs_reconcile(x, target_shape, agg_p):
-    """Whether x differs from the target's dims; raises if it cannot be
-    resampled and projected to them."""
+def _reconcile_fwd(x, target_shape, agg_p, cache):
+    """x at the target's dims: bilinearly resampled to its spatial dims and
+    channel-projected unless it has them already (then it keeps nothing);
+    raises if it cannot be."""
     if x.shape == target_shape:
-        return False
+        return x
     if x.shape[0] != target_shape[0]:
         raise ShapeError("aggregate", "batch", target_shape[0], x.shape[0])
     if agg_p is None:
@@ -40,23 +41,14 @@ def _needs_reconcile(x, target_shape, agg_p):
         raise ShapeError("aggregate", "channel", c2, x.shape[1])
     if target_shape[1] != c1:
         raise ShapeError("aggregate", "channel", c1, target_shape[1])
-    return True
-
-
-def _reconcile_fwd(x, target_shape, agg_p):
-    """x at the target's dims: bilinearly resampled to its spatial dims and
-    channel-projected, unless it has them already (then the cache is None)."""
-    if not _needs_reconcile(x, target_shape, agg_p):
-        return x, None
-    c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
     res = ops.bilinear_resize(x, target_shape[2], target_shape[3])
-    out = conv2d(res, agg_p.proj_weight, agg_p.proj_bias,
-                 same_spec(c2, 1, 1, out_channels=c1))
-    return out, {"res": res, "hw": x.shape[2:]}
+    cache.keep(res=res, hw=x.shape[2:])
+    return conv2d(res, agg_p.proj_weight, agg_p.proj_bias,
+                  same_spec(c2, 1, 1, out_channels=c1))
 
 
 def _reconcile_bwd(cache, agg_p, gy):
-    if cache is None:
+    if not cache:
         return gy, zeros_like_params(agg_p) if agg_p is not None else None
     c1, c2 = agg_p.proj_weight.shape[0], agg_p.proj_weight.shape[1]
     g_res, gw, gb = conv2d_vjp(cache.pop("res"), agg_p.proj_weight,
@@ -66,25 +58,20 @@ def _reconcile_bwd(cache, agg_p, gy):
     return gx, AggregateParams(proj_weight=gw, proj_bias=gb)
 
 
-def _aggregate_fwd(f1, f2, agg_p):
+def _aggregate_fwd(f1, f2, agg_p, cache):
     f1 = as_feature_map(f1, "aggregate")
-    x2, cache = _reconcile_fwd(as_feature_map(f2, "aggregate"), f1.shape, agg_p)
-    return f1 + x2, cache
+    return f1 + _reconcile_fwd(as_feature_map(f2, "aggregate"), f1.shape, agg_p, cache)
 
 
 def aggregate(f1, f2, agg_p: AggregateParams = None):
     """Sum the two inputs; a mismatched second input is bilinearly resampled
     to the first input's spatial dims and channel-projected first."""
-    return _aggregate_fwd(f1, f2, agg_p)[0]
+    return _aggregate_fwd(f1, f2, agg_p, NO_CACHE)
 
 
 def aggregate_vjp(f1, f2, agg_p, gy):
-    f1 = as_feature_map(f1, "aggregate")
-    f2 = as_feature_map(f2, "aggregate")
-    gy = require_cotangent(gy, f1, "aggregate_vjp")
-    # backward reads only the resampled f2, so the projection is not run
-    cache = {"res": ops.bilinear_resize(f2, f1.shape[2], f1.shape[3]),
-             "hw": f2.shape[2:]} if _needs_reconcile(f2, f1.shape, agg_p) else None
+    out, cache = cached(_aggregate_fwd, f1, f2, agg_p)
+    gy = require_cotangent(gy, out, "aggregate_vjp")
     return (gy, *_reconcile_bwd(cache, agg_p, gy))
 
 
@@ -138,7 +125,7 @@ def _gmm_pass(p: GmmParams, axis):
     return regroup_h, restore_h, p.pos_h, q
 
 
-def _gmm_pass_fwd(f, p: GmmParams, axis):
+def _gmm_pass_fwd(f, p: GmmParams, axis, cache):
     f = as_feature_map(f, "gmm")
     if f.shape[1] % p.k:
         raise ConfigError(f"gmm: group count {p.k} must divide channel count "
@@ -153,10 +140,10 @@ def _gmm_pass_fwd(f, p: GmmParams, axis):
     restored = restore(conved, p.k)
     _, bn_out = _bn_inference(restored, q["bn_scale"], q["bn_shift"],
                               q["bn_mean"], q["bn_var"], p.bn_eps)
+    cache.keep(f=f, restored=restored)
     cat = np.concatenate([f, ops.gelu(bn_out)], axis=1)
-    out = conv2d(cat, q["fuse_weight"], q["fuse_bias"],
-                 same_spec(2 * c, 1, 1, out_channels=c))
-    return out, {"f": f, "restored": restored}
+    return conv2d(cat, q["fuse_weight"], q["fuse_bias"],
+                  same_spec(2 * c, 1, 1, out_channels=c))
 
 
 def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
@@ -183,16 +170,14 @@ def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     return g_cat[:, :c] + restore(g_conv_in, p.k), g_pos, g
 
 
-def _gmm_fwd(f_agg, p: GmmParams):
-    col, c_col = _gmm_pass_fwd(f_agg, p, "w")
-    out, c_row = _gmm_pass_fwd(col, p, "h")
-    return out, (c_col, c_row)
+def _gmm_fwd(f_agg, p: GmmParams, cache):
+    return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, "w", cache.sub("col")), p, "h",
+                         cache.sub("row"))
 
 
 def _gmm_bwd(cache, p: GmmParams, gy):
-    c_col, c_row = cache
-    g_col, g_pos_h, g_row = _gmm_pass_bwd(c_row, p, "h", gy)
-    gf, g_pos_w, g_c = _gmm_pass_bwd(c_col, p, "w", g_col)
+    g_col, g_pos_h, g_row = _gmm_pass_bwd(cache.pop("row"), p, "h", gy)
+    gf, g_pos_w, g_c = _gmm_pass_bwd(cache.pop("col"), p, "w", g_col)
     gp = dataclasses.replace(
         p, pos_w=g_pos_w, pos_h=g_pos_h,
         **{f"col_{name}": v for name, v in g_c.items()},
@@ -202,11 +187,11 @@ def _gmm_bwd(cache, p: GmmParams, gy):
 
 def gmm(f_agg, p: GmmParams):
     """Column pass then row pass; output dims equal input dims."""
-    return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, "w")[0], p, "h")[0]
+    return _gmm_fwd(f_agg, p, NO_CACHE)
 
 
 def gmm_vjp(f_agg, p: GmmParams, gy):
-    out, cache = _gmm_fwd(f_agg, p)
+    out, cache = cached(_gmm_fwd, f_agg, p)
     return _gmm_bwd(cache, p, require_cotangent(gy, out, "gmm_vjp"))
 
 
@@ -214,12 +199,12 @@ def gmm_vjp(f_agg, p: GmmParams, gy):
 # directional detail capture with channel gating
 # ---------------------------------------------------------------------------
 
-def _dmm_directional_fwd(f_gmm, p: DmmParams):
+def _dmm_directional_fwd(f_gmm, p: DmmParams, cache):
     f_gmm = as_feature_map(f_gmm, "dmm")
+    cache.keep(f=f_gmm)
     c = f_gmm.shape[1]
-    out = (f_gmm + conv2d(f_gmm, p.conv46_weight, p.conv46_bias, same_spec(c, 4, 6))
-           + conv2d(f_gmm, p.conv64_weight, p.conv64_bias, same_spec(c, 6, 4)))
-    return out, {"f": f_gmm}
+    return (f_gmm + conv2d(f_gmm, p.conv46_weight, p.conv46_bias, same_spec(c, 4, 6))
+            + conv2d(f_gmm, p.conv64_weight, p.conv64_bias, same_spec(c, 6, 4)))
 
 
 def _dmm_directional_bwd(cache, p: DmmParams, gy):
@@ -237,22 +222,22 @@ def _dmm_directional_bwd(cache, p: DmmParams, gy):
 
 def dmm_directional(f_gmm, p: DmmParams):
     """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
-    return _dmm_directional_fwd(f_gmm, p)[0]
+    return _dmm_directional_fwd(f_gmm, p, NO_CACHE)
 
 
 def dmm_directional_vjp(f_gmm, p: DmmParams, gy):
-    out, cache = _dmm_directional_fwd(f_gmm, p)
+    out, cache = cached(_dmm_directional_fwd, f_gmm, p)
     return _dmm_directional_bwd(cache, p,
                                 require_cotangent(gy, out, "dmm_directional_vjp"))
 
 
-def _gate_fwd(feat, p: DmmParams):
+def _gate_fwd(feat, p: DmmParams, cache):
     """Pooled MLP with a Swish (x * sigmoid(x)) output, shaped (N, C, 1, 1)."""
     pooled = ops.global_avg_pool(feat)[:, :, 0, 0]
     h1 = ops.linear(pooled, p.mlp_w1, p.mlp_b1)
     h2 = ops.linear(ops.gelu(h1), p.mlp_w2, p.mlp_b2)
-    return (ops.silu(h2)[:, :, None, None],
-            {"feat": feat, "pooled": pooled, "h1": h1, "h2": h2})
+    cache.keep(feat=feat, pooled=pooled, h1=h1, h2=h2)
+    return ops.silu(h2)[:, :, None, None]
 
 
 def _gate_bwd(cache, p: DmmParams, gy):
@@ -271,36 +256,34 @@ def _gate_bwd(cache, p: DmmParams, gy):
     return g_feat, gp
 
 
-def _dmm_attention_fwd(f_add, p: DmmParams):
-    feat, c_ftssa = _ftssa_fwd(as_feature_map(f_add, "dmm"), p.ftssa)
-    gate, c_gate = _gate_fwd(feat, p)
-    return gate, (c_ftssa, c_gate)
+def _dmm_attention_fwd(f_add, p: DmmParams, cache):
+    return _gate_fwd(_ftssa_fwd(as_feature_map(f_add, "dmm"), p.ftssa,
+                                cache.sub("ftssa")), p, cache.sub("gate"))
 
 
 def _dmm_attention_bwd(cache, p: DmmParams, gy):
-    g_feat, gp = _gate_bwd(cache[1], p, gy)
-    g_f_add, g_ftssa = _ftssa_bwd(cache[0], p.ftssa, g_feat)
+    g_feat, gp = _gate_bwd(cache.pop("gate"), p, gy)
+    g_f_add, g_ftssa = _ftssa_bwd(cache.pop("ftssa"), p.ftssa, g_feat)
     return g_f_add, dataclasses.replace(gp, ftssa=g_ftssa)
 
 
 def dmm_attention(f_add, p: DmmParams):
     """Per-(batch, channel) gate with spatial dims 1x1."""
-    f_add = as_feature_map(f_add, "dmm")
-    return _gate_fwd(ftssa(f_add, p.ftssa), p)[0]
+    return _dmm_attention_fwd(f_add, p, NO_CACHE)
 
 
 def dmm_attention_vjp(f_add, p: DmmParams, gy):
     """gy has the gate's (N, C, 1, 1) dims."""
-    out, cache = _dmm_attention_fwd(f_add, p)
+    out, cache = cached(_dmm_attention_fwd, f_add, p)
     return _dmm_attention_bwd(cache, p,
                               require_cotangent(gy, out, "dmm_attention_vjp"))
 
 
-def _dmm_fwd(f_gmm, p: DmmParams):
-    f_add, c_dir = _dmm_directional_fwd(f_gmm, p)
-    gate, c_att = _dmm_attention_fwd(f_add, p)
-    return f_add * gate, {"dir": c_dir, "att": c_att, "f_add": f_add,
-                          "gate": gate}
+def _dmm_fwd(f_gmm, p: DmmParams, cache):
+    f_add = _dmm_directional_fwd(f_gmm, p, cache.sub("dir"))
+    gate = _dmm_attention_fwd(f_add, p, cache.sub("att"))
+    cache.keep(f_add=f_add, gate=gate)
+    return f_add * gate
 
 
 def _dmm_bwd(cache, p: DmmParams, gy):
@@ -312,37 +295,33 @@ def _dmm_bwd(cache, p: DmmParams, gy):
 
 
 def dmm(f_gmm, p: DmmParams):
-    f_add = dmm_directional(f_gmm, p)
-    return f_add * dmm_attention(f_add, p)
+    return _dmm_fwd(f_gmm, p, NO_CACHE)
 
 
 def dmm_vjp(f_gmm, p: DmmParams, gy):
-    out, cache = _dmm_fwd(f_gmm, p)
+    out, cache = cached(_dmm_fwd, f_gmm, p)
     return _dmm_bwd(cache, p, require_cotangent(gy, out, "dmm_vjp"))
 
 
-def _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p):
-    f_agg, c_agg = _aggregate_fwd(f1, f2, agg_p)
-    f_gmm, c_gmm = _gmm_fwd(f_agg, gmm_p)
-    out, c_dmm = _dmm_fwd(f_gmm, dmm_p)
-    return out, (c_agg, c_gmm, c_dmm)
+def _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p, cache):
+    return _dmm_fwd(_gmm_fwd(_aggregate_fwd(f1, f2, agg_p, cache.sub("agg")),
+                             gmm_p, cache.sub("gmm")), dmm_p, cache.sub("dmm"))
 
 
 def _gdim_bwd(cache, gmm_p, dmm_p, agg_p, gy):
-    c_agg, c_gmm, c_dmm = cache
-    g_f_gmm, g_dmm = _dmm_bwd(c_dmm, dmm_p, gy)
-    g_f_agg, g_gmm = _gmm_bwd(c_gmm, gmm_p, g_f_gmm)
-    g2, g_agg = _reconcile_bwd(c_agg, agg_p, g_f_agg)
+    g_f_gmm, g_dmm = _dmm_bwd(cache.pop("dmm"), dmm_p, gy)
+    g_f_agg, g_gmm = _gmm_bwd(cache.pop("gmm"), gmm_p, g_f_gmm)
+    g2, g_agg = _reconcile_bwd(cache.pop("agg"), agg_p, g_f_agg)
     return g_f_agg, g2, g_gmm, g_dmm, g_agg
 
 
 def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams, agg_p: AggregateParams = None):
     """dmm(gmm(aggregate(f1, f2)))"""
-    return dmm(gmm(aggregate(f1, f2, agg_p), gmm_p), dmm_p)
+    return _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p, NO_CACHE)
 
 
 def gdim_vjp(f1, f2, gmm_p, dmm_p, agg_p, gy):
     """Returns (g_f1, g_f2, g_gmm, g_dmm, g_agg)."""
-    out, cache = _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p)
+    out, cache = cached(_gdim_fwd, f1, f2, gmm_p, dmm_p, agg_p)
     return _gdim_bwd(cache, gmm_p, dmm_p, agg_p,
                      require_cotangent(gy, out, "gdim_vjp"))

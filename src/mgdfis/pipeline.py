@@ -28,7 +28,7 @@ from .gdim import _reconcile_fwd, aggregate, dmm, gdim, gmm
 from .mgdt import read_tensor, write_tensor
 from .params import all_tensors, init_pipeline, structural_fields
 from .rng import stream
-from .tensor import as_feature_map
+from .tensor import NO_CACHE, as_feature_map
 
 
 @dataclass
@@ -79,7 +79,7 @@ def _stage_value(cfg, params, f1, f2):
         return gdim(f1, f2, params.gmm, params.dmm, params.agg)
     # f2 is reconciled to f1's dims once and reused by aggregate and fuse;
     # the values equal those of the composition through the public ops
-    x2 = _reconcile_fwd(f2, f1.shape, params.agg)[0]
+    x2 = _reconcile_fwd(f2, f1.shape, params.agg, NO_CACHE)
     f_agg = f1 + x2
     f_hat = dmm(gmm(f_agg, params.gmm), params.dmm)
     amap = dpam(f_agg, f_hat, params.dpam)

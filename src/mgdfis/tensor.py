@@ -44,6 +44,33 @@ def require_cotangent(gy, out, op):
     return gy
 
 
+class Cache(dict):
+    """What a forward keeps for its backward; `sub` opens a child's cache."""
+    keep = dict.update
+
+    def sub(self, name):
+        return self.setdefault(name, Cache())
+
+
+class _NoCache:
+    """A forward-only call's cache: it keeps nothing, so threads share it."""
+
+    def keep(self, **entries):
+        pass
+
+    def sub(self, name):
+        return self
+
+
+NO_CACHE = _NoCache()
+
+
+def cached(fwd, *args):
+    """(fwd(*args, cache), cache) for a fresh Cache."""
+    cache = Cache()
+    return fwd(*args, cache), cache
+
+
 def to_tokens(x):
     """(N, C, H, W) -> (N, H*W, C), token n = h*W + w (width fastest)."""
     n, c, h, w = x.shape

@@ -367,6 +367,16 @@ def test_cli_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch):
     assert "MGDFIS_THREADS" in capsys.readouterr().err
 
 
+def test_cli_oversize_config_exits_one(tmp_path, capsys):
+    # the attention projection would take 284 PiB, so allocation fails at once
+    text = (TINY.replace("heads = 2", "heads = 100000000")
+            .replace("head_dim = 2", "head_dim = 100000000"))
+    cfg_path = _write_cfg(tmp_path, text)
+    assert cli.main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "too large to allocate" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exits_one(capsys):
     assert cli.main(["run", "--config"]) == 1
     assert cli.main(["no-such-command"]) == 1

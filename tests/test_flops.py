@@ -74,10 +74,11 @@ def test_mismatched_inputs_add_reconcile_work():
     cfg = tiny_cfg()
     mis = dataclasses.replace(cfg, f2_shape=(1, 8, 3, 3))
     ops_eq = {e.op for e in flops.pipeline_flops(cfg).entries}
-    ops_mis = {e.op for e in flops.pipeline_flops(mis).entries}
+    ops_mis = [e.op for e in flops.pipeline_flops(mis).entries]
     assert "aggregate.resample" not in ops_eq
-    assert {"aggregate.resample", "aggregate.proj",
-            "fuse.reconcile"} <= ops_mis
+    # the f2 reconcile runs once, shared by aggregate and fuse
+    assert ops_mis.count("aggregate.resample") == 1
+    assert ops_mis.count("aggregate.proj") == 1
     assert flops.pipeline_flops(mis).total > flops.pipeline_flops(cfg).total
 
 

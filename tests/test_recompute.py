@@ -1,5 +1,6 @@
-"""Each VJP runs its forward once: a backward pass may evaluate no more
-forward convolutions than one forward evaluation of the same op."""
+"""Each VJP runs its forward once: a backward pass evaluates exactly the
+forward convolutions of one forward evaluation of the same op (a conv VJP
+evaluates none)."""
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ def _count(calls, fn, *args):
 @pytest.mark.parametrize("name", list(checks.OP_CHECKS))
 def test_backward_closure_runs_at_most_one_forward(name, conv_calls):
     fwd, bwd, leaves = checks.OP_CHECKS[name](1)
-    assert _count(conv_calls, bwd, leaves) <= _count(conv_calls, fwd, leaves)
+    n_bwd = _count(conv_calls, bwd, leaves)
+    n_fwd = _count(conv_calls, fwd, leaves)
+    if name in ("conv2d_depthwise", "conv2d_grouped_strided"):
+        # a conv VJP runs no forward conv by design; see
+        # test_conv_vjp_makes_no_forward_conv_call
+        assert n_bwd <= n_fwd
+    else:
+        assert n_bwd == n_fwd
 
 
 def test_gdim_vjp_runs_exactly_one_forward(conv_calls):
