@@ -4,6 +4,9 @@ Medians over at least 9 timed repetitions (2 discarded warmup runs) per
 token count, for the linear-cost attention and for a bundled naive
 quadratic softmax attention baseline; fast token counts repeat until the
 timed runs total 0.2 s, so a sub-10 ms median rests on enough samples.
+A sweep times its token counts in rounds of one run each, and a count keeps
+running while a neighbour still needs runs, so N and 2N are timed in
+alternation and machine drift moves both medians alike.
 The ratio column normalizes consecutive timings to a per-doubling growth
 factor, (t_i / t_{i-1}) ** (1 / log2(N_i / N_{i-1})), which for an
 exactly doubling sweep is just t(2N) / t(N).  Timing runs in a single
@@ -13,6 +16,7 @@ thread; nothing here spawns workers.
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -37,15 +41,24 @@ class BenchRow:
 _MIN_TIMED_S = 0.2
 
 
-def _time_median(fn, reps=9, warmup=2):
-    for _ in range(warmup):
-        fn()
-    times = []
-    while len(times) < reps or sum(times) < _MIN_TIMED_S:
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return median(times)
+def _time_medians(fns, reps=9, warmup=2):
+    """Median wall time of each of `fns`, timed in rounds.  Each fn runs
+    until it has `reps` timed runs adding up to _MIN_TIMED_S, and also while
+    an adjacent fn has not."""
+    for fn in fns:
+        for _ in range(warmup):
+            fn()
+    times, totals = [[] for _ in fns], [0.0] * len(fns)
+    while True:
+        short = [len(t) < reps or s < _MIN_TIMED_S for t, s in zip(times, totals)]
+        if not any(short):
+            return [median(t) for t in times]
+        for i, fn in enumerate(fns):
+            if any(short[max(0, i - 1):i + 2]):
+                t0 = time.perf_counter()
+                fn()
+                times[i].append(time.perf_counter() - t0)
+                totals[i] += times[i][-1]
 
 
 def attention_core(q, k, v, block=256, work=None):
@@ -94,22 +107,19 @@ def bench_tssa(token_counts, seed=1, reps=9, warmup=2):
     wk = stream(seed, "bench.base.wk").uniform((c, d), -0.2, 0.2)
     wv = stream(seed, "bench.base.wv").uniform((c, d), -0.2, 0.2)
 
-    linear_rows, quad_rows = [], []
+    linear, quad = [], []
     for n in token_counts:
         t = stream(seed, f"bench.tokens.{n}").uniform((1, n, c), -1.0, 1.0)
-        ms = 1000.0 * _time_median(lambda: tssa_tokens(t, p), reps, warmup)
-        linear_rows.append(BenchRow(n, ms))
+        linear.append(partial(tssa_tokens, t, p))
         # Project once outside the timed region: the contrast is about how the
         # O(N^2) attention core grows, and the linear-cost projections only
         # blur the doubling ratio at small N.
         tokens = t[0]
         q, k, v = tokens @ wq, tokens @ wk, tokens @ wv
-        work = np.zeros((min(256, n), n))
-        ms = 1000.0 * _time_median(
-            lambda: attention_core(q, k, v, work=work), reps, warmup)
-        quad_rows.append(BenchRow(n, ms))
-    return {"tssa": _attach_ratios(linear_rows),
-            "baseline": _attach_ratios(quad_rows)}
+        quad.append(partial(attention_core, q, k, v, work=np.zeros((min(256, n), n))))
+    return {name: _attach_ratios([BenchRow(n, 1000.0 * s) for n, s in zip(
+                token_counts, _time_medians(fns, reps, warmup))])
+            for name, fns in (("tssa", linear), ("baseline", quad))}
 
 
 def doubling_ratio(rows, n):

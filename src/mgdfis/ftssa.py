@@ -1,5 +1,8 @@
 """Attention stage: DyT transform, token-statistics self-attention, Mona
 bottleneck adapters, spectral feed-forward, composed as two serial stages.
+The per-pixel channel maps (Mona's skip) are matmuls over (n, c, h * w)
+views, and seff's spectral branches run the real FFT on the half spectrum,
+with the Hermitian part of their complex weight.
 
 Each op is defined once, as a private pair: `_op_fwd(x, p, cache) -> out`
 and `_op_bwd(cache, p, gy) -> (input gradient, parameter gradients in the
@@ -212,13 +215,18 @@ def _xmona_fwd(x, p: MonaParams, cache):
     x = as_feature_map(x, "xmona")
     require_channels(x, p.skip_weight.shape[1], "xmona")
     cache.keep(x=x)
-    return p.skip_scale * np.einsum("ce,nehw->nchw", p.skip_weight, x)
+    n, _, h, w = x.shape
+    return p.skip_scale * np.matmul(p.skip_weight, x.reshape(n, -1, h * w)).reshape(
+        n, -1, h, w)
 
 
 def _xmona_bwd(cache, p: MonaParams, gy):
+    x = cache.pop("x")
+    n, _, h, w = x.shape
+    gy = gy.reshape(n, -1, h * w)
     # <gy, skip_weight . x> summed over pixels is <skip_weight, gy x^T>
-    g_lin = np.einsum("nchw,nehw->ce", gy, cache.pop("x"))
-    gx = p.skip_scale * np.einsum("ce,nchw->nehw", p.skip_weight, gy)
+    g_lin = np.matmul(gy, x.reshape(n, -1, h * w).swapaxes(1, 2)).sum(axis=0)
+    gx = p.skip_scale * np.matmul(p.skip_weight.T, gy).reshape(x.shape)
     gp = dataclasses.replace(zeros_like_params(p),
                              skip_weight=p.skip_scale * g_lin,
                              skip_scale=float(np.sum(p.skip_weight * g_lin)))
@@ -286,27 +294,33 @@ def _seff_specs(c):
 
 
 def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
-    """One spectral branch, ifft2(W * fft2(dwconv(half)) + bias).  W is the
-    per-channel complex weight, its real and imaginary planes resampled
-    independently to the runtime spatial dims."""
+    """One spectral branch, Re(ifft2(W * fft2(dwconv(half)) + bias)).  W is
+    the per-channel complex weight, its real and imaginary planes resampled
+    independently to the runtime spatial dims.  The map is real, so this is
+    irfft2(W_h * rfft2(dwconv(half)) + bias) on the half spectrum, with W_h
+    the Hermitian part of W."""
     h, w = half.shape[2], half.shape[3]
-    spectrum = ops.fft2(conv2d(half, conv_w, conv_b, spec))
-    weight = (ops.bilinear_resize(re[None], h, w)[0]
-              + 1j * ops.bilinear_resize(im[None], h, w)[0])[None]
+    spectrum = ops.rfft2(conv2d(half, conv_w, conv_b, spec))
+    weight = ops.hermitian_half(ops.bilinear_resize(re[None], h, w)
+                                + 1j * ops.bilinear_resize(im[None], h, w))
     cache.keep(half=half, spectrum=spectrum, weight=weight)
-    return ops.ifft2(weight * spectrum + bias[None, :, None, None])
+    return ops.irfft2(weight * spectrum + bias[None, :, None, None], w)
 
 
 def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
     """(g_half, g_conv_w, g_conv_b, g_re, g_im, g_bias)"""
-    gz = ops.ifft2_vjp(g_t)
+    w = g_t.shape[3]
+    gz = ops.irfft2_vjp(g_t)
     # complex product rule under the (dL/dRe + i dL/dIm) packing
-    gw = (np.conj(cache.pop("spectrum")) * gz).sum(axis=0)
-    g_re = ops.bilinear_resize_vjp(*base_hw, gw.real[None])[0]
-    g_im = ops.bilinear_resize_vjp(*base_hw, gw.imag[None])[0]
-    g_spatial = ops.fft2_vjp(np.conj(cache.pop("weight")) * gz)
+    gw = ops.hermitian_half_vjp(
+        (np.conj(cache.pop("spectrum")) * gz).sum(axis=0, keepdims=True), w)
+    g_re = ops.bilinear_resize_vjp(*base_hw, gw.real)[0]
+    g_im = ops.bilinear_resize_vjp(*base_hw, gw.imag)[0]
+    g_spatial = ops.rfft2_vjp(np.conj(cache.pop("weight")) * gz, w)
+    # the bias adds to every bin, so its gradient sums gz over the full
+    # spectrum, which is g_t at the origin
     return (*conv2d_vjp(cache.pop("half"), conv_w, conv_b, spec, g_spatial),
-            g_re, g_im, gz.real.sum(axis=(0, 2, 3)))
+            g_re, g_im, g_t[:, :, 0, 0].sum(axis=0))
 
 
 def _seff_fwd(x, p: SeffParams, cache):

@@ -10,16 +10,25 @@ conv2d folds the kernel columns into the GEMM (kn2col style): rows are
 zero-padded, a column stack holds kw copies of them, each shifted by its tap,
 and every kernel row is one product W_i (og, kw * cg) @ stack rows plus one
 contiguous add into an output as wide as the padded row, cropped at the end.
-conv2d_vjp runs on the same plan and layout: gy is stacked once per kernel
-row, so one GEMM gives gw and one the column stack's gradient, whose kw
-shifted copies add into gx.
+conv2d_vjp runs on the same layout: gy is stacked once per kernel row, so one
+GEMM gives gw and one the column stack's gradient, whose kw shifted copies
+add into gx.  Where a layout is the identity (gy of a stride-1 conv one
+column wide, a block with one kernel row, the gradient of a one-column
+stack) the VJP reads or writes the array in place instead of copying it.
+Both calls split the input rows into blocks whose stacks fit a fixed budget;
+a call counts only the stacks it allocates, so forward and VJP may block
+differently.
+
+The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
+rfft2/irfft2 over the half spectrum (columns 0..w//2) of a real map, which
+stands for the Hermitian spectrum it determines.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit, ndtr
 
 from .errors import ConfigError, ShapeError
 
@@ -100,19 +109,21 @@ def same_spec(channels, kernel_h, kernel_w, out_channels=None, groups=1, dilatio
     )
 
 
-# Most float64 entries per image in a block's column stack plus gy stack.
-_STACK_ENTRIES = 1 << 19
+# Most float64 entries per image in the stacks a block allocates: the
+# column stack (none for kw == 1, which reads its rows in place) and, in the
+# VJP only, the gy stack (none for kh == 1, whose one tap reads gy in place).
+_STACK_ENTRIES = 1 << 20
 
 
 @lru_cache(maxsize=256)
-def _conv_plan(spec, h, w):
-    """Schedule over an (h, w) input: (ho, wo, wp, blocks).  The conv runs
-    at stride 1 over rows padded to wp columns and keeps every stride-th
-    output; output row o of kernel row i reads input row o + i * dil_h -
-    pad_top.  A block (rows, ks, taps, fresh) stacks the input rows `rows`,
-    ks slices the kernel rows reading them, each tap (i, src, dst) pairs
-    their flat stack and output columns, and fresh: no earlier block wrote
-    the first tap's output rows."""
+def _conv_plan(spec, h, w, backward):
+    """Schedule over an (h, w) input: (ho, wo, wp, blocks), for the VJP if
+    `backward`.  The conv runs at stride 1 over rows padded to wp columns
+    and keeps every stride-th output; output row o of kernel row i reads
+    input row o + i * dil_h - pad_top.  A block (rows, ks, taps, fresh)
+    stacks the input rows `rows`, ks slices the kernel rows reading them,
+    each tap (i, src, dst) pairs their flat stack and output columns, and
+    fresh: no earlier block wrote the first tap's output rows."""
     ho, wo = spec.output_hw(h, w)
     hs, wp = (ho - 1) * spec.stride[0] + 1, w + spec.padding[2] + spec.padding[3]
     spans = [(i, q, max(0, -q), min(hs, h - q)) for i in range(spec.kernel_h)
@@ -120,8 +131,10 @@ def _conv_plan(spec, h, w):
     if not spans:
         return ho, wo, wp, ()
     top, end = spans[0][1] + spans[0][2], spans[-1][1] + spans[-1][3]
-    per_row = wp * (spec.kernel_w * spec.in_channels + spec.kernel_h * spec.out_channels)
-    step = -(-(end - top) // -(-per_row * (end - top) // _STACK_ENTRIES))
+    per_row = spec.kernel_w * spec.in_channels if spec.kernel_w > 1 else 0
+    if backward and spec.kernel_h > 1:
+        per_row += spec.kernel_h * spec.out_channels
+    step = -(-(end - top) // max(1, -(-per_row * wp * (end - top) // _STACK_ENTRIES)))
     blocks, written = [], set()
     for r0 in range(top, end, step):
         r1 = min(end, r0 + step)
@@ -137,7 +150,7 @@ def _conv_plan(spec, h, w):
     return ho, wo, wp, tuple(blocks)
 
 
-def _conv_setup(x, w, b, spec):
+def _conv_setup(x, w, b, spec, backward):
     """Checked arguments on the conv's plan: (ho, wo, wp, blocks, xp, wt).
     xp is x in (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself
     for an unpadded 1x1 conv), so every tap reads within its row; wt is
@@ -151,7 +164,7 @@ def _conv_setup(x, w, b, spec):
     if b.shape != (spec.out_channels,):
         raise ShapeError("conv2d", "bias", (spec.out_channels,), tuple(b.shape))
     n, _, h, wd = x.shape
-    ho, wo, wp, blocks = _conv_plan(spec, h, wd)
+    ho, wo, wp, blocks = _conv_plan(spec, h, wd, backward)
     g, pl = spec.groups, spec.padding[2]
     xp = x.reshape(n, g, -1, h, wd)
     span = wp + (spec.kernel_w - 1) * spec.dilation[1]
@@ -180,7 +193,7 @@ def _stack(xp, spec, wp, rows):
 def conv2d(x, w, b, spec: ConvSpec):
     """Grouped / strided / dilated 2-D convolution (cross-correlation
     convention); per kernel row, one GEMM and one contiguous add."""
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec, False)
     (s0, s1), n = spec.stride, x.shape[0]
     wide = np.zeros((n, spec.groups, wt.shape[2], ((ho - 1) * s0 + 1) * wp))
     for rows, _, taps, fresh in blocks:
@@ -198,26 +211,37 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     """Gradients of sum-style losses through conv2d: returns (gx, gw, gb).
     Per block, gy stacked once per kernel row meets the column stack in one
     GEMM for gw and the weights in one GEMM for the stack's gradient."""
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec, True)
     (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
     if gy.shape != (n, spec.out_channels, ho, wo):
         raise ShapeError("conv2d_vjp", "grad", (n, spec.out_channels, ho, wo), gy.shape)
-    gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
-    gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
-    gwide, gxp, gwt = gwide.reshape(n, g, og, -1), np.zeros(xp.shape), np.zeros_like(wt)
+    gwide = gy.reshape(n, g, og, -1)  # gy's layout when stride 1 and wp == wo
+    if (s0, s1) != (1, 1) or wp != wo:
+        gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
+        gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
+        gwide = gwide.reshape(n, g, og, -1)
+    gxp, gwt = np.zeros(xp.shape), np.zeros_like(wt)
     for rows, ks, taps, _ in blocks:
-        gys = np.zeros((n, g, len(taps), og, (rows.stop - rows.start) * wp))
-        for k, (_, src, dst) in enumerate(taps):
-            gys[:, :, k, :, src] = gwide[..., dst]
-        gys = gys.reshape(n, g, len(taps) * og, -1)
+        nr = rows.stop - rows.start
+        if len(taps) == 1 and taps[0][1] == slice(0, nr * wp):
+            gys = gwide[..., taps[0][2]]  # one tap over the whole block
+        else:
+            gys = np.zeros((n, g, len(taps), og, nr * wp))
+            for k, (_, src, dst) in enumerate(taps):
+                gys[:, :, k, :, src] = gwide[..., dst]
+            gys = gys.reshape(n, g, len(taps) * og, -1)
         # the column stack lives for this product only; its gradient follows
         gwt[:, ks] += np.matmul(gys, _stack(xp, spec, wp, rows).swapaxes(-1, -2)).sum(
             axis=0).reshape(wt[:, ks].shape)
-        gst = np.matmul(wt[:, ks].reshape(g, gys.shape[2], -1).swapaxes(-1, -2), gys)
-        gst = gst.reshape(n, g, spec.kernel_w, -1, rows.stop - rows.start, wp)
-        for j in range(spec.kernel_w):
-            gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
-        del gys, gst  # before the next block allocates its own
+        wts = wt[:, ks].reshape(g, gys.shape[2], -1).swapaxes(-1, -2)
+        if spec.kernel_w == 1:  # a one-column stack's gradient is gx's rows
+            np.matmul(wts, gys, out=gxp[..., rows, :].reshape(n, g, -1, nr * wp))
+        else:
+            gst = np.matmul(wts, gys).reshape(n, g, spec.kernel_w, -1, nr, wp)
+            for j in range(spec.kernel_w):
+                gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
+            del gst
+        del gys  # before the next block allocates its own
     gx = gxp[..., spec.padding[2]:spec.padding[2] + x.shape[3]].reshape(x.shape)
     gw = gwt.reshape(g, spec.kernel_h, og, spec.kernel_w, -1).transpose(0, 2, 4, 1, 3)
     return gx, gw.reshape(spec.weight_shape), gy.sum(axis=(0, 2, 3))
@@ -257,7 +281,6 @@ def softmax_vjp(x, axis, gy):
     return y * (gy - (gy * y).sum(axis=axis, keepdims=True))
 
 
-_SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -270,7 +293,7 @@ def silu(x):
 
 
 def gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return x * ndtr(x)
 
 
 ACTIVATIONS = ("tanh", "gelu", "silu", "sigmoid")
@@ -294,9 +317,8 @@ def activation_grad(kind, x):
         t = np.tanh(x)
         return 1.0 - t * t
     if kind == "gelu":
-        cdf = 0.5 * (1.0 + erf(x / _SQRT2))
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return cdf + x * pdf
+        return ndtr(x) + x * pdf
     if kind == "silu":
         s = sigmoid(x)
         return s * (1.0 + x * (1.0 - s))
@@ -354,6 +376,56 @@ def ifft2_vjp(gy):
     """VJP of x -> Re(ifft2(x)) for complex input; gy is real."""
     h, w = gy.shape[-2], gy.shape[-1]
     return np.fft.fft2(gy, axes=(-2, -1)) / (h * w)
+
+
+# The real transform: rfft2 keeps the half spectrum (columns 0..w//2) of a real
+# map.  A half spectrum stands for the Hermitian full spectrum it determines,
+# in values and in cotangents, so each VJP below is the full-spectrum VJP of
+# its op written on half spectra: irfft2_vjp is ifft2_vjp's half, and
+# rfft2_vjp of a half equals fft2_vjp of the full spectrum.  For real x,
+# Re(ifft2(W * fft2(x))) == irfft2(hermitian_half(W) * rfft2(x), w).
+
+def rfft2(x):
+    if x.ndim != 4:
+        raise ShapeError("rfft2", "rank", 4, x.ndim)
+    return np.fft.rfft2(x, axes=(-2, -1))
+
+
+def irfft2(spectrum, w):
+    """The real (h, w) map whose spectrum has this half."""
+    if spectrum.ndim != 4:
+        raise ShapeError("irfft2", "rank", 4, spectrum.ndim)
+    if spectrum.shape[-1] != w // 2 + 1:
+        raise ShapeError("irfft2", "half-spectrum width", w // 2 + 1, spectrum.shape[-1])
+    return np.fft.irfft2(spectrum, s=(spectrum.shape[-2], w), axes=(-2, -1))
+
+
+def rfft2_vjp(gy, w):
+    """VJP of rfft2 for a real input of width w; gy is a half spectrum."""
+    return gy.shape[-2] * w * irfft2(gy, w)
+
+
+def irfft2_vjp(gy):
+    """VJP of irfft2; gy is real."""
+    h, w = gy.shape[-2], gy.shape[-1]
+    return np.fft.rfft2(gy, axes=(-2, -1)) / (h * w)
+
+
+def hermitian_half(z):
+    """(z(k) + conj(z(-k))) / 2, the Hermitian part of a full (..., h, w)
+    complex spectrum, as its half spectrum."""
+    h, wr = z.shape[-2], z.shape[-1] // 2 + 1
+    negated = z.take(-np.arange(wr), axis=-1, mode="wrap").take(
+        -np.arange(h), axis=-2, mode="wrap")  # z(-k) on the half columns
+    return (z[..., :wr] + np.conj(negated)) * 0.5
+
+
+def hermitian_half_vjp(gy, w):
+    """VJP of hermitian_half: the full (..., h, w) spectrum of the half gy.
+    Column k > w // 2 holds conj(gy(-k)), read from column w - k."""
+    h, wr = gy.shape[-2], gy.shape[-1]
+    negated = gy.take(w - np.arange(wr, w), axis=-1).take(-np.arange(h), axis=-2, mode="wrap")
+    return np.concatenate([gy, np.conj(negated)], axis=-1)
 
 
 # ---------------------------------------------------------------------------

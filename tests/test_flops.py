@@ -3,6 +3,7 @@ bookkeeping, table shape); the actual timing thresholds live in the
 acceptance suite."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,25 @@ def test_attention_core_matches_plain_softmax_attention():
     e = np.exp(s - s.max(axis=1, keepdims=True))
     want = (e / e.sum(axis=1, keepdims=True)) @ v
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_time_medians_alternates_neighbours(monkeypatch):
+    # the fast first fn needs the most runs to reach the timing floor; its
+    # neighbour runs in alternation with it, the farther fns about their own
+    monkeypatch.setattr(bench, "_MIN_TIMED_S", 0.03)
+    log = []
+
+    def fn(i, seconds):
+        return lambda: log.append(i) or time.sleep(seconds)
+
+    meds = bench._time_medians([fn(0, 0.001), fn(1, 0.005), fn(2, 0.005),
+                                fn(3, 0.01)], reps=3, warmup=1)
+    assert all(m > 0 for m in meds)
+    assert log[:4] == [0, 1, 2, 3]
+    timed = log[4:]
+    runs = [timed.count(i) for i in range(4)]
+    assert runs[0] == runs[1] > runs[2] >= runs[3] >= 3
+    assert [i for i in timed if i < 2] == [0, 1] * runs[0]
 
 
 def test_bench_tssa_tiny_sweep():

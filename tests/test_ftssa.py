@@ -11,13 +11,14 @@ import pytest
 
 import oracles as orc
 from mgdfis import ops
-from mgdfis.ftssa import (_tssa_parts, daff, dyt, ftssa, mona, mona_op, seff,
-                          serr, tssa, tssa_tokens, xmona)
+from mgdfis.ftssa import (_branch_bwd, _branch_fwd, _tssa_parts, daff, dyt,
+                          ftssa, mona, mona_op, seff, serr, tssa, tssa_tokens,
+                          xmona)
 from mgdfis.params import (DyTParams, TssaParams, init_dyt, init_ftssa,
                            init_mona, init_seff, init_tssa,
                            zeros_like_params)
 from mgdfis.rng import stream
-from mgdfis.tensor import from_tokens, to_tokens
+from mgdfis.tensor import cached, from_tokens, to_tokens
 
 mpmath.mp.dps = 50
 
@@ -264,6 +265,36 @@ def test_seff_resized_frequency_weights_match_reference():
     p = init_seff(25, "s", 2, base=4)
     x = u(25, "s.x", (1, 2, 5, 7))
     assert np.max(np.abs(seff(x, p) - orc.seff_ref(x, p))) < 1e-10
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (4, 6), (7, 5)])
+def test_seff_branch_real_fft_matches_complex_formula(h, w):
+    # the half-spectrum branch against Re(ifft2(W * fft2(z) + b)) over the
+    # full complex spectrum and that formula's VJP, on 1xN, Nx1, even-width
+    # (Nyquist column) and odd maps at batch 2
+    c = 3
+    p = init_seff(26, "s", c, base=4)
+    spec = ops.same_spec(c, 3, 3, groups=c)
+    args = (p.branch1_weight, p.branch1_bias, spec)
+    half = u(26, "br.x", (2, c, h, w))
+    gy = u(26, "br.gy", (2, c, h, w))
+    out, cache = cached(_branch_fwd, half, *args, p.w1_re, p.w1_im, p.freq_bias1)
+    got = _branch_bwd(cache, *args, p.w1_re.shape[1:], gy)
+
+    spectrum = ops.fft2(ops.conv2d(half, *args))
+    weight = (ops.bilinear_resize(p.w1_re[None], h, w)
+              + 1j * ops.bilinear_resize(p.w1_im[None], h, w))
+    want_out = ops.ifft2(weight * spectrum + p.freq_bias1[None, :, None, None])
+    gz = ops.ifft2_vjp(gy)
+    gw = (np.conj(spectrum) * gz).sum(axis=0, keepdims=True)
+    want = (*ops.conv2d_vjp(half, *args, ops.fft2_vjp(np.conj(weight) * gz)),
+            ops.bilinear_resize_vjp(4, 4, gw.real)[0],
+            ops.bilinear_resize_vjp(4, 4, gw.imag)[0],
+            gz.real.sum(axis=(0, 2, 3)))
+    assert np.max(np.abs(out - want_out)) < 1e-12
+    for g, g_want in zip(got, want):
+        assert g.shape == g_want.shape
+        assert np.max(np.abs(g - g_want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

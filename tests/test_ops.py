@@ -64,6 +64,8 @@ _SPEC_CASES = [
     (ops.ConvSpec(2, 3, 7, 7, padding=(9, 9, 9, 9)), (2, 2, 3, 3)),
     # every output reads padding only, so the output is the bias
     (ops.ConvSpec(1, 2, 1, 1, stride=(1, 3), padding=(0, 0, 2, 2)), (1, 1, 2, 1)),
+    # unpadded stride-1 1x1: the VJP reads gy and writes gx in place
+    (ops.ConvSpec(4, 6, 1, 1, groups=2), (2, 4, 3, 5)),
 ]
 
 
@@ -135,8 +137,8 @@ def _fuzz_geometries(count=80, seed=5):
     return cases
 
 
-def test_conv_fuzz_matches_reference_and_adjoint():
-    for t, (spec, shape) in enumerate(_fuzz_geometries()):
+def _check_conv_cases(cases):
+    for t, (spec, shape) in enumerate(cases):
         x = u(t, "fz.x", shape)
         w = u(t, "fz.w", spec.weight_shape)
         b = u(t, "fz.b", (spec.out_channels,))
@@ -151,6 +153,25 @@ def test_conv_fuzz_matches_reference_and_adjoint():
         assert abs(float(np.sum(x * gx)) - lhs) < 1e-10, (spec, shape)
         assert abs(float(np.sum(w * gw)) - lhs) < 1e-10, (spec, shape)
         assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-12, (spec, shape)
+
+
+def test_conv_fuzz_matches_reference_and_adjoint():
+    _check_conv_cases(_fuzz_geometries())
+
+
+def test_conv_fuzz_in_row_blocks(monkeypatch):
+    # a budget of a few entries splits every conv that allocates a stack
+    # into blocks of a row or two, which pipeline-size maps no longer need;
+    # each block of the dilated 2x1 conv has one tap that reads one row of two
+    monkeypatch.setattr(ops, "_STACK_ENTRIES", 64)
+    ops._conv_plan.cache_clear()  # plans are cached without the budget
+    try:
+        gapped = (ops.ConvSpec(1, 2, 2, 1, dilation=(3, 1)), (2, 1, 4, 8))
+        blocks = ops._conv_plan(gapped[0], 4, 8, True)[3]
+        assert [(b[0].stop - b[0].start, len(b[2])) for b in blocks] == [(2, 1), (2, 1)]
+        _check_conv_cases(_fuzz_geometries() + [gapped])
+    finally:
+        ops._conv_plan.cache_clear()
 
 
 def test_conv_channel_mismatch_names_axis():
@@ -343,6 +364,21 @@ def test_fft_roundtrip_and_parseval(h, w):
     lhs = float(np.sum(x * x))
     rhs = float(np.sum(np.abs(spec) ** 2)) / (h * w)
     assert abs(lhs - rhs) / max(lhs, 1e-30) < 1e-6
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (3, 4), (5, 5), (4, 1)])
+def test_real_fft_matches_complex_fft(h, w):
+    # a half spectrum stands for the Hermitian spectrum it determines, so the
+    # half-spectrum ops and VJPs agree with fft2/ifft2 on Hermitian spectra
+    x = u(9, "rf.x", (2, 2, h, w))
+    weight = u(9, "rf.wr", (1, 2, h, w)) + 1j * u(9, "rf.wi", (1, 2, h, w))
+    full, half = ops.fft2(x), ops.rfft2(x)
+    assert np.max(np.abs(half - full[..., :w // 2 + 1])) < 1e-12
+    got = ops.irfft2(ops.hermitian_half(weight) * half, w)
+    assert np.max(np.abs(got - ops.ifft2(weight * full))) < 1e-12
+    assert np.max(np.abs(ops.irfft2_vjp(x) - ops.ifft2_vjp(x)[..., :w // 2 + 1])) < 1e-12
+    assert np.max(np.abs(ops.rfft2_vjp(half, w) - ops.fft2_vjp(full))) < 1e-12
+    assert np.max(np.abs(ops.hermitian_half_vjp(half, w) - full)) < 1e-12
 
 
 def test_fft_requires_rank_four():
