@@ -4,7 +4,7 @@ Unknown keys are rejected so typos fail loudly.  Shapes are written as
 'x'-separated dims, e.g. f1_shape = 1x64x80x80.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -32,13 +32,12 @@ class RunConfig:
     def validate(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed {self.seed} outside unsigned 64-bit range")
-        for name in ("f1_shape", "f2_shape"):
+        for name in _SHAPE_KEYS:
             shape = getattr(self, name)
             if len(shape) != 4 or any(d < 1 for d in shape):
                 raise ConfigError(f"{name} must be 4 dims, each >= 1, got {shape}")
-        for name in ("k", "heads", "head_dim", "mona_ratio", "mlp_ratio",
-                     "seff_base_resolution"):
-            if getattr(self, name) < 1:
+        for name in _INT_KEYS:
+            if name != "seed" and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.stage not in STAGES:
             raise ConfigError(f"stage must be one of {', '.join(STAGES)}, "
@@ -64,10 +63,14 @@ def _parse_shape(text, key, lineno):
     return dims
 
 
-_INT_KEYS = ("seed", "k", "heads", "head_dim", "mona_ratio", "mlp_ratio",
-             "seff_base_resolution")
-_SHAPE_KEYS = ("f1_shape", "f2_shape")
-_STR_KEYS = ("f1_path", "f2_path", "stage", "tssa_pi_mode", "out_dir")
+def _keys(kind):
+    """RunConfig's fields annotated `kind`, in declaration order."""
+    return tuple(f.name for f in fields(RunConfig) if f.type is kind)
+
+
+_INT_KEYS = _keys(int)
+_SHAPE_KEYS = _keys(tuple)
+_STR_KEYS = _keys(str)
 
 
 def parse_config(text):

@@ -2,8 +2,8 @@
 
 The attention map gates the refined features against a weighted sum of the
 two (reconciled) input maps; three scalar fusion weights balance the mix.
-Each op is defined once, as a forward with a cache argument and the same
-input and cotangent checks, as in `mgdfis.ftssa`.
+Each op is defined once, as a fwd/bwd pair with a cache argument and the
+same input and cotangent checks, as in `mgdfis.ftssa`.
 """
 
 import numpy as np
@@ -33,14 +33,19 @@ def dpam(f_agg, f_hat, p: DpamParams):
     return _dpam_fwd(f_agg, f_hat, p, NO_CACHE)
 
 
-def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
-    out, cache = cached(_dpam_fwd, f_agg, f_hat, p)
-    gy = require_cotangent(gy, out, "dpam_vjp")
-    c = out.shape[1]
-    g_local = ops.activation_grad("sigmoid", cache.pop("local")) * gy
+def _dpam_bwd(cache, p: DpamParams, gy):
+    """(g_f_agg, g_f_hat, g_p)"""
+    local = cache.pop("local")
+    c = local.shape[1]
+    g_local = ops.activation_grad("sigmoid", local) * gy
     g_cat, gw, gb = conv2d_vjp(cache.pop("cat"), p.conv_weight, p.conv_bias,
                                same_spec(2 * c, 7, 7, out_channels=c), g_local)
     return g_cat[:, :c], g_cat[:, c:], DpamParams(conv_weight=gw, conv_bias=gb)
+
+
+def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
+    out, cache = cached(_dpam_fwd, f_agg, f_hat, p)
+    return _dpam_bwd(cache, p, require_cotangent(gy, out, "dpam_vjp"))
 
 
 def _fuse_fwd(amap, f_hat, x1, x2, w: FusionWeights, agg_p, cache):
@@ -62,23 +67,26 @@ def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
     return _fuse_fwd(amap, f_hat, x1, x2, w, agg_p, NO_CACHE)
 
 
-def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
-    """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
-    out, cache = cached(_fuse_fwd, amap, f_hat, x1, x2, w, agg_p)
-    gy = require_cotangent(gy, out, "mgdfis_fuse_vjp")
-    amap, f_hat, base = cache["amap"], cache["f_hat"], cache["base"]
-    x1p, x2p, inner = cache["x1p"], cache["x2p"], cache["inner"]
-
-    g_w_map = float(np.sum(gy * inner))
+def _fuse_bwd(cache, w: FusionWeights, agg_p, gy):
+    """(g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)"""
+    amap, base = cache.pop("amap"), cache.pop("base")
+    g_w_map = float(np.sum(gy * cache.pop("inner")))
     g_inner = w.w_map * gy
-    g_amap = g_inner * (f_hat - base)
+    g_amap = g_inner * (cache.pop("f_hat") - base)
     g_f_hat = g_inner * amap
     g_base = g_inner * (1.0 - amap)
-    g_w_x1 = float(np.sum(g_base * x1p))
-    g_w_x2 = float(np.sum(g_base * x2p))
+    g_w_x1 = float(np.sum(g_base * cache.pop("x1p")))
+    g_w_x2 = float(np.sum(g_base * cache.pop("x2p")))
 
-    g_x1, g_agg1 = _reconcile_bwd(cache["x1"], agg_p, w.w_x1 * g_base)
-    g_x2, g_agg2 = _reconcile_bwd(cache["x2"], agg_p, w.w_x2 * g_base)
+    g_x1, g_agg1 = _reconcile_bwd(cache.pop("x1"), agg_p, w.w_x1 * g_base)
+    g_x2, g_agg2 = _reconcile_bwd(cache.pop("x2"), agg_p, w.w_x2 * g_base)
     g_agg = add_params(g_agg1, g_agg2) if agg_p is not None else None
     gw = FusionWeights(w_map=g_w_map, w_x1=g_w_x1, w_x2=g_w_x2)
     return g_amap, g_f_hat, g_x1, g_x2, gw, g_agg
+
+
+def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
+    """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
+    out, cache = cached(_fuse_fwd, amap, f_hat, x1, x2, w, agg_p)
+    return _fuse_bwd(cache, w, agg_p,
+                     require_cotangent(gy, out, "mgdfis_fuse_vjp"))

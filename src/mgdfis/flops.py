@@ -4,9 +4,13 @@ Counting conventions (documented, deliberately simple):
   - convolution: 2 * kh * kw * (Cin/groups) * Cout * Hout * Wout per batch item
   - linear map:  2 * m * n * p for (m, n) @ (n, p)
   - FFT:         5 * H * W * log2(H * W) per channel per direction
+  - real FFT (rfft2 / irfft2, as seff runs): the FFT count on the
+    H * (W // 2 + 1) half-spectrum bins, 5 * H * (W // 2 + 1) * log2(H * W)
+    per channel per direction; seff's spectral product, bias and weight are
+    likewise counted per half bin
   - activations, softmax, and other elementwise passes: 1 op per element
-  - complex spectral multiply: 6 ops per element; bilinear resample: 8 per
-    output element
+  - complex spectral multiply: 6 ops per element; Hermitian part of a
+    complex weight: 4 per half bin; bilinear resample: 8 per output element
 Totals are exact sums of the recorded entries; the ablation series enables
 stages cumulatively so its totals must strictly increase.
 """
@@ -69,6 +73,11 @@ def linear_flops(m, n, p):
 def fft_flops(h, w, channels, batch=1):
     size = h * w
     return int(batch * channels * 5 * size * max(math.log2(size), 0.0))
+
+
+def rfft_flops(h, w, channels, batch=1):
+    bins = h * (w // 2 + 1)
+    return int(batch * channels * 5 * bins * max(math.log2(h * w), 0.0))
 
 
 def _resample_flops(c, h, w, batch=1):
@@ -135,10 +144,12 @@ def _count_seff(rep, module, cfg, c, h, w, batch):
             conv_flops(same_spec(c, 3, 3, groups=c), h, w, batch))
     rep.add(module, "seff.branch2",
             conv_flops(same_spec(c, 3, 3, groups=c, dilation=(2, 2)), h, w, batch))
-    rep.add(module, "seff.fft", 2 * fft_flops(h, w, c, batch))
+    bins = h * (w // 2 + 1)
+    rep.add(module, "seff.fft", 2 * rfft_flops(h, w, c, batch))
     rep.add(module, "seff.freq_resample", 2 * 2 * _resample_flops(c, h, w))
-    rep.add(module, "seff.freq_mul", 2 * 7 * batch * c * h * w)
-    rep.add(module, "seff.ifft", 2 * fft_flops(h, w, c, batch))
+    rep.add(module, "seff.freq_hermitian", 2 * 4 * c * bins)
+    rep.add(module, "seff.freq_mul", 2 * 7 * batch * c * bins)
+    rep.add(module, "seff.ifft", 2 * rfft_flops(h, w, c, batch))
     rep.add(module, "seff.gate", 2 * batch * c * h * w)
     rep.add(module, "seff.merge", conv_flops(same_spec(c, 1, 1), h, w, batch))
 

@@ -1,9 +1,9 @@
 """Learnable parameter records for every pipeline stage.
 
 All records are frozen dataclasses of float64 arrays (plus a few scalars and
-structural integers).  The `_learnable_` class attribute names the fields
-that carry gradients; everything else (head counts, group counts, eps values,
-batch-norm running moments) is structural and excluded from flattening.
+structural integers).  Every constructor field carries a gradient unless the
+class attribute `_fixed_` names it: head counts, group counts, eps values and
+batch-norm running moments are structural and excluded from flattening.
 
 Initialization is fully determined by a 64-bit seed: each tensor is drawn
 from its own named substream (see rng.stream) so the values do not depend on
@@ -38,8 +38,6 @@ class DyTParams:
     gamma: np.ndarray
     beta: np.ndarray
 
-    _learnable_ = ("alpha", "gamma", "beta")
-
 
 @dataclass(frozen=True)
 class TssaParams:
@@ -51,7 +49,7 @@ class TssaParams:
     eps: float = 1e-8
     pi_mode: str = "constant"    # "constant" or "distribution"
 
-    _learnable_ = ("qkv_weight", "out_weight", "out_bias")
+    _fixed_ = ("heads", "head_dim", "eps", "pi_mode")
 
     def __post_init__(self):
         if self.heads < 1 or self.head_dim < 1:
@@ -80,11 +78,6 @@ class MonaParams:
     skip_weight: np.ndarray      # (C, C) per-pixel linear skip
     skip_scale: float            # init 1e-6
 
-    _learnable_ = ("down_weight", "down_bias", "dw3_weight", "dw3_bias",
-                   "dw5_weight", "dw5_bias", "dw7_weight", "dw7_bias",
-                   "mix_weight", "mix_bias", "up_weight", "up_bias",
-                   "skip_weight", "skip_scale")
-
 
 @dataclass(frozen=True)
 class SeffParams:
@@ -107,11 +100,6 @@ class SeffParams:
     merge_weight: np.ndarray     # (C, C, 1, 1)
     merge_bias: np.ndarray
 
-    _learnable_ = ("split_weight", "split_bias", "branch1_weight", "branch1_bias",
-                   "branch2_weight", "branch2_bias", "w1_re", "w1_im",
-                   "w2_re", "w2_im", "freq_bias1", "freq_bias2",
-                   "merge_weight", "merge_bias")
-
 
 @dataclass(frozen=True)
 class FtssaParams:
@@ -123,8 +111,6 @@ class FtssaParams:
     dyt2: DyTParams
     seff: SeffParams
     mona2: MonaParams
-
-    _learnable_ = ("dyt1", "tssa", "mona1", "dyt2", "seff", "mona2")
 
 
 @dataclass(frozen=True)
@@ -154,12 +140,8 @@ class GmmParams:
     row_fuse_bias: np.ndarray
     bn_eps: float = 1e-5
 
-    _learnable_ = ("pos_w", "col_conv_weight", "col_conv_bias",
-                   "col_bn_scale", "col_bn_shift",
-                   "col_fuse_weight", "col_fuse_bias",
-                   "pos_h", "row_conv_weight", "row_conv_bias",
-                   "row_bn_scale", "row_bn_shift",
-                   "row_fuse_weight", "row_fuse_bias")
+    _fixed_ = ("k", "col_bn_mean", "col_bn_var", "row_bn_mean", "row_bn_var",
+               "bn_eps")
 
     def __post_init__(self):
         if self.k < 1:
@@ -178,16 +160,11 @@ class DmmParams:
     mlp_w2: np.ndarray           # (C/r, C)
     mlp_b2: np.ndarray
 
-    _learnable_ = ("conv46_weight", "conv46_bias", "conv64_weight", "conv64_bias",
-                   "ftssa", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
-
 
 @dataclass(frozen=True)
 class DpamParams:
     conv_weight: np.ndarray      # (C, 2C, 7, 7)
     conv_bias: np.ndarray
-
-    _learnable_ = ("conv_weight", "conv_bias")
 
 
 @dataclass(frozen=True)
@@ -195,8 +172,6 @@ class FusionWeights:
     w_map: float = 1.0
     w_x1: float = 0.5
     w_x2: float = 0.5
-
-    _learnable_ = ("w_map", "w_x1", "w_x2")
 
 
 @dataclass(frozen=True)
@@ -207,8 +182,6 @@ class AggregateParams:
     proj_weight: np.ndarray      # (C1, C2, 1, 1)
     proj_bias: np.ndarray
 
-    _learnable_ = ("proj_weight", "proj_bias")
-
 
 @dataclass(frozen=True)
 class PipelineParams:
@@ -218,8 +191,6 @@ class PipelineParams:
     dpam: DpamParams
     fusion: FusionWeights
 
-    _learnable_ = ("agg", "gmm", "dmm", "dpam", "fusion")
-
 
 # ---------------------------------------------------------------------------
 # flatten / rebuild / arithmetic over learnable leaves
@@ -227,12 +198,15 @@ class PipelineParams:
 
 @lru_cache(maxsize=None)
 def _fields(cls):
-    """((name, is_record) per learnable field, other constructor fields) of
-    a record class; a field annotated with a record class holds a record."""
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
-    learnable = tuple((name, dataclasses.is_dataclass(types[name]))
-                      for name in cls._learnable_)
-    return learnable, tuple(name for name in types if name not in cls._learnable_)
+    """((name, is_record) per learnable field, fixed fields) of a record
+    class, each in declaration order: every constructor field is learnable
+    unless `_fixed_` names it; a field annotated with a record class holds a
+    record."""
+    fixed = getattr(cls, "_fixed_", ())
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    learnable = tuple((f.name, dataclasses.is_dataclass(f.type))
+                      for f in init if f.name not in fixed)
+    return learnable, tuple(f.name for f in init if f.name in fixed)
 
 
 def param_leaves(p, prefix=""):
@@ -261,54 +235,42 @@ def replace_leaves(p, leaves, prefix=""):
     return type(p)(**args)
 
 
-def map_leaves(fn, p):
-    """New record with fn applied to every learnable leaf."""
-    return dataclasses.replace(p, **{
-        name: map_leaves(fn, getattr(p, name)) if nested else fn(getattr(p, name))
-        for name, nested in _fields(type(p))[0]})
-
-
 def zeros_like_params(p):
-    return map_leaves(lambda v: 0.0 if np.isscalar(v) else np.zeros_like(v), p)
+    return replace_leaves(p, {
+        key: 0.0 if np.isscalar(v) else np.zeros_like(v)
+        for key, v in param_leaves(p).items()})
 
 
 def add_params(a, b):
     """Leafwise sum of two same-shape records (gradient accumulation)."""
-    updates = {}
-    for name, nested in _fields(type(a))[0]:
-        va, vb = getattr(a, name), getattr(b, name)
-        updates[name] = add_params(va, vb) if nested else va + vb
-    return dataclasses.replace(a, **updates)
+    lb = param_leaves(b)
+    return replace_leaves(a, {key: v + lb[key]
+                              for key, v in param_leaves(a).items()})
 
 
-def all_tensors(p, prefix=""):
+def _walk(p, prefix=""):
+    """(dotted name, value) of every field that holds no record, learnable
+    or not, depth first in declaration order."""
+    for f in dataclasses.fields(p):
+        v = getattr(p, f.name)
+        if dataclasses.is_dataclass(v):
+            yield from _walk(v, prefix + f.name + ".")
+        else:
+            yield prefix + f.name, v
+
+
+def all_tensors(p):
     """Every numeric field (learnable or not) as dotted name -> ndarray,
     scalars included as rank-0 arrays.  Used for serialization."""
-    out = {}
-    for f in dataclasses.fields(p):
-        v = getattr(p, f.name)
-        key = prefix + f.name
-        if dataclasses.is_dataclass(v):
-            out.update(all_tensors(v, key + "."))
-        elif isinstance(v, np.ndarray):
-            out[key] = v
-        elif isinstance(v, float):
-            out[key] = np.asarray(v, dtype=np.float64)
-        # ints and strings are structural; the manifest records them
-    return out
+    # ints and strings are structural; the manifest records them
+    return {key: np.asarray(v, dtype=np.float64) if isinstance(v, float) else v
+            for key, v in _walk(p) if isinstance(v, (np.ndarray, float))}
 
 
-def structural_fields(p, prefix=""):
+def structural_fields(p):
     """Non-tensor constants (ints, strings) as dotted name -> value."""
-    out = {}
-    for f in dataclasses.fields(p):
-        v = getattr(p, f.name)
-        key = prefix + f.name
-        if dataclasses.is_dataclass(v):
-            out.update(structural_fields(v, key + "."))
-        elif isinstance(v, (int, str)) and not isinstance(v, bool):
-            out[key] = v
-    return out
+    return {key: v for key, v in _walk(p)
+            if isinstance(v, (int, str)) and not isinstance(v, bool)}
 
 
 # ---------------------------------------------------------------------------

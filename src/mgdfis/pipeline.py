@@ -5,7 +5,7 @@ Stages are cumulative prefixes of the full pipeline:
   ftssa  attention stages applied to the primary input alone
   gmm    column/row mixing of the aggregated inputs
   dmm    detail capture over the gmm output
-  gdim   the composed integration op (same value as dmm, composed path)
+  gdim   the composed integration op (the dmm value)
   dpam   the pixel attention map
   full   the final weighted fusion
 
@@ -24,7 +24,7 @@ from .config import RunConfig
 from .dpam import dpam, mgdfis_fuse
 from .errors import ConfigError, ShapeError
 from .ftssa import ftssa
-from .gdim import _reconcile_fwd, aggregate, dmm, gdim, gmm
+from .gdim import _reconcile_fwd, dmm, gmm
 from .mgdt import read_tensor, write_tensor
 from .params import all_tensors, init_pipeline, structural_fields
 from .rng import stream
@@ -71,17 +71,17 @@ def _stage_value(cfg, params, f1, f2):
     stage = cfg.stage
     if stage == "ftssa":
         return ftssa(f1, params.dmm.ftssa)
-    if stage == "gmm":
-        return gmm(aggregate(f1, f2, params.agg), params.gmm)
-    if stage == "dmm":
-        return dmm(gmm(aggregate(f1, f2, params.agg), params.gmm), params.dmm)
-    if stage == "gdim":
-        return gdim(f1, f2, params.gmm, params.dmm, params.agg)
-    # f2 is reconciled to f1's dims once and reused by aggregate and fuse;
-    # the values equal those of the composition through the public ops
+    # one chain, aggregate -> gmm -> dmm -> dpam -> fuse, cut at the stage;
+    # f2 is reconciled to f1's dims once and reused by aggregate and fuse, and
+    # each value equals that of the composition through the public ops
     x2 = _reconcile_fwd(f2, f1.shape, params.agg, NO_CACHE)
     f_agg = f1 + x2
-    f_hat = dmm(gmm(f_agg, params.gmm), params.dmm)
+    f_gmm = gmm(f_agg, params.gmm)
+    if stage == "gmm":
+        return f_gmm
+    f_hat = dmm(f_gmm, params.dmm)
+    if stage in ("dmm", "gdim"):
+        return f_hat
     amap = dpam(f_agg, f_hat, params.dpam)
     if stage == "dpam":
         return amap

@@ -14,7 +14,10 @@ AXES = ("batch", "channel", "height", "width")
 
 
 def as_feature_map(x, op="tensor"):
-    """Validate / coerce to a rank-4 float64 feature map."""
+    """Validate / coerce to a rank-4 float64 feature map; complex input is
+    rejected rather than cast, which would drop its imaginary part."""
+    if np.iscomplexobj(x):
+        raise ShapeError(op, "dtype", "real", np.asarray(x).dtype)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(op, "rank", 4, x.ndim)

@@ -14,8 +14,9 @@ from mgdfis import cli, pipeline
 from mgdfis.config import RunConfig, apply_overrides, load_config, parse_config
 from mgdfis.errors import ConfigError, ShapeError
 from mgdfis.mgdt import read_tensor, write_tensor
-from mgdfis.params import (all_tensors, init_mona, init_pipeline,
-                           zeros_like_params)
+from mgdfis.params import (add_params, all_tensors, init_gmm, init_mona,
+                           init_pipeline, init_tssa, param_leaves,
+                           structural_fields, zeros_like_params)
 from mgdfis.rng import stream
 
 TINY = """
@@ -126,6 +127,36 @@ def test_init_different_seeds_differ():
     assert any(not np.array_equal(a[n], b[n]) for n in a)
 
 
+def test_record_leaves_are_the_fields_not_fixed_in_declaration_order():
+    assert list(param_leaves(init_tssa(1, "t", 4, heads=2, head_dim=2))) == [
+        "qkv_weight", "out_weight", "out_bias"]
+    assert list(param_leaves(init_gmm(1, "g", 4, 6, 6, k=2))) == [
+        "pos_w", "col_conv_weight", "col_conv_bias", "col_bn_scale",
+        "col_bn_shift", "col_fuse_weight", "col_fuse_bias", "pos_h",
+        "row_conv_weight", "row_conv_bias", "row_bn_scale", "row_bn_shift",
+        "row_fuse_weight", "row_fuse_bias"]
+    p = init_pipeline(5, 4, 4, 6, 6, k=2, heads=2, head_dim=2, seff_base=4)
+    assert len(param_leaves(p)) == 80
+    assert structural_fields(p) == {
+        "gmm.k": 2, "dmm.ftssa.tssa.heads": 2,
+        "dmm.ftssa.tssa.head_dim": 2, "dmm.ftssa.tssa.pi_mode": "constant"}
+
+
+def test_adding_zero_gradients_keeps_leaves_and_fixed_fields():
+    p = init_pipeline(5, 4, 4, 6, 6, k=2, heads=2, head_dim=2, seff_base=4)
+    zero = zeros_like_params(p)
+    assert not any(np.any(v) for v in param_leaves(zero).values())
+    q = add_params(p, zero)
+    assert type(q) is type(p)
+    assert list(param_leaves(q)) == list(param_leaves(p))
+    # every numeric field, learnable or fixed (batch-norm moments, eps values)
+    want, got = all_tensors(p), all_tensors(q)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+    assert structural_fields(q) == structural_fields(p)
+    assert q.gmm.col_bn_var is p.gmm.col_bn_var
+
+
 def test_init_skip_scale_starts_tiny():
     assert init_mona(1, "m", 8).skip_scale == 1e-6
 
@@ -196,20 +227,23 @@ def test_run_stage_ftssa_uses_primary_input_only(tmp_path):
     assert np.array_equal(res.output, ftssa(f1, params.dmm.ftssa))
 
 
-@pytest.mark.parametrize("stage", ["dpam", "full"])
+@pytest.mark.parametrize("stage", ["gmm", "dmm", "gdim", "dpam", "full"])
 def test_dpam_and_full_stages_equal_public_composition(stage):
     # f2 differs from f1 in dims and channels, so it goes through the
     # resample-and-project reconcile that the stage runs only once
     from mgdfis.dpam import dpam, mgdfis_fuse
-    from mgdfis.gdim import aggregate, gdim
+    from mgdfis.gdim import aggregate, dmm, gdim, gmm
     cfg = tiny_cfg(stage=stage, f2_shape=(1, 6, 3, 3))
     params = pipeline.build_params(cfg)
     f1, f2 = pipeline.load_inputs(cfg)
     f_agg = aggregate(f1, f2, params.agg)
+    f_gmm = gmm(f_agg, params.gmm)
     f_hat = gdim(f1, f2, params.gmm, params.dmm, params.agg)
-    want = dpam(f_agg, f_hat, params.dpam)
-    if stage == "full":
-        want = mgdfis_fuse(want, f_hat, f1, f2, params.fusion, params.agg)
+    amap = dpam(f_agg, f_hat, params.dpam)
+    want = {"gmm": f_gmm, "dmm": dmm(f_gmm, params.dmm), "gdim": f_hat,
+            "dpam": amap,
+            "full": mgdfis_fuse(amap, f_hat, f1, f2, params.fusion, params.agg),
+            }[stage]
     got = pipeline.execute_stage(cfg, params, f1, f2, threads=1)
     assert np.array_equal(got, want)
 
@@ -341,6 +375,16 @@ def test_cli_wrong_input_dims_exit_three(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, TINY + f"f1_path = {alt}\n")
     assert cli.main(["run", "--config", cfg_path]) == 3
     capsys.readouterr()
+
+
+def test_cli_complex_input_exits_three(tmp_path, capsys):
+    # the imaginary part must not be dropped by a silent cast to float64
+    alt = tmp_path / "f1.mgdt"
+    f1 = stream(99, "alt.f1").uniform((1, 4, 6, 6), -1.0, 1.0)
+    write_tensor(alt, f1 + 1j * f1)
+    cfg_path = _write_cfg(tmp_path, TINY + f"f1_path = {alt}\n")
+    assert cli.main(["run", "--config", cfg_path]) == 3
+    assert "input: axis 'dtype' expected real" in capsys.readouterr().err
 
 
 def test_cli_batch_mismatch_in_config_exits_one(tmp_path, capsys):

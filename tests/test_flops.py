@@ -52,6 +52,27 @@ def test_fft_flops():
     assert flops.fft_flops(4, 4, 2, batch=3) == 6 * 5 * 16 * 4
 
 
+def test_seff_entries_count_the_half_spectrum():
+    # C = 4 on a 6x6 map: seff's real FFTs, spectral product and Hermitian
+    # weight cover 6 * (6 // 2 + 1) = 24 bins per channel, the resample and
+    # the spatial passes all 36 pixels
+    seff = {e.op: e.flops for e in flops.pipeline_flops(tiny_cfg()).entries
+            if e.op.startswith("seff.")}
+    assert seff == {
+        "seff.split": 2 * 4 * 8 * 36,
+        "seff.branch1": 2 * 9 * 4 * 36,
+        "seff.branch2": 2 * 9 * 4 * 36,
+        "seff.fft": 2 * int(4 * 5 * 24 * np.log2(36)),
+        "seff.freq_resample": 2 * 2 * 8 * 4 * 36,
+        "seff.freq_hermitian": 2 * 4 * 4 * 24,
+        "seff.freq_mul": 2 * 7 * 4 * 24,
+        "seff.ifft": 2 * int(4 * 5 * 24 * np.log2(36)),
+        "seff.gate": 2 * 4 * 36,
+        "seff.merge": 2 * 4 * 4 * 36,
+    }
+    assert seff["seff.fft"] == 4962
+
+
 def test_report_totals_are_entry_sums():
     rep = flops.FlopReport()
     rep.add("a", "x", 10)

@@ -66,6 +66,17 @@ def test_vjp_rejects_cotangent_not_shaped_like_output(name):
             vjp(*args, np.ones(bad))
 
 
+@pytest.mark.parametrize("name", list(_cases()))
+def test_forward_and_vjp_reject_complex_input(name):
+    # a cast to float64 would drop the imaginary part with only a warning
+    fwd, vjp, (x, *rest) = _cases()[name]
+    z = x + 0.5j * x
+    with pytest.raises(ShapeError, match="'dtype' expected real, got complex128"):
+        fwd(z, *rest)
+    with pytest.raises(ShapeError, match="'dtype' expected real, got complex128"):
+        vjp(z, *rest, np.ones(fwd(x, *rest).shape))
+
+
 def test_dyt_vjp_rejects_batch_two_cotangent_for_batch_one_input():
     with pytest.raises(ShapeError, match="'batch' expected 1, got 2"):
         F.dyt_vjp(u("vc.x"), init_dyt(C), np.ones((2, C, 3, 3)))
