@@ -2,8 +2,9 @@
 
 The attention map gates the refined features against a weighted sum of the
 two (reconciled) input maps; three scalar fusion weights balance the mix.
-Each op is defined once, as a fwd/bwd pair with a cache argument and the
-same input and cotangent checks, as in `mgdfis.ftssa`.
+Each op has one forward, the public op with a keyword-only `cache`, and a
+private `_op_bwd`, with the same input and cotangent checks, as in
+`mgdfis.ftssa`.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from .tensor import (NO_CACHE, as_feature_map, cached, require_cotangent,
                      require_same_shape)
 
 
-def _dpam_fwd(f_agg, f_hat, p: DpamParams, cache):
+def dpam(f_agg, f_hat, p: DpamParams, *, cache=NO_CACHE):
+    """Channel-concat, 7x7 convolve down to C, sigmoid: a map in (0,1)."""
     f_agg = as_feature_map(f_agg, "dpam")
     f_hat = as_feature_map(f_hat, "dpam")
     require_same_shape(f_agg, f_hat, "dpam")
@@ -26,11 +28,6 @@ def _dpam_fwd(f_agg, f_hat, p: DpamParams, cache):
                    same_spec(2 * c, 7, 7, out_channels=c))
     cache.keep(cat=cat, local=local)
     return ops.sigmoid(local)
-
-
-def dpam(f_agg, f_hat, p: DpamParams):
-    """Channel-concat, 7x7 convolve down to C, sigmoid: a map in (0,1)."""
-    return _dpam_fwd(f_agg, f_hat, p, NO_CACHE)
 
 
 def _dpam_bwd(cache, p: DpamParams, gy):
@@ -44,11 +41,14 @@ def _dpam_bwd(cache, p: DpamParams, gy):
 
 
 def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
-    out, cache = cached(_dpam_fwd, f_agg, f_hat, p)
+    out, cache = cached(dpam, f_agg, f_hat, p)
     return _dpam_bwd(cache, p, require_cotangent(gy, out, "dpam_vjp"))
 
 
-def _fuse_fwd(amap, f_hat, x1, x2, w: FusionWeights, agg_p, cache):
+def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
+                agg_p: AggregateParams = None, *, cache=NO_CACHE):
+    """w_map * (amap*f_hat + (1-amap)*(w_x1*x1' + w_x2*x2')) where x1, x2
+    are reconciled to f_hat dims by the aggregation resampler."""
     amap = as_feature_map(amap, "mgdfis_fuse")
     f_hat = as_feature_map(f_hat, "mgdfis_fuse")
     require_same_shape(amap, f_hat, "mgdfis_fuse")
@@ -58,13 +58,6 @@ def _fuse_fwd(amap, f_hat, x1, x2, w: FusionWeights, agg_p, cache):
     inner = amap * f_hat + (1.0 - amap) * base
     cache.keep(amap=amap, f_hat=f_hat, x1p=x1p, x2p=x2p, base=base, inner=inner)
     return w.w_map * inner
-
-
-def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
-                agg_p: AggregateParams = None):
-    """w_map * (amap*f_hat + (1-amap)*(w_x1*x1' + w_x2*x2')) where x1, x2
-    are reconciled to f_hat dims by the aggregation resampler."""
-    return _fuse_fwd(amap, f_hat, x1, x2, w, agg_p, NO_CACHE)
 
 
 def _fuse_bwd(cache, w: FusionWeights, agg_p, gy):
@@ -87,6 +80,6 @@ def _fuse_bwd(cache, w: FusionWeights, agg_p, gy):
 
 def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
     """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
-    out, cache = cached(_fuse_fwd, amap, f_hat, x1, x2, w, agg_p)
+    out, cache = cached(mgdfis_fuse, amap, f_hat, x1, x2, w, agg_p)
     return _fuse_bwd(cache, w, agg_p,
                      require_cotangent(gy, out, "mgdfis_fuse_vjp"))

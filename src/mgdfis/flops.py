@@ -3,10 +3,9 @@
 Counting conventions (documented, deliberately simple):
   - convolution: 2 * kh * kw * (Cin/groups) * Cout * Hout * Wout per batch item
   - linear map:  2 * m * n * p for (m, n) @ (n, p)
-  - FFT:         5 * H * W * log2(H * W) per channel per direction
-  - real FFT (rfft2 / irfft2, as seff runs): the FFT count on the
-    H * (W // 2 + 1) half-spectrum bins, 5 * H * (W // 2 + 1) * log2(H * W)
-    per channel per direction; seff's spectral product, bias and weight are
+  - real FFT (rfft2 / irfft2, as seff runs): 5 * H * (W // 2 + 1) *
+    log2(H * W) per channel per direction, over the H * (W // 2 + 1)
+    half-spectrum bins; seff's spectral product, bias and weight are
     likewise counted per half bin
   - activations, softmax, and other elementwise passes: 1 op per element
   - complex spectral multiply: 6 ops per element; Hermitian part of a
@@ -68,11 +67,6 @@ def conv_flops(spec: ConvSpec, h, w, batch=1):
 
 def linear_flops(m, n, p):
     return 2 * m * n * p
-
-
-def fft_flops(h, w, channels, batch=1):
-    size = h * w
-    return int(batch * channels * 5 * size * max(math.log2(size), 0.0))
 
 
 def rfft_flops(h, w, channels, batch=1):

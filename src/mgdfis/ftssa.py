@@ -4,16 +4,16 @@ The per-pixel channel maps (Mona's skip) are matmuls over (n, c, h * w)
 views, and seff's spectral branches run the real FFT on the half spectrum,
 with the Hermitian part of their complex weight.
 
-Each op is defined once, as a private pair: `_op_fwd(x, p, cache) -> out`
-and `_op_bwd(cache, p, gy) -> (input gradient, parameter gradients in the
-parameters' record type)`.  The forward keeps in `cache` only what backward
-cannot rebuild elementwise (conv, FFT and projection outputs, conv inputs),
-running each child pair on `cache.sub(name)`; backward pops each entry as it
-uses it.  The public `op` is `_op_fwd(..., NO_CACHE)`, which keeps nothing,
-and `op_vjp` is `_op_bwd` on the cache of one forward run.  A VJP rejects
-what its forward rejects and a cotangent `gy` not shaped like the output.
+Each op has one forward, the public `op(x, p, *, cache=NO_CACHE) -> out`,
+and a private backward `_op_bwd(cache, p, gy) -> (input gradient, parameter
+gradients in the parameters' record type)`.  The forward keeps in `cache`
+only what backward cannot rebuild elementwise (conv, FFT and projection
+outputs, conv inputs), calling each child op by its public name on
+`cache.sub(name)`; backward pops each entry as it uses it.  The default
+`NO_CACHE` keeps nothing, and `op_vjp` is `_op_bwd` on the cache of one
+forward run.  A VJP rejects what its forward rejects and a cotangent `gy`
+not shaped like the output.
 """
-
 import math
 
 import dataclasses
@@ -32,7 +32,8 @@ from .tensor import (NO_CACHE, as_feature_map, cached, from_tokens,
 # DyT
 # ---------------------------------------------------------------------------
 
-def _dyt_fwd(x, p: DyTParams, cache):
+def dyt(x, p: DyTParams, *, cache=NO_CACHE):
+    """Per-channel gamma * tanh(alpha * x) + beta."""
     x = as_feature_map(x, "dyt")
     require_channels(x, p.gamma.shape[0], "dyt")
     cache.keep(x=x)
@@ -51,13 +52,8 @@ def _dyt_bwd(cache, p: DyTParams, gy):
     return gx, DyTParams(alpha=g_alpha, gamma=g_gamma, beta=g_beta)
 
 
-def dyt(x, p: DyTParams):
-    """Per-channel gamma * tanh(alpha * x) + beta."""
-    return _dyt_fwd(x, p, NO_CACHE)
-
-
 def dyt_vjp(x, p: DyTParams, gy):
-    out, cache = cached(_dyt_fwd, x, p)
+    out, cache = cached(dyt, x, p)
     return _dyt_bwd(cache, p, require_cotangent(gy, out, "dyt_vjp"))
 
 
@@ -94,7 +90,8 @@ def _tssa_pre(f, pi, attn, p: TssaParams):
     return pre.transpose(0, 2, 1, 3).reshape(b * n, h * d)
 
 
-def _tssa_fwd(x, p: TssaParams, cache):
+def tssa(x, p: TssaParams, *, cache=NO_CACHE):
+    """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
     x = as_feature_map(x, "tssa")
     require_channels(x, p.qkv_weight.shape[0], "tssa")
     parts = _tssa_parts(to_tokens(x), p)
@@ -147,13 +144,8 @@ def tssa_tokens(t, p: TssaParams):
     return _tssa_parts(np.ascontiguousarray(t, dtype=np.float64), p)["out"]
 
 
-def tssa(x, p: TssaParams):
-    """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
-    return _tssa_fwd(x, p, NO_CACHE)
-
-
 def tssa_vjp(x, p: TssaParams, gy):
-    out, cache = cached(_tssa_fwd, x, p)
+    out, cache = cached(tssa, x, p)
     return _tssa_bwd(cache, p, require_cotangent(gy, out, "tssa_vjp"))
 
 
@@ -174,7 +166,8 @@ def _mona_specs(p: MonaParams):
     }
 
 
-def _mona_op_fwd(z, p: MonaParams, cache):
+def mona_op(z, p: MonaParams, *, cache=NO_CACHE):
+    """Residual multi-scale mix on the reduced channel count."""
     z = as_feature_map(z, "mona_op")
     require_channels(z, p.down_weight.shape[0], "mona_op")
     sp = _mona_specs(p)
@@ -201,17 +194,13 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
     return gy + g_mix_in + gz3 + gz5 + gz7, gp
 
 
-def mona_op(z, p: MonaParams):
-    """Residual multi-scale mix on the reduced channel count."""
-    return _mona_op_fwd(z, p, NO_CACHE)
-
-
 def mona_op_vjp(z, p: MonaParams, gy):
-    out, cache = cached(_mona_op_fwd, z, p)
+    out, cache = cached(mona_op, z, p)
     return _mona_op_bwd(cache, p, require_cotangent(gy, out, "mona_op_vjp"))
 
 
-def _xmona_fwd(x, p: MonaParams, cache):
+def xmona(x, p: MonaParams, *, cache=NO_CACHE):
+    """Tiny-scaled per-pixel linear skip across the full channel count."""
     x = as_feature_map(x, "xmona")
     require_channels(x, p.skip_weight.shape[1], "xmona")
     cache.keep(x=x)
@@ -233,24 +222,19 @@ def _xmona_bwd(cache, p: MonaParams, gy):
     return gx, gp
 
 
-def xmona(x, p: MonaParams):
-    """Tiny-scaled per-pixel linear skip across the full channel count."""
-    return _xmona_fwd(x, p, NO_CACHE)
-
-
 def xmona_vjp(x, p: MonaParams, gy):
-    out, cache = cached(_xmona_fwd, x, p)
+    out, cache = cached(xmona, x, p)
     return _xmona_bwd(cache, p, require_cotangent(gy, out, "xmona_vjp"))
 
 
-def _mona_fwd(x, p: MonaParams, cache):
+def mona(x, p: MonaParams, *, cache=NO_CACHE):
     """xmona(x) + up(gelu(mona_op(down(x))))"""
     x = as_feature_map(x, "mona")
     require_channels(x, p.down_weight.shape[1], "mona")
     sp = _mona_specs(p)
-    skip = _xmona_fwd(x, p, cache.sub("skip"))
-    mo = _mona_op_fwd(conv2d(x, p.down_weight, p.down_bias, sp["down"]), p,
-                      cache.sub("op"))
+    skip = xmona(x, p, cache=cache.sub("skip"))
+    mo = mona_op(conv2d(x, p.down_weight, p.down_bias, sp["down"]), p,
+                 cache=cache.sub("op"))
     cache.keep(x=x, mo=mo)
     return skip + conv2d(ops.gelu(mo), p.up_weight, p.up_bias, sp["up"])
 
@@ -271,12 +255,8 @@ def _mona_bwd(cache, p: MonaParams, gy):
     return gx + gx_down, gp
 
 
-def mona(x, p: MonaParams):
-    return _mona_fwd(x, p, NO_CACHE)
-
-
 def mona_vjp(x, p: MonaParams, gy):
-    out, cache = cached(_mona_fwd, x, p)
+    out, cache = cached(mona, x, p)
     return _mona_bwd(cache, p, require_cotangent(gy, out, "mona_vjp"))
 
 
@@ -323,7 +303,7 @@ def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
             g_re, g_im, g_t[:, :, 0, 0].sum(axis=0))
 
 
-def _seff_fwd(x, p: SeffParams, cache):
+def seff(x, p: SeffParams, *, cache=NO_CACHE):
     x = as_feature_map(x, "seff")
     require_channels(x, p.split_weight.shape[1], "seff")
     c = p.merge_weight.shape[0]
@@ -365,12 +345,8 @@ def _seff_bwd(cache, p: SeffParams, gy):
     return gx, gp
 
 
-def seff(x, p: SeffParams):
-    return _seff_fwd(x, p, NO_CACHE)
-
-
 def seff_vjp(x, p: SeffParams, gy):
-    out, cache = cached(_seff_fwd, x, p)
+    out, cache = cached(seff, x, p)
     return _seff_bwd(cache, p, require_cotangent(gy, out, "seff_vjp"))
 
 
@@ -380,10 +356,10 @@ def seff_vjp(x, p: SeffParams, gy):
 # daff and serr share one shape, mona(x + inner(dyt(x))), with tssa or seff
 # as the inner op; one pair serves both.
 
-def _stage_fwd(inner_fwd, x, dyt_p, inner_p, mona_p, cache):
-    return _mona_fwd(x + inner_fwd(_dyt_fwd(x, dyt_p, cache.sub("dyt")),
-                                   inner_p, cache.sub("inner")),
-                     mona_p, cache.sub("mona"))
+def _stage_fwd(inner, x, dyt_p, inner_p, mona_p, cache):
+    return mona(x + inner(dyt(x, dyt_p, cache=cache.sub("dyt")), inner_p,
+                          cache=cache.sub("inner")),
+                mona_p, cache=cache.sub("mona"))
 
 
 def _stage_bwd(inner_bwd, cache, dyt_p, inner_p, mona_p, gy):
@@ -393,31 +369,34 @@ def _stage_bwd(inner_bwd, cache, dyt_p, inner_p, mona_p, gy):
     return gx + g_res, g_dyt, g_inner, g_mona
 
 
-def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams):
+def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams, *,
+         cache=NO_CACHE):
     """mona(x + attention(dyt(x)))"""
-    return _stage_fwd(_tssa_fwd, x, dyt_p, tssa_p, mona_p, NO_CACHE)
+    return _stage_fwd(tssa, x, dyt_p, tssa_p, mona_p, cache)
 
 
 def daff_vjp(x, dyt_p, tssa_p, mona_p, gy):
-    out, cache = cached(_stage_fwd, _tssa_fwd, x, dyt_p, tssa_p, mona_p)
+    out, cache = cached(daff, x, dyt_p, tssa_p, mona_p)
     return _stage_bwd(_tssa_bwd, cache, dyt_p, tssa_p, mona_p,
                       require_cotangent(gy, out, "daff_vjp"))
 
 
-def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams):
+def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams, *,
+         cache=NO_CACHE):
     """mona(x + seff(dyt(x)))"""
-    return _stage_fwd(_seff_fwd, x, dyt_p, seff_p, mona_p, NO_CACHE)
+    return _stage_fwd(seff, x, dyt_p, seff_p, mona_p, cache)
 
 
 def serr_vjp(x, dyt_p, seff_p, mona_p, gy):
-    out, cache = cached(_stage_fwd, _seff_fwd, x, dyt_p, seff_p, mona_p)
+    out, cache = cached(serr, x, dyt_p, seff_p, mona_p)
     return _stage_bwd(_seff_bwd, cache, dyt_p, seff_p, mona_p,
                       require_cotangent(gy, out, "serr_vjp"))
 
 
-def _ftssa_fwd(x, p: FtssaParams, cache):
-    stage1 = _stage_fwd(_tssa_fwd, x, p.dyt1, p.tssa, p.mona1, cache.sub("daff"))
-    return _stage_fwd(_seff_fwd, stage1, p.dyt2, p.seff, p.mona2, cache.sub("serr"))
+def ftssa(x, p: FtssaParams, *, cache=NO_CACHE):
+    """Both stages in series; dims preserved."""
+    return serr(daff(x, p.dyt1, p.tssa, p.mona1, cache=cache.sub("daff")),
+                p.dyt2, p.seff, p.mona2, cache=cache.sub("serr"))
 
 
 def _ftssa_bwd(cache, p: FtssaParams, gy):
@@ -429,11 +408,6 @@ def _ftssa_bwd(cache, p: FtssaParams, gy):
                            dyt2=g_dyt2, seff=g_seff, mona2=g_mona2)
 
 
-def ftssa(x, p: FtssaParams):
-    """Both stages in series; dims preserved."""
-    return _ftssa_fwd(x, p, NO_CACHE)
-
-
 def ftssa_vjp(x, p: FtssaParams, gy):
-    out, cache = cached(_ftssa_fwd, x, p)
+    out, cache = cached(ftssa, x, p)
     return _ftssa_bwd(cache, p, require_cotangent(gy, out, "ftssa_vjp"))

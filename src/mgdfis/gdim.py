@@ -5,8 +5,9 @@ The mixing module runs two sequential passes.  Each pass regroups channels
 into k groups, concatenates the groups along one spatial axis (width first,
 then height), adds a position embedding, convolves, restores the original
 layout, normalizes, and fuses with the pass input through a 1x1 convolution.
-Each op is defined once, as a fwd/bwd pair with a cache argument and the
-same input and cotangent checks, as in `mgdfis.ftssa`.
+Each op has one forward, the public op with a keyword-only `cache`, and a
+private `_op_bwd`, with the same input and cotangent checks, as in
+`mgdfis.ftssa`; composites call their children by public name.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .ftssa import _ftssa_bwd, _ftssa_fwd
+from .ftssa import _ftssa_bwd, ftssa
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (AggregateParams, DmmParams, GmmParams, add_params,
                      zeros_like_params)
@@ -58,19 +59,15 @@ def _reconcile_bwd(cache, agg_p, gy):
     return gx, AggregateParams(proj_weight=gw, proj_bias=gb)
 
 
-def _aggregate_fwd(f1, f2, agg_p, cache):
+def aggregate(f1, f2, agg_p: AggregateParams = None, *, cache=NO_CACHE):
+    """Sum the two inputs; a mismatched second input is bilinearly resampled
+    to the first input's spatial dims and channel-projected first."""
     f1 = as_feature_map(f1, "aggregate")
     return f1 + _reconcile_fwd(as_feature_map(f2, "aggregate"), f1.shape, agg_p, cache)
 
 
-def aggregate(f1, f2, agg_p: AggregateParams = None):
-    """Sum the two inputs; a mismatched second input is bilinearly resampled
-    to the first input's spatial dims and channel-projected first."""
-    return _aggregate_fwd(f1, f2, agg_p, NO_CACHE)
-
-
 def aggregate_vjp(f1, f2, agg_p, gy):
-    out, cache = cached(_aggregate_fwd, f1, f2, agg_p)
+    out, cache = cached(aggregate, f1, f2, agg_p)
     gy = require_cotangent(gy, out, "aggregate_vjp")
     return (gy, *_reconcile_bwd(cache, agg_p, gy))
 
@@ -170,7 +167,8 @@ def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     return g_cat[:, :c] + restore(g_conv_in, p.k), g_pos, g
 
 
-def _gmm_fwd(f_agg, p: GmmParams, cache):
+def gmm(f_agg, p: GmmParams, *, cache=NO_CACHE):
+    """Column pass then row pass; output dims equal input dims."""
     return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, "w", cache.sub("col")), p, "h",
                          cache.sub("row"))
 
@@ -185,13 +183,8 @@ def _gmm_bwd(cache, p: GmmParams, gy):
     return gf, gp
 
 
-def gmm(f_agg, p: GmmParams):
-    """Column pass then row pass; output dims equal input dims."""
-    return _gmm_fwd(f_agg, p, NO_CACHE)
-
-
 def gmm_vjp(f_agg, p: GmmParams, gy):
-    out, cache = cached(_gmm_fwd, f_agg, p)
+    out, cache = cached(gmm, f_agg, p)
     return _gmm_bwd(cache, p, require_cotangent(gy, out, "gmm_vjp"))
 
 
@@ -199,7 +192,8 @@ def gmm_vjp(f_agg, p: GmmParams, gy):
 # directional detail capture with channel gating
 # ---------------------------------------------------------------------------
 
-def _dmm_directional_fwd(f_gmm, p: DmmParams, cache):
+def dmm_directional(f_gmm, p: DmmParams, *, cache=NO_CACHE):
+    """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
     f_gmm = as_feature_map(f_gmm, "dmm")
     cache.keep(f=f_gmm)
     c = f_gmm.shape[1]
@@ -220,13 +214,8 @@ def _dmm_directional_bwd(cache, p: DmmParams, gy):
     return gy + gf46 + gf64, gp
 
 
-def dmm_directional(f_gmm, p: DmmParams):
-    """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
-    return _dmm_directional_fwd(f_gmm, p, NO_CACHE)
-
-
 def dmm_directional_vjp(f_gmm, p: DmmParams, gy):
-    out, cache = cached(_dmm_directional_fwd, f_gmm, p)
+    out, cache = cached(dmm_directional, f_gmm, p)
     return _dmm_directional_bwd(cache, p,
                                 require_cotangent(gy, out, "dmm_directional_vjp"))
 
@@ -256,9 +245,10 @@ def _gate_bwd(cache, p: DmmParams, gy):
     return g_feat, gp
 
 
-def _dmm_attention_fwd(f_add, p: DmmParams, cache):
-    return _gate_fwd(_ftssa_fwd(as_feature_map(f_add, "dmm"), p.ftssa,
-                                cache.sub("ftssa")), p, cache.sub("gate"))
+def dmm_attention(f_add, p: DmmParams, *, cache=NO_CACHE):
+    """Per-(batch, channel) gate with spatial dims 1x1."""
+    return _gate_fwd(ftssa(as_feature_map(f_add, "dmm"), p.ftssa,
+                           cache=cache.sub("ftssa")), p, cache.sub("gate"))
 
 
 def _dmm_attention_bwd(cache, p: DmmParams, gy):
@@ -267,21 +257,16 @@ def _dmm_attention_bwd(cache, p: DmmParams, gy):
     return g_f_add, dataclasses.replace(gp, ftssa=g_ftssa)
 
 
-def dmm_attention(f_add, p: DmmParams):
-    """Per-(batch, channel) gate with spatial dims 1x1."""
-    return _dmm_attention_fwd(f_add, p, NO_CACHE)
-
-
 def dmm_attention_vjp(f_add, p: DmmParams, gy):
     """gy has the gate's (N, C, 1, 1) dims."""
-    out, cache = cached(_dmm_attention_fwd, f_add, p)
+    out, cache = cached(dmm_attention, f_add, p)
     return _dmm_attention_bwd(cache, p,
                               require_cotangent(gy, out, "dmm_attention_vjp"))
 
 
-def _dmm_fwd(f_gmm, p: DmmParams, cache):
-    f_add = _dmm_directional_fwd(f_gmm, p, cache.sub("dir"))
-    gate = _dmm_attention_fwd(f_add, p, cache.sub("att"))
+def dmm(f_gmm, p: DmmParams, *, cache=NO_CACHE):
+    f_add = dmm_directional(f_gmm, p, cache=cache.sub("dir"))
+    gate = dmm_attention(f_add, p, cache=cache.sub("att"))
     cache.keep(f_add=f_add, gate=gate)
     return f_add * gate
 
@@ -294,18 +279,16 @@ def _dmm_bwd(cache, p: DmmParams, gy):
     return gf, add_params(gp_att, gp_dir)
 
 
-def dmm(f_gmm, p: DmmParams):
-    return _dmm_fwd(f_gmm, p, NO_CACHE)
-
-
 def dmm_vjp(f_gmm, p: DmmParams, gy):
-    out, cache = cached(_dmm_fwd, f_gmm, p)
+    out, cache = cached(dmm, f_gmm, p)
     return _dmm_bwd(cache, p, require_cotangent(gy, out, "dmm_vjp"))
 
 
-def _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p, cache):
-    return _dmm_fwd(_gmm_fwd(_aggregate_fwd(f1, f2, agg_p, cache.sub("agg")),
-                             gmm_p, cache.sub("gmm")), dmm_p, cache.sub("dmm"))
+def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams,
+         agg_p: AggregateParams = None, *, cache=NO_CACHE):
+    """dmm(gmm(aggregate(f1, f2)))"""
+    return dmm(gmm(aggregate(f1, f2, agg_p, cache=cache.sub("agg")), gmm_p,
+                   cache=cache.sub("gmm")), dmm_p, cache=cache.sub("dmm"))
 
 
 def _gdim_bwd(cache, gmm_p, dmm_p, agg_p, gy):
@@ -315,13 +298,8 @@ def _gdim_bwd(cache, gmm_p, dmm_p, agg_p, gy):
     return g_f_agg, g2, g_gmm, g_dmm, g_agg
 
 
-def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams, agg_p: AggregateParams = None):
-    """dmm(gmm(aggregate(f1, f2)))"""
-    return _gdim_fwd(f1, f2, gmm_p, dmm_p, agg_p, NO_CACHE)
-
-
 def gdim_vjp(f1, f2, gmm_p, dmm_p, agg_p, gy):
     """Returns (g_f1, g_f2, g_gmm, g_dmm, g_agg)."""
-    out, cache = cached(_gdim_fwd, f1, f2, gmm_p, dmm_p, agg_p)
+    out, cache = cached(gdim, f1, f2, gmm_p, dmm_p, agg_p)
     return _gdim_bwd(cache, gmm_p, dmm_p, agg_p,
                      require_cotangent(gy, out, "gdim_vjp"))

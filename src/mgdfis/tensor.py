@@ -41,7 +41,10 @@ def require_same_shape(a, b, op):
 
 
 def require_cotangent(gy, out, op):
-    """gy as float64, checked to have the shape of the forward output out."""
+    """gy as float64, checked to be real and to have the shape of the
+    forward output out."""
+    if np.iscomplexobj(gy):
+        raise ShapeError(op, "dtype", "real", np.asarray(gy).dtype)
     gy = np.asarray(gy, dtype=np.float64)
     require_same_shape(out, gy, op)
     return gy
@@ -69,9 +72,9 @@ NO_CACHE = _NoCache()
 
 
 def cached(fwd, *args):
-    """(fwd(*args, cache), cache) for a fresh Cache."""
+    """(fwd(*args, cache=cache), cache) for a fresh Cache."""
     cache = Cache()
-    return fwd(*args, cache), cache
+    return fwd(*args, cache=cache), cache
 
 
 def to_tokens(x):

@@ -46,12 +46,6 @@ def test_conv_flops_respects_groups_and_stride():
     assert flops.conv_flops(dw, 4, 4, batch=3) == 3 * flops.conv_flops(dw, 4, 4)
 
 
-def test_fft_flops():
-    assert flops.fft_flops(1, 1, 5) == 0   # log term vanishes
-    assert flops.fft_flops(4, 4, 1) == 5 * 16 * 4
-    assert flops.fft_flops(4, 4, 2, batch=3) == 6 * 5 * 16 * 4
-
-
 def test_seff_entries_count_the_half_spectrum():
     # C = 4 on a 6x6 map: seff's real FFTs, spectral product and Hermitian
     # weight cover 6 * (6 // 2 + 1) = 24 bins per channel, the resample and

@@ -1,6 +1,8 @@
 """Each VJP runs its forward once: a backward pass evaluates exactly the
 forward convolutions of one forward evaluation of the same op (a conv VJP
-evaluates none)."""
+evaluates none), and a composite's forward calls each child op it names."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,6 +59,36 @@ def test_gdim_vjp_runs_exactly_one_forward(conv_calls):
                    np.ones_like(f1))
     assert n_fwd == 23
     assert n_vjp == n_fwd
+
+
+def test_gdim_composes_the_public_ops(monkeypatch):
+    # each composite calls its children by public name, through the module
+    # binding, so wrapping that binding sees every call
+    counts = Counter()
+    named = {ftssa: ("dyt", "tssa", "seff", "mona", "xmona", "mona_op", "daff",
+                     "serr"),
+             gdim: ("ftssa", "aggregate", "gmm", "dmm", "dmm_directional",
+                    "dmm_attention")}
+    for mod, names in named.items():
+        for name in names:
+            def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counting)
+    # ftssa runs daff and serr, each one dyt and one mona (xmona + mona_op)
+    want = {name: 1 for names in named.values() for name in names}
+    want.update(dyt=2, mona=2, xmona=2, mona_op=2)
+    c = 2
+    args = (stream(1, "rc.f1").uniform((1, c, 3, 3), -1.0, 1.0),
+            stream(1, "rc.f2").uniform((1, 3, 2, 2), -1.0, 1.0),
+            init_gmm(1, "rc.gmm", c, 3, 3, k=2),
+            init_dmm(1, "rc.dmm", c, heads=2, head_dim=1, seff_base=2),
+            init_aggregate(1, "rc.agg", c, 3))
+    for call in (lambda: gdim.gdim(*args),
+                 lambda: gdim.gdim_vjp(*args, np.ones((1, c, 3, 3)))):
+        counts.clear()
+        call()
+        assert counts == want
 
 
 @pytest.mark.parametrize("spec,shape", _SPEC_CASES)

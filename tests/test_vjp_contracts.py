@@ -77,6 +77,16 @@ def test_forward_and_vjp_reject_complex_input(name):
         vjp(z, *rest, np.ones(fwd(x, *rest).shape))
 
 
+@pytest.mark.parametrize("name", list(_cases()))
+def test_vjp_rejects_complex_cotangent(name):
+    # a cast to float64 would drop the imaginary part with only a warning
+    fwd, vjp, args = _cases()[name]
+    gy = (1 + 2j) * np.ones(fwd(*args).shape)
+    with pytest.raises(ShapeError,
+                       match=f"{name}_vjp: axis 'dtype' expected real, got complex128"):
+        vjp(*args, gy)
+
+
 def test_dyt_vjp_rejects_batch_two_cotangent_for_batch_one_input():
     with pytest.raises(ShapeError, match="'batch' expected 1, got 2"):
         F.dyt_vjp(u("vc.x"), init_dyt(C), np.ones((2, C, 3, 3)))
