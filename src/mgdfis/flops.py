@@ -120,10 +120,11 @@ def _count_mona(rep, module, tag, cfg, c, h, w, batch):
     cr = reduced_channels(c, cfg.mona_ratio)
     rep.add(module, f"{tag}.down",
             conv_flops(same_spec(c, 1, 1, out_channels=cr), h, w, batch))
-    for kk in (3, 5, 7):
-        rep.add(module, f"{tag}.dw{kk}",
-                conv_flops(same_spec(cr, kk, kk, groups=cr), h, w, batch))
-    rep.add(module, f"{tag}.avg_add", 3 * batch * cr * h * w)
+    # dw3, dw5 and dw7 run as one depthwise 7x7 conv; its output is scaled
+    # by 1/3 and added to the input
+    rep.add(module, f"{tag}.dw",
+            conv_flops(same_spec(cr, 7, 7, groups=cr), h, w, batch))
+    rep.add(module, f"{tag}.avg_add", 2 * batch * cr * h * w)
     rep.add(module, f"{tag}.mix", conv_flops(same_spec(cr, 1, 1), h, w, batch))
     rep.add(module, f"{tag}.gelu", batch * cr * h * w)
     rep.add(module, f"{tag}.up",
@@ -163,9 +164,9 @@ def _count_ftssa(rep, module, cfg, c, h, w, batch):
 
 def _count_dmm(rep, cfg):
     n, c, h, w = cfg.f1_shape
-    rep.add("gdim", "dmm.conv46", conv_flops(same_spec(c, 4, 6), h, w, n))
-    rep.add("gdim", "dmm.conv64", conv_flops(same_spec(c, 6, 4), h, w, n))
-    rep.add("gdim", "dmm.add", 2 * n * c * h * w)
+    # conv4x6 and conv6x4 run as one 6x6 conv, added to its input
+    rep.add("gdim", "dmm.directional", conv_flops(same_spec(c, 6, 6), h, w, n))
+    rep.add("gdim", "dmm.add", n * c * h * w)
     _count_ftssa(rep, "ftssa", cfg, c, h, w, n)
     rep.add("gdim", "dmm.gap", n * c * h * w)
     ch = reduced_channels(c, cfg.mlp_ratio)

@@ -61,9 +61,15 @@ def dyt_vjp(x, p: DyTParams, gy):
 # token-statistics attention
 # ---------------------------------------------------------------------------
 
+# Every tssa quantity is per token and only the weights are shared, so tssa
+# runs over blocks of this many tokens, whose working set stays in cache.
+_TOKEN_BLOCK = 1024
+
+
 def _tssa_parts(t, p: TssaParams):
-    """Token-level forward: the output under "out", beside the cache that
-    backward reads (the head distribution "pi" and the attention "attn")."""
+    """Token-level forward of one block: the output under "out", beside the
+    cache that backward reads (the head distribution "pi" and the attention
+    "attn")."""
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
     proj = t.reshape(b * n, c) @ p.qkv_weight          # (b*n, h*d)
@@ -76,6 +82,14 @@ def _tssa_parts(t, p: TssaParams):
     attn = 1.0 / (1.0 + ratio[..., None] * f * f)
     out = (_tssa_pre(f, pi, attn, p) @ p.out_weight + p.out_bias).reshape(b, n, c)
     return {"t": t, "f": f, "r": r, "s": s, "pi": pi, "attn": attn, "out": out}
+
+
+def _tssa_blocks(t, p: TssaParams):
+    """(output, the blocks' caches): _tssa_parts over each _TOKEN_BLOCK
+    tokens of t."""
+    blocks = [_tssa_parts(t[:, i:i + _TOKEN_BLOCK], p)
+              for i in range(0, t.shape[1], _TOKEN_BLOCK)]
+    return np.concatenate([q.pop("out") for q in blocks], axis=1), blocks
 
 
 def _tssa_scale(pi, p: TssaParams):
@@ -94,18 +108,18 @@ def tssa(x, p: TssaParams, *, cache=NO_CACHE):
     """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
     x = as_feature_map(x, "tssa")
     require_channels(x, p.qkv_weight.shape[0], "tssa")
-    parts = _tssa_parts(to_tokens(x), p)
-    out = parts.pop("out")
-    cache.keep(**parts)
+    out, blocks = _tssa_blocks(to_tokens(x), p)
+    cache.keep(blocks=blocks)
     return from_tokens(out, x.shape[2], x.shape[3])
 
 
-def _tssa_bwd(cache, p: TssaParams, gy):
-    t, f, r = cache.pop("t"), cache.pop("f"), cache.pop("r")
-    pi, attn = cache.pop("pi"), cache.pop("attn")
+def _tssa_block_bwd(q, p: TssaParams, gy):
+    """(token gradient, g_qkv_w, g_out_w, g_out_b) of one block's cache q
+    under its token cotangent gy (b, n, c)."""
+    t, f, r, pi, attn = q["t"], q["f"], q["r"], q["pi"], q["attn"]
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
-    gy2 = to_tokens(gy).reshape(b * n, c)
+    gy2 = gy.reshape(b * n, c)
     g_out_w = _tssa_pre(f, pi, attn, p).T @ gy2
     g_out_b = gy2.sum(axis=0)
     g_pre = (gy2 @ p.out_weight.T).reshape(b, n, h, d).transpose(0, 2, 1, 3)
@@ -121,7 +135,7 @@ def _tssa_bwd(cache, p: TssaParams, gy):
 
     # d(ratio)/d(pi) collapses to eps / denom^2
     g_pi = g_ratio * p.eps / (denom * denom) + g_pi_direct
-    g_s = ops.softmax_vjp(cache.pop("s"), 1, g_pi)
+    g_s = ops.softmax_vjp(q["s"], 1, g_pi)
     g_v = 2.0 * (f / (r + p.eps)) * g_s[..., None]
     # L2-normalize backward; guard the radius for exactly-zero token rows
     rr = np.where(r > 0, r, 1.0)
@@ -130,6 +144,15 @@ def _tssa_bwd(cache, p: TssaParams, gy):
     g_proj = gf.transpose(0, 2, 1, 3).reshape(b * n, h * d)
     g_qkv_w = t.reshape(b * n, c).T @ g_proj
     gt = (g_proj @ p.qkv_weight.T).reshape(b, n, c)
+    return gt, g_qkv_w, g_out_w, g_out_b
+
+
+def _tssa_bwd(cache, p: TssaParams, gy):
+    gy_t = to_tokens(gy)
+    grads = [_tssa_block_bwd(q, p, gy_t[:, i:i + _TOKEN_BLOCK]) for i, q in zip(
+        range(0, gy_t.shape[1], _TOKEN_BLOCK), cache.pop("blocks"))]
+    gt = np.concatenate([g[0] for g in grads], axis=1)
+    g_qkv_w, g_out_w, g_out_b = (sum(g[k] for g in grads) for k in (1, 2, 3))
     gp = dataclasses.replace(p, qkv_weight=g_qkv_w, out_weight=g_out_w,
                              out_bias=g_out_b)
     return from_tokens(gt, gy.shape[2], gy.shape[3]), gp
@@ -141,7 +164,7 @@ def tssa_tokens(t, p: TssaParams):
         raise ShapeError("tssa", "rank", 3, t.ndim)
     if t.shape[2] != p.qkv_weight.shape[0]:
         raise ShapeError("tssa", "channel", p.qkv_weight.shape[0], t.shape[2])
-    return _tssa_parts(np.ascontiguousarray(t, dtype=np.float64), p)["out"]
+    return _tssa_blocks(np.ascontiguousarray(t, dtype=np.float64), p)[0]
 
 
 def tssa_vjp(x, p: TssaParams, gy):
@@ -158,22 +181,30 @@ def _mona_specs(p: MonaParams):
     cr = p.down_weight.shape[0]
     return {
         "down": same_spec(c, 1, 1, out_channels=cr),
-        "dw3": same_spec(cr, 3, 3, groups=cr),
-        "dw5": same_spec(cr, 5, 5, groups=cr),
-        "dw7": same_spec(cr, 7, 7, groups=cr),
+        "dw": same_spec(cr, 7, 7, groups=cr),
         "mix": same_spec(cr, 1, 1),
         "up": same_spec(cr, 1, 1, out_channels=c),
     }
 
 
+def _mona_kernel(p: MonaParams):
+    """dw3 + dw5 + dw7 as one depthwise 7x7 conv (ACNet's structural
+    re-parameterisation): the three read the same input with centred "same"
+    padding, so their sum is the conv whose kernel is dw7 plus dw5 and dw3
+    zero-padded to 7x7, with the summed bias."""
+    w = p.dw7_weight.copy()
+    w[..., 1:6, 1:6] += p.dw5_weight
+    w[..., 2:5, 2:5] += p.dw3_weight
+    return w, p.dw3_bias + p.dw5_bias + p.dw7_bias
+
+
 def mona_op(z, p: MonaParams, *, cache=NO_CACHE):
-    """Residual multi-scale mix on the reduced channel count."""
+    """Residual multi-scale mix on the reduced channel count: the mean of
+    the dw3, dw5 and dw7 convs, run as the one folded 7x7 conv."""
     z = as_feature_map(z, "mona_op")
     require_channels(z, p.down_weight.shape[0], "mona_op")
     sp = _mona_specs(p)
-    mix_in = (conv2d(z, p.dw3_weight, p.dw3_bias, sp["dw3"])
-              + conv2d(z, p.dw5_weight, p.dw5_bias, sp["dw5"])
-              + conv2d(z, p.dw7_weight, p.dw7_bias, sp["dw7"])) / 3.0 + z
+    mix_in = conv2d(z, *_mona_kernel(p), sp["dw"]) / 3.0 + z
     cache.keep(z=z, mix_in=mix_in)
     return z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
 
@@ -182,16 +213,15 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
     sp = _mona_specs(p)
     g_mix_in, g_mix_w, g_mix_b = conv2d_vjp(cache.pop("mix_in"), p.mix_weight,
                                             p.mix_bias, sp["mix"], gy)
-    z = cache.pop("z")
-    g_avg = g_mix_in / 3.0
-    gz3, g3w, g3b = conv2d_vjp(z, p.dw3_weight, p.dw3_bias, sp["dw3"], g_avg)
-    gz5, g5w, g5b = conv2d_vjp(z, p.dw5_weight, p.dw5_bias, sp["dw5"], g_avg)
-    gz7, g7w, g7b = conv2d_vjp(z, p.dw7_weight, p.dw7_bias, sp["dw7"], g_avg)
+    gz, gw, gb = conv2d_vjp(cache.pop("z"), *_mona_kernel(p), sp["dw"],
+                            g_mix_in / 3.0)
+    # each folded kernel's gradient is its crop of gw, in its own array
     gp = dataclasses.replace(
         zeros_like_params(p),
-        dw3_weight=g3w, dw3_bias=g3b, dw5_weight=g5w, dw5_bias=g5b,
-        dw7_weight=g7w, dw7_bias=g7b, mix_weight=g_mix_w, mix_bias=g_mix_b)
-    return gy + g_mix_in + gz3 + gz5 + gz7, gp
+        dw3_weight=gw[..., 2:5, 2:5].copy(), dw3_bias=gb,
+        dw5_weight=gw[..., 1:6, 1:6].copy(), dw5_bias=gb.copy(),
+        dw7_weight=gw, dw7_bias=gb.copy(), mix_weight=g_mix_w, mix_bias=g_mix_b)
+    return gy + g_mix_in + gz, gp
 
 
 def mona_op_vjp(z, p: MonaParams, gy):

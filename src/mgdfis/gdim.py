@@ -192,26 +192,36 @@ def gmm_vjp(f_agg, p: GmmParams, gy):
 # directional detail capture with channel gating
 # ---------------------------------------------------------------------------
 
+def _directional_kernel(p: DmmParams):
+    """conv4x6 + conv6x4 as one 6x6 conv (ACNet's structural
+    re-parameterisation): both read the same input, so their sum is the conv
+    whose kernel is the sum of the two zero-padded to 6x6, with the summed
+    bias.  Their same-padding offsets (1, 2, 2, 3) and (2, 3, 1, 2) sit one
+    row or column inside the 6x6 conv's (2, 3, 2, 3)."""
+    w = np.zeros(p.conv46_weight.shape[:2] + (6, 6))
+    w[:, :, 1:5] = p.conv46_weight
+    w[..., 1:5] += p.conv64_weight
+    return w, p.conv46_bias + p.conv64_bias
+
+
 def dmm_directional(f_gmm, p: DmmParams, *, cache=NO_CACHE):
-    """f + conv4x6(f) + conv6x4(f); asymmetric padding keeps dims."""
+    """f + conv4x6(f) + conv6x4(f), run as the one folded 6x6 conv; "same"
+    padding keeps dims."""
     f_gmm = as_feature_map(f_gmm, "dmm")
     cache.keep(f=f_gmm)
-    c = f_gmm.shape[1]
-    return (f_gmm + conv2d(f_gmm, p.conv46_weight, p.conv46_bias, same_spec(c, 4, 6))
-            + conv2d(f_gmm, p.conv64_weight, p.conv64_bias, same_spec(c, 6, 4)))
+    return f_gmm + conv2d(f_gmm, *_directional_kernel(p),
+                          same_spec(f_gmm.shape[1], 6, 6))
 
 
 def _dmm_directional_bwd(cache, p: DmmParams, gy):
     f_gmm = cache.pop("f")
-    c = f_gmm.shape[1]
-    gf46, g_w46, g_b46 = conv2d_vjp(f_gmm, p.conv46_weight, p.conv46_bias,
-                                    same_spec(c, 4, 6), gy)
-    gf64, g_w64, g_b64 = conv2d_vjp(f_gmm, p.conv64_weight, p.conv64_bias,
-                                    same_spec(c, 6, 4), gy)
+    gf, gw, gb = conv2d_vjp(f_gmm, *_directional_kernel(p),
+                            same_spec(f_gmm.shape[1], 6, 6), gy)
+    # each folded kernel's gradient is its crop of gw, in its own array
     gp = dataclasses.replace(zeros_like_params(p),
-                             conv46_weight=g_w46, conv46_bias=g_b46,
-                             conv64_weight=g_w64, conv64_bias=g_b64)
-    return gy + gf46 + gf64, gp
+                             conv46_weight=gw[:, :, 1:5].copy(), conv46_bias=gb,
+                             conv64_weight=gw[..., 1:5].copy(), conv64_bias=gb.copy())
+    return gy + gf, gp
 
 
 def dmm_directional_vjp(f_gmm, p: DmmParams, gy):

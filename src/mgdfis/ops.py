@@ -8,16 +8,19 @@ chain these VJPs explicitly.
 
 conv2d folds the kernel columns into the GEMM (kn2col style): rows are
 zero-padded, a column stack holds kw copies of them, each shifted by its tap,
-and every kernel row is one product W_i (og, kw * cg) @ stack rows plus one
-contiguous add into an output as wide as the padded row, cropped at the end.
-conv2d_vjp runs on the same layout: gy is stacked once per kernel row, so one
-GEMM gives gw and one the column stack's gradient, whose kw shifted copies
-add into gx.  Where a layout is the identity (gy of a stride-1 conv one
-column wide, a block with one kernel row, the gradient of a one-column
-stack) the VJP reads or writes the array in place instead of copying it.
-Both calls split the input rows into blocks whose stacks fit a fixed budget;
-a call counts only the stacks it allocates, so forward and VJP may block
-differently.
+and each block of rows is one GEMM, the kernel rows that read it stacked
+(len(ks) * og, kw * cg) @ the block's column stack.  Each kernel row's slice
+of that product is one contiguous add into an output as wide as the padded
+row, cropped at the end; a one-row kernel writes its product into the output
+rows directly.  conv2d_vjp runs the adjoint on the same layout: gy is
+stacked once per kernel row, so one GEMM gives gw and one the column stack's
+gradient, whose kw shifted copies add into gx.  Where a layout is the
+identity (gy of a stride-1 conv one column wide, a block with one kernel
+row, the gradient of a one-column stack) the VJP reads or writes the array
+in place instead of copying it.  Both calls allocate the same two stacks per
+block, the column stack and the per-kernel-row stack (the forward's product,
+the VJP's gy stack), and split the input rows into the same blocks, whose
+stacks fit a fixed budget.
 
 The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
 rfft2/irfft2 over the half spectrum (columns 0..w//2) of a real map, which
@@ -109,21 +112,21 @@ def same_spec(channels, kernel_h, kernel_w, out_channels=None, groups=1, dilatio
     )
 
 
-# Most float64 entries per image in the stacks a block allocates: the
-# column stack (none for kw == 1, which reads its rows in place) and, in the
-# VJP only, the gy stack (none for kh == 1, whose one tap reads gy in place).
+# Most float64 entries per image in the two stacks a block allocates: the
+# column stack (none for kw == 1, which reads its rows in place) and the
+# per-kernel-row stack (none for kh == 1): the forward's product, the VJP's
+# gy stack.
 _STACK_ENTRIES = 1 << 20
 
 
 @lru_cache(maxsize=256)
-def _conv_plan(spec, h, w, backward):
-    """Schedule over an (h, w) input: (ho, wo, wp, blocks), for the VJP if
-    `backward`.  The conv runs at stride 1 over rows padded to wp columns
-    and keeps every stride-th output; output row o of kernel row i reads
-    input row o + i * dil_h - pad_top.  A block (rows, ks, taps, fresh)
-    stacks the input rows `rows`, ks slices the kernel rows reading them,
-    each tap (i, src, dst) pairs their flat stack and output columns, and
-    fresh: no earlier block wrote the first tap's output rows."""
+def _conv_plan(spec, h, w):
+    """Schedule over an (h, w) input: (ho, wo, wp, blocks).  The conv runs
+    at stride 1 over rows padded to wp columns and keeps every stride-th
+    output; output row o of kernel row i reads input row o + i * dil_h -
+    pad_top.  A block (rows, ks, taps) stacks the input rows `rows`, ks
+    slices the kernel rows reading them, and each tap (i, src, dst) pairs
+    their flat stack and output columns."""
     ho, wo = spec.output_hw(h, w)
     hs, wp = (ho - 1) * spec.stride[0] + 1, w + spec.padding[2] + spec.padding[3]
     spans = [(i, q, max(0, -q), min(hs, h - q)) for i in range(spec.kernel_h)
@@ -131,26 +134,23 @@ def _conv_plan(spec, h, w, backward):
     if not spans:
         return ho, wo, wp, ()
     top, end = spans[0][1] + spans[0][2], spans[-1][1] + spans[-1][3]
-    per_row = spec.kernel_w * spec.in_channels if spec.kernel_w > 1 else 0
-    if backward and spec.kernel_h > 1:
-        per_row += spec.kernel_h * spec.out_channels
+    per_row = ((spec.kernel_w * spec.in_channels if spec.kernel_w > 1 else 0)
+               + (spec.kernel_h * spec.out_channels if spec.kernel_h > 1 else 0))
     step = -(-(end - top) // max(1, -(-per_row * wp * (end - top) // _STACK_ENTRIES)))
-    blocks, written = [], set()
+    blocks = []
     for r0 in range(top, end, step):
         r1 = min(end, r0 + step)
         outs = [(i, q, max(lo, r0 - q), min(hi, r1 - q)) for i, q, lo, hi in spans
                 if min(hi, r1 - q) > max(lo, r0 - q)]
         if not outs:  # a dilation wider than the output skips rows
             continue
-        fresh = written.isdisjoint(range(*outs[0][2:]))
-        written.update(o for *_, a, b in outs for o in range(a, b))
         blocks.append((slice(r0, r1), slice(outs[0][0], outs[-1][0] + 1), tuple(
             (i, slice((a + q - r0) * wp, (b + q - r0) * wp), slice(a * wp, b * wp))
-            for i, q, a, b in outs), fresh))
+            for i, q, a, b in outs)))
     return ho, wo, wp, tuple(blocks)
 
 
-def _conv_setup(x, w, b, spec, backward):
+def _conv_setup(x, w, b, spec):
     """Checked arguments on the conv's plan: (ho, wo, wp, blocks, xp, wt).
     xp is x in (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself
     for an unpadded 1x1 conv), so every tap reads within its row; wt is
@@ -164,7 +164,7 @@ def _conv_setup(x, w, b, spec, backward):
     if b.shape != (spec.out_channels,):
         raise ShapeError("conv2d", "bias", (spec.out_channels,), tuple(b.shape))
     n, _, h, wd = x.shape
-    ho, wo, wp, blocks = _conv_plan(spec, h, wd, backward)
+    ho, wo, wp, blocks = _conv_plan(spec, h, wd)
     g, pl = spec.groups, spec.padding[2]
     xp = x.reshape(n, g, -1, h, wd)
     span = wp + (spec.kernel_w - 1) * spec.dilation[1]
@@ -192,17 +192,21 @@ def _stack(xp, spec, wp, rows):
 
 def conv2d(x, w, b, spec: ConvSpec):
     """Grouped / strided / dilated 2-D convolution (cross-correlation
-    convention); per kernel row, one GEMM and one contiguous add."""
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec, False)
-    (s0, s1), n = spec.stride, x.shape[0]
-    wide = np.zeros((n, spec.groups, wt.shape[2], ((ho - 1) * s0 + 1) * wp))
-    for rows, _, taps, fresh in blocks:
+    convention); per block, one GEMM for every kernel row that reads it."""
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
+    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
+    wide = np.zeros((n, g, og, ((ho - 1) * s0 + 1) * wp))
+    for rows, ks, taps in blocks:
         st = _stack(xp, spec, wp, rows)
-        for k, (i, src, dst) in enumerate(taps):
-            out = wide[..., dst]  # a fresh block's first product lands on zeros
-            prod = np.matmul(wt[:, i], st[..., src], out=out if k == 0 and fresh else None)
-            if prod is not out:
-                out += prod
+        if spec.kernel_h == 1:  # one tap over the whole block
+            np.matmul(wt[:, 0], st, out=wide[..., taps[0][2]])
+        else:
+            prod = np.matmul(wt[:, ks].reshape(g, len(taps) * og, -1), st).reshape(
+                n, g, len(taps), og, -1)
+            for k, (_, src, dst) in enumerate(taps):
+                wide[..., dst] += prod[:, :, k, :, src]
+            del prod
+        del st  # before the next block allocates its own
     wide = wide.reshape(n, spec.out_channels, -1, wp)[..., ::s0, :(wo - 1) * s1 + 1:s1]
     return wide + b[:, None, None]
 
@@ -211,7 +215,7 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     """Gradients of sum-style losses through conv2d: returns (gx, gw, gb).
     Per block, gy stacked once per kernel row meets the column stack in one
     GEMM for gw and the weights in one GEMM for the stack's gradient."""
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec, True)
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
     (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
     if gy.shape != (n, spec.out_channels, ho, wo):
         raise ShapeError("conv2d_vjp", "grad", (n, spec.out_channels, ho, wo), gy.shape)
@@ -221,7 +225,7 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
         gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
         gwide = gwide.reshape(n, g, og, -1)
     gxp, gwt = np.zeros(xp.shape), np.zeros_like(wt)
-    for rows, ks, taps, _ in blocks:
+    for rows, ks, taps in blocks:
         nr = rows.stop - rows.start
         if len(taps) == 1 and taps[0][1] == slice(0, nr * wp):
             gys = gwide[..., taps[0][2]]  # one tap over the whole block

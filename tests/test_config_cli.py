@@ -421,6 +421,78 @@ def test_cli_oversize_config_exits_one(tmp_path, capsys):
     assert "too large to allocate" in capsys.readouterr().err
 
 
+def _fuzz_input(rng, path, shape, kind):
+    """Write an input file of `kind` for a config expecting `shape`: a valid
+    tensor, one with wrong dims, or a valid one cut short or with one byte
+    overwritten; returns the exit codes a valid config may end in."""
+    dims = shape if kind != "dims" else shape[:3] + (shape[3] + 1,)
+    write_tensor(path, rng.uniform(-1.0, 1.0, dims))
+    raw = bytearray(path.read_bytes())
+    if kind == "truncated":
+        path.write_bytes(raw[:int(rng.integers(0, len(raw)))])
+        return {2}
+    if kind == "corrupt":
+        raw[int(rng.integers(0, len(raw)))] = int(rng.integers(0, 256))
+        path.write_bytes(raw)
+        return {0, 2}
+    return {0} if kind == "valid" else {3}
+
+
+def test_cli_fuzz_ends_in_documented_exit_codes(tmp_path, capsys, monkeypatch):
+    # a seeded sweep of small configs and input files through the whole CLI:
+    # every run ends in a documented exit code, never a traceback, and a run
+    # that succeeds writes a finite map with the first input's dims
+    monkeypatch.delenv("MGDFIS_THREADS", raising=False)
+    rng = np.random.default_rng(20)
+    out = tmp_path / "out"
+    seen = set()
+    for case in range(200):
+        n = int(rng.integers(1, 3))
+        f1 = (n,) + tuple(int(d) for d in rng.integers(1, [9, 10, 10]))
+        f2 = f1
+        if rng.random() < 0.6:  # a smaller or larger f2, rarely another batch
+            f2 = ((n if rng.random() < 0.95 else 3 - n),) + tuple(
+                int(d) for d in rng.integers(1, [9, 10, 10]))
+        divisors = [k for k in range(1, f1[1] + 1) if f1[1] % k == 0]
+        keys = {
+            "seed": case, "f1_shape": f1, "f2_shape": f2,
+            "k": int(rng.choice(divisors) if rng.random() < 0.85
+                     else rng.integers(0, 6)),
+            "heads": int(rng.integers(1, 5)), "head_dim": int(rng.integers(1, 5)),
+            "mona_ratio": int(rng.integers(1, 9)), "mlp_ratio": int(rng.integers(1, 9)),
+            "seff_base_resolution": int(rng.integers(1, 9)),
+            "tssa_pi_mode": str(rng.choice(["constant", "distribution"])),
+            "stage": str(rng.choice(["ftssa", "gmm", "dmm", "gdim", "dpam", "full"])),
+        }
+        kind = rng.choice(["none", "valid", "dims", "truncated", "corrupt"],
+                          p=[0.6, 0.1, 0.1, 0.1, 0.1])
+        allowed = {0}
+        if case % 40 == 39:  # sizes whose first allocation fails at once
+            big, kind, allowed = 10 ** 8, "none", {1}
+            if case % 80 == 39:
+                keys.update(heads=big, head_dim=big)
+            else:
+                keys["f1_shape"] = (n, f1[1], big, big)
+        if kind != "none":
+            keys["f1_path"] = tmp_path / "f1.mgdt"
+            allowed = _fuzz_input(rng, keys["f1_path"], f1, kind)
+        text = "".join(f"{key} = {'x'.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                       for key, v in keys.items())
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            cfg, allowed = None, {1}
+        code = cli.main(["run", "--config", _write_cfg(tmp_path, text),
+                         "--out", str(out)])
+        assert code in allowed, (case, text, capsys.readouterr().err)
+        seen.add(code)
+        if code == 0:
+            res = read_tensor(out / f"{cfg.stage}.mgdt")
+            assert res.shape == cfg.f1_shape and np.all(np.isfinite(res)), text
+        capsys.readouterr()
+    assert seen == {0, 1, 2, 3}
+
+
 def test_cli_usage_error_exits_one(capsys):
     assert cli.main(["run", "--config"]) == 1
     assert cli.main(["no-such-command"]) == 1

@@ -67,6 +67,18 @@ def test_seff_entries_count_the_half_spectrum():
     assert seff["seff.fft"] == 4962
 
 
+def test_folded_convs_count_one_entry_each():
+    # C = 4 on a 6x6 map: each Mona adapter runs dw3/dw5/dw7 as one depthwise
+    # 7x7 conv on its C / 4 = 1 channel, and dmm runs conv4x6 and conv6x4 as
+    # one 6x6 conv
+    counts = {e.op: e.flops for e in flops.pipeline_flops(tiny_cfg()).entries}
+    for tag in ("daff.mona", "serr.mona"):
+        assert counts[f"{tag}.dw"] == 2 * 49 * 1 * 1 * 36
+        assert not {f"{tag}.dw{k}" for k in (3, 5, 7)} & set(counts)
+    assert counts["dmm.directional"] == 2 * 36 * 4 * 4 * 36
+    assert "dmm.conv46" not in counts and "dmm.conv64" not in counts
+
+
 def test_report_totals_are_entry_sums():
     rep = flops.FlopReport()
     rep.add("a", "x", 10)

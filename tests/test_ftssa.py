@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from mgdfis import ftssa as F
 from mgdfis import ops
 from mgdfis.ftssa import (_branch_bwd, _branch_fwd, _tssa_parts, daff, dyt,
-                          ftssa, mona, mona_op, seff, serr, tssa, tssa_tokens,
-                          xmona)
+                          ftssa, mona, mona_op, mona_op_vjp, seff, serr, tssa,
+                          tssa_tokens, tssa_vjp, xmona)
 from mgdfis.params import (DyTParams, TssaParams, init_dyt, init_ftssa,
                            init_mona, init_seff, init_tssa,
                            zeros_like_params)
@@ -158,6 +159,25 @@ def test_tssa_pi_modes_differ_by_constant_factor_for_one_head():
     assert np.max(np.abs(oc - math.pi * od)) < 1e-12
 
 
+@pytest.mark.parametrize("pi_mode", ["constant", "distribution"])
+def test_tssa_token_blocks_match_one_pass(pi_mode, monkeypatch):
+    # tssa runs over blocks of _TOKEN_BLOCK tokens: blocks of 7 over 30
+    # tokens, the last one short, agree with a single 30-token block
+    p = _tssa_params(11, 5, 2, 3, pi_mode=pi_mode)
+    x = u(11, "t.x", (2, 5, 6, 5))
+    gy = u(11, "t.gy", x.shape)
+
+    def outputs():
+        gx, gp = tssa_vjp(x, p, gy)
+        return [tssa(x, p), tssa_tokens(to_tokens(x), p), gx, gp.qkv_weight,
+                gp.out_weight, gp.out_bias]
+
+    want = outputs()
+    monkeypatch.setattr(F, "_TOKEN_BLOCK", 7)
+    for got, ref in zip(outputs(), want):
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
 def test_tssa_head_distribution_and_attention_ranges():
     for seed in range(12, 12 + 25):
         p = _tssa_params(seed, 4, 3, 2)
@@ -186,6 +206,44 @@ def test_mona_op_matches_reference():
     p = init_mona(15, "m", 8, ratio=4)
     z = u(15, "m.z", (1, 2, 5, 5))
     assert np.max(np.abs(mona_op(z, p) - orc.mona_op_ref(z, p))) < 1e-10
+
+
+def _unfolded_mona_op(z, p, gy):
+    """mona_op and its VJP with dw3, dw5 and dw7 run as three separate
+    depthwise convs: (output, input gradient, {leaf: gradient})."""
+    cr = z.shape[1]
+    convs = {k: (getattr(p, f"dw{k}_weight"), getattr(p, f"dw{k}_bias"),
+                 ops.same_spec(cr, k, k, groups=cr)) for k in (3, 5, 7)}
+    mix = ops.same_spec(cr, 1, 1)
+    mix_in = sum(ops.conv2d(z, *conv) for conv in convs.values()) / 3.0 + z
+    out = z + ops.conv2d(mix_in, p.mix_weight, p.mix_bias, mix)
+    g_mix_in, g_mix_w, g_mix_b = ops.conv2d_vjp(mix_in, p.mix_weight,
+                                                p.mix_bias, mix, gy)
+    grads = {"mix_weight": g_mix_w, "mix_bias": g_mix_b}
+    gz = gy + g_mix_in
+    for k, conv in convs.items():
+        g, grads[f"dw{k}_weight"], grads[f"dw{k}_bias"] = ops.conv2d_vjp(
+            z, *conv, g_mix_in / 3.0)
+        gz = gz + g
+    return out, gz, grads
+
+
+@pytest.mark.parametrize("hw", [(1, 1), (2, 3), (6, 6)])
+def test_mona_op_fold_equals_the_three_convs(hw):
+    # the folded 7x7 kernel stands for dw3 + dw5 + dw7, in the output, the
+    # input gradient and every conv leaf's gradient, biases included
+    p = init_mona(19, "m", 12, ratio=4)
+    p = dataclasses.replace(p, **{name: u(19, "m." + name, (3,)) for name in (
+        "dw3_bias", "dw5_bias", "dw7_bias", "mix_bias")})
+    z = u(19, "m.z", (2, 3) + hw)
+    gy = u(19, "m.gy", z.shape)
+    want, want_gz, want_grads = _unfolded_mona_op(z, p, gy)
+    assert np.max(np.abs(mona_op(z, p) - want)) < 1e-12
+    gz, gp = mona_op_vjp(z, p, gy)
+    assert np.max(np.abs(gz - want_gz)) < 1e-12
+    for name, g in want_grads.items():
+        assert getattr(gp, name).shape == g.shape, name
+        assert np.max(np.abs(getattr(gp, name) - g)) < 1e-12, name
 
 
 def test_xmona_zero_scale():

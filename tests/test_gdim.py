@@ -11,8 +11,9 @@ import oracles as orc
 from mgdfis import ops
 from mgdfis.errors import ConfigError, ShapeError
 from mgdfis.ftssa import ftssa
-from mgdfis.gdim import (aggregate, dmm, dmm_attention, dmm_directional, gdim,
-                         gmm, regroup_h, regroup_w, restore_h, restore_w)
+from mgdfis.gdim import (aggregate, dmm, dmm_attention, dmm_directional,
+                         dmm_directional_vjp, gdim, gmm, regroup_h, regroup_w,
+                         restore_h, restore_w)
 from mgdfis.params import (init_aggregate, init_dmm, init_gmm,
                            zeros_like_params)
 from mgdfis.rng import stream
@@ -153,6 +154,30 @@ def test_dmm_directional_matches_reference():
     f = u(18, "dm.f", (1, 2, 6, 6))
     got = dmm_directional(f, p)
     assert np.max(np.abs(got - orc.dmm_directional_ref(f, p))) < 1e-10
+
+
+@pytest.mark.parametrize("hw", [(1, 1), (2, 3), (6, 6)])
+def test_dmm_directional_fold_equals_the_two_convs(hw):
+    # the folded 6x6 kernel stands for conv4x6 + conv6x4, in the output, the
+    # input gradient and every conv leaf's gradient, biases included
+    p = _dmm_params(20, 3)
+    p = dataclasses.replace(p, conv46_bias=u(20, "dm.b46", (3,)),
+                            conv64_bias=u(20, "dm.b64", (3,)))
+    f = u(20, "dm.f", (2, 3) + hw)
+    gy = u(20, "dm.gy", f.shape)
+    convs = {kk: (getattr(p, f"conv{kk}_weight"), getattr(p, f"conv{kk}_bias"),
+                  ops.same_spec(3, int(kk[0]), int(kk[1]))) for kk in ("46", "64")}
+    want = f + sum(ops.conv2d(f, *conv) for conv in convs.values())
+    assert np.max(np.abs(dmm_directional(f, p) - want)) < 1e-12
+    gf, gp = dmm_directional_vjp(f, p, gy)
+    want_gf = gy
+    for kk, conv in convs.items():
+        g, gw, gb = ops.conv2d_vjp(f, *conv, gy)
+        want_gf = want_gf + g
+        for name, want_g in ((f"conv{kk}_weight", gw), (f"conv{kk}_bias", gb)):
+            assert getattr(gp, name).shape == want_g.shape, name
+            assert np.max(np.abs(getattr(gp, name) - want_g)) < 1e-12, name
+    assert np.max(np.abs(gf - want_gf)) < 1e-12
 
 
 def test_dmm_attention_zero_params_zero_gate():

@@ -167,7 +167,7 @@ def test_conv_fuzz_in_row_blocks(monkeypatch):
     ops._conv_plan.cache_clear()  # plans are cached without the budget
     try:
         gapped = (ops.ConvSpec(1, 2, 2, 1, dilation=(3, 1)), (2, 1, 4, 8))
-        blocks = ops._conv_plan(gapped[0], 4, 8, True)[3]
+        blocks = ops._conv_plan(gapped[0], 4, 8)[3]
         assert [(b[0].stop - b[0].start, len(b[2])) for b in blocks] == [(2, 1), (2, 1)]
         _check_conv_cases(_fuzz_geometries() + [gapped])
     finally:
