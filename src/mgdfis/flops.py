@@ -8,8 +8,11 @@ Counting conventions (documented, deliberately simple):
     half-spectrum bins; seff's spectral product, bias and weight are
     likewise counted per half bin
   - activations, softmax, and other elementwise passes: 1 op per element
-  - complex spectral multiply: 6 ops per element; Hermitian part of a
-    complex weight: 4 per half bin; bilinear resample: 8 per output element
+  - complex spectral multiply: 6 ops per element; bilinear resample: 8 per
+    output element
+  - seff's half-spectrum weight from its b x b grid, per channel and branch:
+    the linear maps of ops.half_spectrum_weight, (2H, b) @ (b, b) and twice
+    (H, b) @ (b, W // 2 + 1) per plane, plus 4 per half bin
 Totals are exact sums of the recorded entries; the ablation series enables
 stages cumulatively so its totals must strictly increase.
 """
@@ -74,10 +77,6 @@ def rfft_flops(h, w, channels, batch=1):
     return int(batch * channels * 5 * bins * max(math.log2(h * w), 0.0))
 
 
-def _resample_flops(c, h, w, batch=1):
-    return 8 * batch * c * h * w
-
-
 # ---------------------------------------------------------------------------
 # per-stage counters; shapes follow the run configuration
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ def _count_aggregate(rep, cfg):
     n, c1, h, w = cfg.f1_shape
     c2 = cfg.f2_shape[1]
     if cfg.f1_shape != cfg.f2_shape:
-        rep.add("gdim", "aggregate.resample", _resample_flops(c2, h, w, n))
+        rep.add("gdim", "aggregate.resample", 8 * n * c2 * h * w)
         rep.add("gdim", "aggregate.proj",
                 conv_flops(same_spec(c2, 1, 1, out_channels=c1), h, w, n))
     rep.add("gdim", "aggregate.sum", n * c1 * h * w)
@@ -141,8 +140,9 @@ def _count_seff(rep, module, cfg, c, h, w, batch):
             conv_flops(same_spec(c, 3, 3, groups=c, dilation=(2, 2)), h, w, batch))
     bins = h * (w // 2 + 1)
     rep.add(module, "seff.fft", 2 * rfft_flops(h, w, c, batch))
-    rep.add(module, "seff.freq_resample", 2 * 2 * _resample_flops(c, h, w))
-    rep.add(module, "seff.freq_hermitian", 2 * 4 * c * bins)
+    b = cfg.seff_base_resolution
+    rep.add(module, "seff.freq_weight", 2 * c * (
+        2 * linear_flops(2 * h, b, b) + 4 * linear_flops(h, b, w // 2 + 1) + 4 * bins))
     rep.add(module, "seff.freq_mul", 2 * 7 * batch * c * bins)
     rep.add(module, "seff.ifft", 2 * rfft_flops(h, w, c, batch))
     rep.add(module, "seff.gate", 2 * batch * c * h * w)

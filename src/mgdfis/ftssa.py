@@ -305,14 +305,14 @@ def _seff_specs(c):
 
 def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
     """One spectral branch, Re(ifft2(W * fft2(dwconv(half)) + bias)).  W is
-    the per-channel complex weight, its real and imaginary planes resampled
-    independently to the runtime spatial dims.  The map is real, so this is
-    irfft2(W_h * rfft2(dwconv(half)) + bias) on the half spectrum, with W_h
-    the Hermitian part of W."""
+    the per-channel complex weight re + i im resampled bilinearly to the
+    runtime spatial dims.  The map is real, so this is
+    irfft2(W_h * rfft2(dwconv(half)) + bias) on the half spectrum, where
+    W_h, the half of W's Hermitian part, comes from the base grid in one
+    separable map (ops.half_spectrum_weight)."""
     h, w = half.shape[2], half.shape[3]
     spectrum = ops.rfft2(conv2d(half, conv_w, conv_b, spec))
-    weight = ops.hermitian_half(ops.bilinear_resize(re[None], h, w)
-                                + 1j * ops.bilinear_resize(im[None], h, w))
+    weight = ops.half_spectrum_weight(re, im, h, w)
     cache.keep(half=half, spectrum=spectrum, weight=weight)
     return ops.irfft2(weight * spectrum + bias[None, :, None, None], w)
 
@@ -322,10 +322,8 @@ def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
     w = g_t.shape[3]
     gz = ops.irfft2_vjp(g_t)
     # complex product rule under the (dL/dRe + i dL/dIm) packing
-    gw = ops.hermitian_half_vjp(
-        (np.conj(cache.pop("spectrum")) * gz).sum(axis=0, keepdims=True), w)
-    g_re = ops.bilinear_resize_vjp(*base_hw, gw.real)[0]
-    g_im = ops.bilinear_resize_vjp(*base_hw, gw.imag)[0]
+    g_re, g_im = ops.half_spectrum_weight_vjp(
+        *base_hw, w, (np.conj(cache.pop("spectrum")) * gz).sum(axis=0))
     g_spatial = ops.rfft2_vjp(np.conj(cache.pop("weight")) * gz, w)
     # the bias adds to every bin, so its gradient sums gz over the full
     # spectrum, which is g_t at the origin

@@ -24,7 +24,8 @@ stacks fit a fixed budget.
 
 The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
 rfft2/irfft2 over the half spectrum (columns 0..w//2) of a real map, which
-stands for the Hermitian spectrum it determines.
+stands for the Hermitian spectrum it determines.  half_spectrum_weight builds
+the half of a resampled complex grid's Hermitian part in one separable map.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,21 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from .errors import ConfigError, ShapeError
+
+
+def _rank4(op, x):
+    """x, or a ShapeError naming op if x is not (N, C, H, W)."""
+    if x.ndim != 4:
+        raise ShapeError(op, "rank", 4, x.ndim)
+    return x
+
+
+def _grad(op, gy, shape):
+    """gy, or a ShapeError naming op if it is not shaped like the output it
+    is the cotangent of."""
+    if gy.shape != tuple(shape):
+        raise ShapeError(op, "grad", tuple(shape), gy.shape)
+    return gy
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +171,7 @@ def _conv_setup(x, w, b, spec):
     xp is x in (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself
     for an unpadded 1x1 conv), so every tap reads within its row; wt is
     (g, kh, og, kw * cg), column j * cg + c holding tap j of channel c."""
-    if x.ndim != 4:
-        raise ShapeError("conv2d", "rank", 4, x.ndim)
-    if x.shape[1] != spec.in_channels:
+    if _rank4("conv2d", x).shape[1] != spec.in_channels:
         raise ShapeError("conv2d", "channel", spec.in_channels, x.shape[1])
     if tuple(w.shape) != spec.weight_shape:
         raise ShapeError("conv2d", "weights", spec.weight_shape, tuple(w.shape))
@@ -217,8 +231,7 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     GEMM for gw and the weights in one GEMM for the stack's gradient."""
     ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
     (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
-    if gy.shape != (n, spec.out_channels, ho, wo):
-        raise ShapeError("conv2d_vjp", "grad", (n, spec.out_channels, ho, wo), gy.shape)
+    _grad("conv2d_vjp", gy, (n, spec.out_channels, ho, wo))
     gwide = gy.reshape(n, g, og, -1)  # gy's layout when stride 1 and wp == wo
     if (s0, s1) != (1, 1) or wp != wo:
         gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
@@ -267,6 +280,7 @@ def linear(x, w, b):
 
 
 def linear_vjp(x, w, b, gy):
+    _grad("linear_vjp", gy, x.shape[:-1] + w.shape[1:])
     return gy @ w.T, x.T @ gy, gy.sum(axis=0)
 
 
@@ -281,6 +295,7 @@ def softmax(x, axis):
 
 
 def softmax_vjp(x, axis, gy):
+    _grad("softmax_vjp", gy, x.shape)
     y = softmax(x, axis)
     return y * (gy - (gy * y).sum(axis=axis, keepdims=True))
 
@@ -300,51 +315,43 @@ def gelu(x):
     return x * ndtr(x)
 
 
-ACTIVATIONS = ("tanh", "gelu", "silu", "sigmoid")
+# kind: (act(x), d act(x) / dx), both elementwise
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda x: 1.0 - (t := np.tanh(x)) * t),
+    "gelu": (gelu, lambda x: ndtr(x) + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))),
+    "silu": (silu, lambda x: (s := sigmoid(x)) * (1.0 + x * (1.0 - s))),
+    "sigmoid": (sigmoid, lambda x: (s := sigmoid(x)) * (1.0 - s)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
+
+
+def _activation_pair(kind):
+    if kind not in _ACTIVATIONS:
+        raise ConfigError(f"activation: unknown kind '{kind}'")
+    return _ACTIVATIONS[kind]
 
 
 def activation(kind, x):
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "silu":
-        return silu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ConfigError(f"activation: unknown kind '{kind}'")
+    return _activation_pair(kind)[0](x)
 
 
 def activation_grad(kind, x):
     """Elementwise derivative d act(x) / dx."""
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if kind == "gelu":
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return ndtr(x) + x * pdf
-    if kind == "silu":
-        s = sigmoid(x)
-        return s * (1.0 + x * (1.0 - s))
-    if kind == "sigmoid":
-        s = sigmoid(x)
-        return s * (1.0 - s)
-    raise ConfigError(f"activation: unknown kind '{kind}'")
+    return _activation_pair(kind)[1](x)
 
 
 def activation_vjp(kind, x, gy):
-    return activation_grad(kind, x) * gy
+    return activation_grad(kind, x) * _grad("activation_vjp", gy, x.shape)
 
 
 def global_avg_pool(x):
     """Per (batch, channel) spatial mean; output spatial dims 1x1."""
-    if x.ndim != 4:
-        raise ShapeError("global_avg_pool", "rank", 4, x.ndim)
-    return x.mean(axis=(2, 3), keepdims=True)
+    return _rank4("global_avg_pool", x).mean(axis=(2, 3), keepdims=True)
 
 
 def global_avg_pool_vjp(x, gy):
-    h, w = x.shape[2], x.shape[3]
+    n, c, h, w = _rank4("global_avg_pool_vjp", x).shape
+    _grad("global_avg_pool_vjp", gy, (n, c, 1, 1))
     return np.broadcast_to(gy / (h * w), x.shape).copy()
 
 
@@ -358,27 +365,23 @@ def global_avg_pool_vjp(x, gy):
 # by contract.
 
 def fft2(x):
-    if x.ndim != 4:
-        raise ShapeError("fft2", "rank", 4, x.ndim)
-    return np.fft.fft2(x, axes=(-2, -1))
+    return np.fft.fft2(_rank4("fft2", x), axes=(-2, -1))
 
 
 def ifft2(spectrum):
-    if spectrum.ndim != 4:
-        raise ShapeError("ifft2", "rank", 4, spectrum.ndim)
-    return np.fft.ifft2(spectrum, axes=(-2, -1)).real
+    return np.fft.ifft2(_rank4("ifft2", spectrum), axes=(-2, -1)).real
 
 
 def fft2_vjp(gy):
     """VJP of fft2 for a real input.  gy is complex with the convention
     gy = dL/dRe(X) + i * dL/dIm(X); returns dL/dx (real)."""
-    h, w = gy.shape[-2], gy.shape[-1]
+    h, w = _rank4("fft2_vjp", gy).shape[-2:]
     return h * w * np.fft.ifft2(gy, axes=(-2, -1)).real
 
 
 def ifft2_vjp(gy):
     """VJP of x -> Re(ifft2(x)) for complex input; gy is real."""
-    h, w = gy.shape[-2], gy.shape[-1]
+    h, w = _rank4("ifft2_vjp", gy).shape[-2:]
     return np.fft.fft2(gy, axes=(-2, -1)) / (h * w)
 
 
@@ -386,50 +389,78 @@ def ifft2_vjp(gy):
 # map.  A half spectrum stands for the Hermitian full spectrum it determines,
 # in values and in cotangents, so each VJP below is the full-spectrum VJP of
 # its op written on half spectra: irfft2_vjp is ifft2_vjp's half, and
-# rfft2_vjp of a half equals fft2_vjp of the full spectrum.  For real x,
-# Re(ifft2(W * fft2(x))) == irfft2(hermitian_half(W) * rfft2(x), w).
+# rfft2_vjp of a half equals fft2_vjp of the full spectrum.  For real x and W
+# the grid re + i im resampled to (h, w), Re(ifft2(W * fft2(x))) ==
+# irfft2(half_spectrum_weight(re, im, h, w) * rfft2(x), w).
+
+def _half(op, spectrum, w):
+    """spectrum, or a ShapeError naming op if it is not the (N, C, h,
+    w // 2 + 1) half spectrum of a width-w map."""
+    if _rank4(op, spectrum).shape[-1] != w // 2 + 1:
+        raise ShapeError(op, "half-spectrum width", w // 2 + 1, spectrum.shape[-1])
+    return spectrum
+
 
 def rfft2(x):
-    if x.ndim != 4:
-        raise ShapeError("rfft2", "rank", 4, x.ndim)
-    return np.fft.rfft2(x, axes=(-2, -1))
+    return np.fft.rfft2(_rank4("rfft2", x), axes=(-2, -1))
 
 
 def irfft2(spectrum, w):
     """The real (h, w) map whose spectrum has this half."""
-    if spectrum.ndim != 4:
-        raise ShapeError("irfft2", "rank", 4, spectrum.ndim)
-    if spectrum.shape[-1] != w // 2 + 1:
-        raise ShapeError("irfft2", "half-spectrum width", w // 2 + 1, spectrum.shape[-1])
-    return np.fft.irfft2(spectrum, s=(spectrum.shape[-2], w), axes=(-2, -1))
+    return np.fft.irfft2(_half("irfft2", spectrum, w), s=(spectrum.shape[-2], w),
+                         axes=(-2, -1))
 
 
 def rfft2_vjp(gy, w):
     """VJP of rfft2 for a real input of width w; gy is a half spectrum."""
-    return gy.shape[-2] * w * irfft2(gy, w)
+    return irfft2(_half("rfft2_vjp", gy, w), w) * (gy.shape[-2] * w)
 
 
 def irfft2_vjp(gy):
     """VJP of irfft2; gy is real."""
-    h, w = gy.shape[-2], gy.shape[-1]
+    h, w = _rank4("irfft2_vjp", gy).shape[-2:]
     return np.fft.rfft2(gy, axes=(-2, -1)) / (h * w)
 
 
-def hermitian_half(z):
-    """(z(k) + conj(z(-k))) / 2, the Hermitian part of a full (..., h, w)
-    complex spectrum, as its half spectrum."""
-    h, wr = z.shape[-2], z.shape[-1] // 2 + 1
-    negated = z.take(-np.arange(wr), axis=-1, mode="wrap").take(
-        -np.arange(h), axis=-2, mode="wrap")  # z(-k) on the half columns
-    return (z[..., :wr] + np.conj(negated)) * 0.5
+@lru_cache(maxsize=64)
+def _half_spectrum_maps(in_h, in_w, h, w):
+    """(A_h over A-bar_h, A_w, A-bar_w, fold) on the half columns k, A being
+    a resize matrix and A-bar its rows at -k; fold is A-bar_w but zero where
+    -k is a half column too (k == 0, k == w / 2)."""
+    ah, aw = _resize_matrix(in_h, h), _resize_matrix(in_w, w)
+    k = np.arange(w // 2 + 1)
+    mirror = aw[-k % w]
+    fold = np.where(((k > 0) & (2 * k != w))[:, None], mirror, 0.0)
+    return np.concatenate([ah, ah[-np.arange(h) % h]]), aw[:w // 2 + 1], mirror, fold
 
 
-def hermitian_half_vjp(gy, w):
-    """VJP of hermitian_half: the full (..., h, w) spectrum of the half gy.
-    Column k > w // 2 holds conj(gy(-k)), read from column w - k."""
-    h, wr = gy.shape[-2], gy.shape[-1]
-    negated = gy.take(w - np.arange(wr, w), axis=-1).take(-np.arange(h), axis=-2, mode="wrap")
-    return np.concatenate([gy, np.conj(negated)], axis=-1)
+def half_spectrum_weight(re, im, h, w):
+    """Half spectrum (..., h, w // 2 + 1) of the Hermitian part of the grid
+    Z = re + i im (..., in_h, in_w) resampled to (h, w):
+    (A_h Z A_w^T + A-bar_h conj(Z) A-bar_w^T) / 2."""
+    if re.ndim < 2 or re.shape != im.shape:
+        raise ShapeError("half_spectrum_weight", "imaginary grid", re.shape, im.shape)
+    rows, cols, mirror_cols, _ = _half_spectrum_maps(*re.shape[-2:], h, w)
+    t = rows @ np.stack([re, im])   # (2, ..., 2h, in_w): A_h Z over A-bar_h Z
+    a, b = t[..., :h, :] @ cols.T, t[..., h:, :] @ mirror_cols.T
+    out = np.empty(a.shape[1:], complex)   # filled in place: one fresh array
+    np.add(a[0], b[0], out=out.real)
+    np.subtract(a[1], b[1], out=out.imag)
+    out *= 0.5
+    return out
+
+
+def half_spectrum_weight_vjp(in_h, in_w, w, gy):
+    """(g_re, g_im) = A_h^T gy A_w + A-bar_h^T conj(gy) fold: gy packs
+    dL/dRe + i dL/dIm of a half standing for the full spectrum, whose columns
+    above w // 2 the fold adds onto their mirrors."""
+    if gy.ndim < 2 or gy.shape[-1] != w // 2 + 1:
+        raise ShapeError("half_spectrum_weight_vjp", "grad",
+                         f"(..., h, {w // 2 + 1})", gy.shape)
+    rows, cols, _, fold = _half_spectrum_maps(in_h, in_w, gy.shape[-2], w)
+    g = np.stack([gy.real, gy.imag, gy.real, -gy.imag])   # gy, conj(gy)
+    g_grid = rows.T @ np.concatenate([g[:2] @ cols, g[2:] @ fold], axis=-2)
+    return g_grid[0], g_grid[1]
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +486,7 @@ def _resize_matrix(n_in, n_out):
 
 def bilinear_resize(x, out_h, out_w):
     """Resample the spatial axes of (N, C, H, W) to (out_h, out_w)."""
-    if x.ndim != 4:
-        raise ShapeError("bilinear_resize", "rank", 4, x.ndim)
-    ah = _resize_matrix(x.shape[2], out_h)
+    ah = _resize_matrix(_rank4("bilinear_resize", x).shape[2], out_h)
     aw = _resize_matrix(x.shape[3], out_w)
     tmp = np.matmul(ah[None, None], x)
     return np.matmul(tmp, aw.T[None, None])
@@ -465,7 +494,7 @@ def bilinear_resize(x, out_h, out_w):
 
 def bilinear_resize_vjp(in_h, in_w, gy):
     """Adjoint of bilinear_resize back to spatial dims (in_h, in_w)."""
-    ah = _resize_matrix(in_h, gy.shape[2])
+    ah = _resize_matrix(in_h, _rank4("bilinear_resize_vjp", gy).shape[2])
     aw = _resize_matrix(in_w, gy.shape[3])
     tmp = np.matmul(ah.T[None, None], gy)
     return np.matmul(tmp, aw[None, None])

@@ -26,6 +26,13 @@ def _uniform(seed, label, shape, fan_in):
     return stream(seed, label).uniform(shape, -b, b)
 
 
+def _draw(seed, label, **weights):
+    """{name: _uniform draw under label + "." + name} for each weight given
+    as name=(shape, fan_in)."""
+    return {name: _uniform(seed, f"{label}.{name}", shape, fan_in)
+            for name, (shape, fan_in) in weights.items()}
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -287,53 +294,33 @@ def init_dyt(c):
 
 def init_tssa(seed, label, c, heads, head_dim, pi_mode="constant"):
     hd = heads * head_dim
-    return TssaParams(
-        heads=heads,
-        head_dim=head_dim,
-        qkv_weight=_uniform(seed, label + ".qkv_weight", (c, hd), c),
-        out_weight=_uniform(seed, label + ".out_weight", (hd, c), hd),
-        out_bias=np.zeros(c),
-        pi_mode=pi_mode,
-    )
+    return TssaParams(heads=heads, head_dim=head_dim, out_bias=np.zeros(c),
+                      pi_mode=pi_mode, **_draw(seed, label, qkv_weight=((c, hd), c),
+                                               out_weight=((hd, c), hd)))
 
 
 def init_mona(seed, label, c, ratio=4):
     cr = reduced_channels(c, ratio)
     return MonaParams(
-        down_weight=_uniform(seed, label + ".down_weight", (cr, c, 1, 1), c),
-        down_bias=np.zeros(cr),
-        dw3_weight=_uniform(seed, label + ".dw3_weight", (cr, 1, 3, 3), 9),
-        dw3_bias=np.zeros(cr),
-        dw5_weight=_uniform(seed, label + ".dw5_weight", (cr, 1, 5, 5), 25),
-        dw5_bias=np.zeros(cr),
-        dw7_weight=_uniform(seed, label + ".dw7_weight", (cr, 1, 7, 7), 49),
-        dw7_bias=np.zeros(cr),
-        mix_weight=_uniform(seed, label + ".mix_weight", (cr, cr, 1, 1), cr),
-        mix_bias=np.zeros(cr),
-        up_weight=_uniform(seed, label + ".up_weight", (c, cr, 1, 1), cr),
-        up_bias=np.zeros(c),
-        skip_weight=_uniform(seed, label + ".skip_weight", (c, c), c),
-        skip_scale=1e-6,
-    )
+        **_draw(seed, label, down_weight=((cr, c, 1, 1), c),
+                dw3_weight=((cr, 1, 3, 3), 9), dw5_weight=((cr, 1, 5, 5), 25),
+                dw7_weight=((cr, 1, 7, 7), 49), mix_weight=((cr, cr, 1, 1), cr),
+                up_weight=((c, cr, 1, 1), cr), skip_weight=((c, c), c)),
+        down_bias=np.zeros(cr), dw3_bias=np.zeros(cr), dw5_bias=np.zeros(cr),
+        dw7_bias=np.zeros(cr), mix_bias=np.zeros(cr), up_bias=np.zeros(c),
+        skip_scale=1e-6)
 
 
 def init_seff(seed, label, c, base=8):
     return SeffParams(
-        split_weight=_uniform(seed, label + ".split_weight", (2 * c, c, 1, 1), c),
-        split_bias=np.zeros(2 * c),
-        branch1_weight=_uniform(seed, label + ".branch1_weight", (c, 1, 3, 3), 9),
-        branch1_bias=np.zeros(c),
-        branch2_weight=_uniform(seed, label + ".branch2_weight", (c, 1, 3, 3), 9),
-        branch2_bias=np.zeros(c),
-        w1_re=_uniform(seed, label + ".w1_re", (c, base, base), 1),
-        w1_im=_uniform(seed, label + ".w1_im", (c, base, base), 1),
-        w2_re=_uniform(seed, label + ".w2_re", (c, base, base), 1),
-        w2_im=_uniform(seed, label + ".w2_im", (c, base, base), 1),
-        freq_bias1=np.zeros(c),
-        freq_bias2=np.zeros(c),
-        merge_weight=_uniform(seed, label + ".merge_weight", (c, c, 1, 1), c),
-        merge_bias=np.zeros(c),
-    )
+        **_draw(seed, label, split_weight=((2 * c, c, 1, 1), c),
+                branch1_weight=((c, 1, 3, 3), 9), branch2_weight=((c, 1, 3, 3), 9),
+                merge_weight=((c, c, 1, 1), c),
+                **{f"w{i}_{part}": ((c, base, base), 1)
+                   for i in (1, 2) for part in ("re", "im")}),
+        split_bias=np.zeros(2 * c), branch1_bias=np.zeros(c),
+        branch2_bias=np.zeros(c), freq_bias1=np.zeros(c), freq_bias2=np.zeros(c),
+        merge_bias=np.zeros(c))
 
 
 def init_ftssa(seed, label, c, heads=4, head_dim=16, mona_ratio=4,
@@ -352,58 +339,39 @@ def init_gmm(seed, label, c, h, w, k=2):
     if c % k:
         raise ConfigError(f"GmmParams: k {k} must divide channel count {c}")
     ck = c // k
-    return GmmParams(
-        k=k,
-        pos_w=np.zeros((1, ck, h, k * w)),
-        col_conv_weight=_uniform(seed, label + ".col_conv_weight", (ck, ck, 3, 3), ck * 9),
-        col_conv_bias=np.zeros(ck),
-        col_bn_scale=np.ones(c),
-        col_bn_shift=np.zeros(c),
-        col_bn_mean=np.zeros(c),
-        col_bn_var=np.ones(c),
-        col_fuse_weight=_uniform(seed, label + ".col_fuse_weight", (c, 2 * c, 1, 1), 2 * c),
-        col_fuse_bias=np.zeros(c),
-        pos_h=np.zeros((1, ck, k * h, w)),
-        row_conv_weight=_uniform(seed, label + ".row_conv_weight", (ck, ck, 3, 3), ck * 9),
-        row_conv_bias=np.zeros(ck),
-        row_bn_scale=np.ones(c),
-        row_bn_shift=np.zeros(c),
-        row_bn_mean=np.zeros(c),
-        row_bn_var=np.ones(c),
-        row_fuse_weight=_uniform(seed, label + ".row_fuse_weight", (c, 2 * c, 1, 1), 2 * c),
-        row_fuse_bias=np.zeros(c),
-    )
+    passes = {}
+    for pre in ("col", "row"):
+        passes.update(_draw(seed, label, **{
+            f"{pre}_conv_weight": ((ck, ck, 3, 3), ck * 9),
+            f"{pre}_fuse_weight": ((c, 2 * c, 1, 1), 2 * c)}))
+        passes.update({f"{pre}_conv_bias": np.zeros(ck), f"{pre}_bn_scale": np.ones(c),
+                       f"{pre}_bn_shift": np.zeros(c), f"{pre}_bn_mean": np.zeros(c),
+                       f"{pre}_bn_var": np.ones(c), f"{pre}_fuse_bias": np.zeros(c)})
+    return GmmParams(k=k, pos_w=np.zeros((1, ck, h, k * w)),
+                     pos_h=np.zeros((1, ck, k * h, w)), **passes)
 
 
 def init_dmm(seed, label, c, heads=4, head_dim=16, mona_ratio=4,
              mlp_ratio=4, seff_base=8, pi_mode="constant"):
     ch = reduced_channels(c, mlp_ratio)
     return DmmParams(
-        conv46_weight=_uniform(seed, label + ".conv46_weight", (c, c, 4, 6), c * 24),
-        conv46_bias=np.zeros(c),
-        conv64_weight=_uniform(seed, label + ".conv64_weight", (c, c, 6, 4), c * 24),
-        conv64_bias=np.zeros(c),
-        ftssa=init_ftssa(seed, label + ".ftssa", c, heads, head_dim,
-                         mona_ratio, seff_base, pi_mode),
-        mlp_w1=_uniform(seed, label + ".mlp_w1", (c, ch), c),
-        mlp_b1=np.zeros(ch),
-        mlp_w2=_uniform(seed, label + ".mlp_w2", (ch, c), ch),
+        **_draw(seed, label, conv46_weight=((c, c, 4, 6), c * 24),
+                conv64_weight=((c, c, 6, 4), c * 24), mlp_w1=((c, ch), c),
+                mlp_w2=((ch, c), ch)),
+        conv46_bias=np.zeros(c), conv64_bias=np.zeros(c), mlp_b1=np.zeros(ch),
         mlp_b2=np.zeros(c),
-    )
+        ftssa=init_ftssa(seed, label + ".ftssa", c, heads, head_dim,
+                         mona_ratio, seff_base, pi_mode))
 
 
 def init_dpam(seed, label, c):
-    return DpamParams(
-        conv_weight=_uniform(seed, label + ".conv_weight", (c, 2 * c, 7, 7), 2 * c * 49),
-        conv_bias=np.zeros(c),
-    )
+    return DpamParams(conv_bias=np.zeros(c), **_draw(
+        seed, label, conv_weight=((c, 2 * c, 7, 7), 2 * c * 49)))
 
 
 def init_aggregate(seed, label, c1, c2):
-    return AggregateParams(
-        proj_weight=_uniform(seed, label + ".proj_weight", (c1, c2, 1, 1), c2),
-        proj_bias=np.zeros(c1),
-    )
+    return AggregateParams(proj_bias=np.zeros(c1), **_draw(
+        seed, label, proj_weight=((c1, c2, 1, 1), c2)))
 
 
 def init_pipeline(seed, c1, c2, h, w, k=2, heads=4, head_dim=16,

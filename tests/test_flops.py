@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from mgdfis import bench, flops
+from mgdfis import bench, dpam, flops, ftssa, gdim, ops, pipeline
 from mgdfis.config import RunConfig, parse_config
 from mgdfis.ops import ConvSpec, same_spec
 
@@ -47,9 +47,11 @@ def test_conv_flops_respects_groups_and_stride():
 
 
 def test_seff_entries_count_the_half_spectrum():
-    # C = 4 on a 6x6 map: seff's real FFTs, spectral product and Hermitian
-    # weight cover 6 * (6 // 2 + 1) = 24 bins per channel, the resample and
-    # the spatial passes all 36 pixels
+    # C = 4 on a 6x6 map: seff's real FFTs and spectral product cover
+    # 6 * (6 // 2 + 1) = 24 bins per channel, the spatial passes all 36
+    # pixels; each branch's weight maps the 4x4 base grid to its 24 bins as
+    # (12, 4) @ (4, 4) on both planes, then (6, 4) @ (4, 4) on both planes for
+    # the direct and the mirrored columns, plus 4 per bin
     seff = {e.op: e.flops for e in flops.pipeline_flops(tiny_cfg()).entries
             if e.op.startswith("seff.")}
     assert seff == {
@@ -57,8 +59,8 @@ def test_seff_entries_count_the_half_spectrum():
         "seff.branch1": 2 * 9 * 4 * 36,
         "seff.branch2": 2 * 9 * 4 * 36,
         "seff.fft": 2 * int(4 * 5 * 24 * np.log2(36)),
-        "seff.freq_resample": 2 * 2 * 8 * 4 * 36,
-        "seff.freq_hermitian": 2 * 4 * 4 * 24,
+        "seff.freq_weight": 2 * 4 * (2 * 2 * 12 * 4 * 4 + 4 * 2 * 6 * 4 * 4
+                                     + 4 * 24),
         "seff.freq_mul": 2 * 7 * 4 * 24,
         "seff.ifft": 2 * int(4 * 5 * 24 * np.log2(36)),
         "seff.gate": 2 * 4 * 36,
@@ -77,6 +79,38 @@ def test_folded_convs_count_one_entry_each():
         assert not {f"{tag}.dw{k}" for k in (3, 5, 7)} & set(counts)
     assert counts["dmm.directional"] == 2 * 36 * 4 * 4 * 36
     assert "dmm.conv46" not in counts and "dmm.conv64" not in counts
+
+
+# the conv entries of pipeline_flops, in the order a full forward runs them
+_CONV_OPS = (
+    "aggregate.proj",
+    "gmm.col.conv", "gmm.col.fuse", "gmm.row.conv", "gmm.row.fuse",
+    "dmm.directional",
+    "daff.mona.down", "daff.mona.dw", "daff.mona.mix", "daff.mona.up",
+    "seff.split", "seff.branch1", "seff.branch2", "seff.merge",
+    "serr.mona.down", "serr.mona.dw", "serr.mona.mix", "serr.mona.up",
+    "dpam.conv",
+)
+
+
+def test_full_forward_runs_exactly_the_counted_convs(monkeypatch):
+    # a full forward with a mismatched f2 makes one conv2d call per conv
+    # entry, each with that entry's flops: a conv added to, dropped from or
+    # reshaped in the pipeline without its count fails here
+    cfg = dataclasses.replace(tiny_cfg(), f2_shape=(1, 8, 3, 3))
+    ran = []
+
+    def counting(x, w, b, spec):
+        ran.append(flops.conv_flops(spec, *x.shape[2:], batch=x.shape[0]))
+        return ops.conv2d(x, w, b, spec)
+
+    for mod in (ftssa, gdim, dpam):
+        monkeypatch.setattr(mod, "conv2d", counting)
+    pipeline.execute_stage(cfg, pipeline.build_params(cfg),
+                           *pipeline.load_inputs(cfg), threads=1)
+    counted = {e.op: e.flops for e in flops.pipeline_flops(cfg).entries}
+    assert len(_CONV_OPS) == 19
+    assert ran == [counted[op] for op in _CONV_OPS]
 
 
 def test_report_totals_are_entry_sums():

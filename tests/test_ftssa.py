@@ -319,7 +319,7 @@ def test_seff_matches_reference():
 
 def test_seff_resized_frequency_weights_match_reference():
     # spatial dims differ from the stored base resolution, so the frequency
-    # planes go through the bilinear resize path
+    # planes go through the resize matrices of the half-spectrum weight
     p = init_seff(25, "s", 2, base=4)
     x = u(25, "s.x", (1, 2, 5, 7))
     assert np.max(np.abs(seff(x, p) - orc.seff_ref(x, p))) < 1e-10

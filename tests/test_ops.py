@@ -371,14 +371,59 @@ def test_real_fft_matches_complex_fft(h, w):
     # a half spectrum stands for the Hermitian spectrum it determines, so the
     # half-spectrum ops and VJPs agree with fft2/ifft2 on Hermitian spectra
     x = u(9, "rf.x", (2, 2, h, w))
-    weight = u(9, "rf.wr", (1, 2, h, w)) + 1j * u(9, "rf.wi", (1, 2, h, w))
+    re, im = u(9, "rf.wr", (2, 3, 3)), u(9, "rf.wi", (2, 3, 3))
+    weight = (ops.bilinear_resize(re[None], h, w)
+              + 1j * ops.bilinear_resize(im[None], h, w))
     full, half = ops.fft2(x), ops.rfft2(x)
     assert np.max(np.abs(half - full[..., :w // 2 + 1])) < 1e-12
-    got = ops.irfft2(ops.hermitian_half(weight) * half, w)
+    got = ops.irfft2(ops.half_spectrum_weight(re, im, h, w) * half, w)
     assert np.max(np.abs(got - ops.ifft2(weight * full))) < 1e-12
     assert np.max(np.abs(ops.irfft2_vjp(x) - ops.ifft2_vjp(x)[..., :w // 2 + 1])) < 1e-12
     assert np.max(np.abs(ops.rfft2_vjp(half, w) - ops.fft2_vjp(full))) < 1e-12
-    assert np.max(np.abs(ops.hermitian_half_vjp(half, w) - full)) < 1e-12
+    # on a half cotangent the weight's VJP is the resize adjoint of the full
+    g_re, g_im = ops.half_spectrum_weight_vjp(3, 3, w, half)
+    assert np.max(np.abs(g_re - ops.bilinear_resize_vjp(3, 3, full.real))) < 1e-12
+    assert np.max(np.abs(g_im - ops.bilinear_resize_vjp(3, 3, full.imag))) < 1e-12
+
+
+def _hermitian_half_ref(z):
+    """(z(k) + conj(z(-k))) / 2 on the half columns, by explicit indexing."""
+    h, w = z.shape[-2:]
+    negated = z[..., -np.arange(h) % h, :][..., -np.arange(w // 2 + 1) % w]
+    return (z[..., :w // 2 + 1] + np.conj(negated)) / 2
+
+
+# (base grid, map): even and odd sides, a 1x1 map, one-row and one-column
+# maps, and bases larger than the map
+_HALF_WEIGHT_CASES = [((4, 4), 6, 6), ((4, 4), 5, 7), ((3, 5), 4, 5),
+                      ((4, 4), 1, 1), ((2, 2), 1, 6), ((4, 6), 3, 1),
+                      ((8, 8), 3, 2), ((9, 7), 5, 4)]
+
+
+@pytest.mark.parametrize("base,h,w", _HALF_WEIGHT_CASES)
+def test_half_spectrum_weight_is_the_resampled_hermitian_part(base, h, w):
+    re, im = u(10, "hw.re", (3,) + base), u(10, "hw.im", (3,) + base)
+    full = (ops.bilinear_resize(re[None], h, w)
+            + 1j * ops.bilinear_resize(im[None], h, w))[0]
+    got = ops.half_spectrum_weight(re, im, h, w)
+    assert got.shape == (3, h, w // 2 + 1)
+    assert np.max(np.abs(got - _hermitian_half_ref(full))) < 1e-12
+
+
+@pytest.mark.parametrize("base,h,w", _HALF_WEIGHT_CASES)
+def test_half_spectrum_weight_vjp_meets_the_adjoint_identity(base, h, w):
+    # L = sum(gy * irfft2(W_h(re, im) * rfft2(x), w)) is linear in (re, im),
+    # so the VJP of its packed cotangent conj(rfft2(x)) * irfft2_vjp(gy)
+    # (dL/dRe + i dL/dIm of W_h, summed over the batch) recovers L
+    re, im = u(11, "hw.re", (3,) + base), u(11, "hw.im", (3,) + base)
+    x, gy = u(11, "hw.x", (2, 3, h, w)), u(11, "hw.gy", (2, 3, h, w))
+    spectrum = ops.rfft2(x)
+    loss = float(np.sum(gy * ops.irfft2(
+        ops.half_spectrum_weight(re, im, h, w) * spectrum, w)))
+    g_re, g_im = ops.half_spectrum_weight_vjp(
+        *base, w, (np.conj(spectrum) * ops.irfft2_vjp(gy)).sum(axis=0))
+    assert g_re.shape == g_im.shape == re.shape
+    assert abs(loss - float(np.sum(re * g_re + im * g_im))) < 1e-12 * max(1.0, abs(loss))
 
 
 def test_fft_requires_rank_four():

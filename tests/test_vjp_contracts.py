@@ -8,6 +8,7 @@ import pytest
 from mgdfis import dpam as D
 from mgdfis import ftssa as F
 from mgdfis import gdim as G
+from mgdfis import ops
 from mgdfis.errors import ShapeError
 from mgdfis.params import (FusionWeights, init_aggregate, init_dmm, init_dpam,
                            init_dyt, init_ftssa, init_gmm, init_mona, init_seff,
@@ -85,6 +86,46 @@ def test_vjp_rejects_complex_cotangent(name):
     with pytest.raises(ShapeError,
                        match=f"{name}_vjp: axis 'dtype' expected real, got complex128"):
         vjp(*args, gy)
+
+
+def _op_cases():
+    """name: (vjp of gy alone, its forward's output shape, bad cotangent
+    shapes).  The FFT VJPs see only gy, so any (N, C, H, W) stands for some
+    forward output and only another rank is bad."""
+    x, x2 = u("vc.x"), u("vc.x2", (2, 3))
+    w, b = u("vc.lw", (3, 4)), u("vc.lb", (4,))
+    out = x.shape
+    bad = [(2,) + out[1:], out[:3] + (out[3] + 1,), out[:3], (3,)]
+    rank = [out[:3], (3,)]
+    return {
+        "linear_vjp": (lambda gy: ops.linear_vjp(x2, w, b, gy), (2, 4),
+                       [(2, 3), (1, 4), (4,), (2, 4, 1)]),
+        "softmax_vjp": (lambda gy: ops.softmax_vjp(x, 1, gy), out,
+                        bad + [(1, 1, 3, 3)]),
+        "activation_vjp": (lambda gy: ops.activation_vjp("tanh", x, gy), out, bad),
+        "global_avg_pool_vjp": (lambda gy: ops.global_avg_pool_vjp(x, gy),
+                                (1, C, 1, 1), [out, (2, C, 1, 1), (1, C, 1)]),
+        "bilinear_resize_vjp": (lambda gy: ops.bilinear_resize_vjp(2, 2, gy), out,
+                                rank),
+        "fft2_vjp": (ops.fft2_vjp, out, rank),
+        "ifft2_vjp": (ops.ifft2_vjp, out, rank),
+        "irfft2_vjp": (ops.irfft2_vjp, out, rank),
+        "rfft2_vjp": (lambda gy: ops.rfft2_vjp(gy, 3), out[:3] + (2,),
+                      rank + [out]),
+        "half_spectrum_weight_vjp": (
+            lambda gy: ops.half_spectrum_weight_vjp(2, 2, 3, gy), (C, 3, 2),
+            [(C, 3, 3), (2,), ()]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_op_cases()))
+def test_op_vjp_rejects_cotangent_not_shaped_like_output(name):
+    # a shape error, not a silent broadcast or numpy's own error
+    vjp, shape, bad_shapes = _op_cases()[name]
+    vjp(np.ones(shape))
+    for bad in bad_shapes:
+        with pytest.raises(ShapeError, match=name):
+            vjp(np.ones(bad))
 
 
 def test_dyt_vjp_rejects_batch_two_cotangent_for_batch_one_input():
