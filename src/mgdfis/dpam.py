@@ -4,7 +4,8 @@ The attention map gates the refined features against a weighted sum of the
 two (reconciled) input maps; three scalar fusion weights balance the mix.
 Each op has one forward, the public op with a keyword-only `cache`, and a
 private `_op_bwd`, with the same input and cotangent checks, as in
-`mgdfis.ftssa`.
+`mgdfis.ftssa`.  dpam caches its map, whose sigmoid derivative is
+amap * (1 - amap), so its backward evaluates no second sigmoid.
 """
 
 import numpy as np
@@ -24,17 +25,17 @@ def dpam(f_agg, f_hat, p: DpamParams, *, cache=NO_CACHE):
     require_same_shape(f_agg, f_hat, "dpam")
     c = f_agg.shape[1]
     cat = np.concatenate([f_agg, f_hat], axis=1)
-    local = conv2d(cat, p.conv_weight, p.conv_bias,
-                   same_spec(2 * c, 7, 7, out_channels=c))
-    cache.keep(cat=cat, local=local)
-    return ops.sigmoid(local)
+    amap = ops.sigmoid(conv2d(cat, p.conv_weight, p.conv_bias,
+                              same_spec(2 * c, 7, 7, out_channels=c)))
+    cache.keep(cat=cat, amap=amap)
+    return amap
 
 
 def _dpam_bwd(cache, p: DpamParams, gy):
     """(g_f_agg, g_f_hat, g_p)"""
-    local = cache.pop("local")
-    c = local.shape[1]
-    g_local = ops.activation_grad("sigmoid", local) * gy
+    amap = cache.pop("amap")
+    c = amap.shape[1]
+    g_local = amap * (1.0 - amap) * gy   # activation_grad("sigmoid") at the map
     g_cat, gw, gb = conv2d_vjp(cache.pop("cat"), p.conv_weight, p.conv_bias,
                                same_spec(2 * c, 7, 7, out_channels=c), g_local)
     return g_cat[:, :c], g_cat[:, c:], DpamParams(conv_weight=gw, conv_bias=gb)

@@ -8,8 +8,9 @@ Counting conventions (documented, deliberately simple):
     half-spectrum bins; seff's spectral product, bias and weight are
     likewise counted per half bin
   - activations, softmax, and other elementwise passes: 1 op per element
-  - complex spectral multiply: 6 ops per element; bilinear resample: 8 per
-    output element
+  - complex spectral multiply: 6 ops per element
+  - bilinear resample (H, W) -> (H', W'), as ops.bilinear_resize runs it:
+    two linear maps per channel, (H', H) @ (H, W) then (H', W) @ (W, W')
   - seff's half-spectrum weight from its b x b grid, per channel and branch:
     the linear maps of ops.half_spectrum_weight, (2H, b) @ (b, b) and twice
     (H, b) @ (b, W // 2 + 1) per plane, plus 4 per half bin
@@ -83,9 +84,10 @@ def rfft_flops(h, w, channels, batch=1):
 
 def _count_aggregate(rep, cfg):
     n, c1, h, w = cfg.f1_shape
-    c2 = cfg.f2_shape[1]
+    _, c2, h2, w2 = cfg.f2_shape
     if cfg.f1_shape != cfg.f2_shape:
-        rep.add("gdim", "aggregate.resample", 8 * n * c2 * h * w)
+        rep.add("gdim", "aggregate.resample",
+                n * c2 * (linear_flops(h, h2, w2) + linear_flops(h, w2, w)))
         rep.add("gdim", "aggregate.proj",
                 conv_flops(same_spec(c2, 1, 1, out_channels=c1), h, w, n))
     rep.add("gdim", "aggregate.sum", n * c1 * h * w)

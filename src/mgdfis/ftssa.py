@@ -12,7 +12,9 @@ outputs, conv inputs), calling each child op by its public name on
 `cache.sub(name)`; backward pops each entry as it uses it.  The default
 `NO_CACHE` keeps nothing, and `op_vjp` is `_op_bwd` on the cache of one
 forward run.  A VJP rejects what its forward rejects and a cotangent `gy`
-not shaped like the output.
+that is complex or not shaped like the output (`tensor.require_cotangent`).
+tssa's backward reads the head distribution it cached, runs its output
+projection's VJP through `ops.linear_vjp`, and recomputes no softmax.
 """
 import math
 
@@ -68,8 +70,9 @@ _TOKEN_BLOCK = 1024
 
 def _tssa_parts(t, p: TssaParams):
     """Token-level forward of one block: the output under "out", beside the
-    cache that backward reads (the head distribution "pi" and the attention
-    "attn")."""
+    cache that backward reads (the tokens "t", their statistics "f" and
+    radii "r", the head distribution "pi" and the attention "attn"; not the
+    scores, whose softmax VJP needs only pi)."""
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
     proj = t.reshape(b * n, c) @ p.qkv_weight          # (b*n, h*d)
@@ -80,8 +83,9 @@ def _tssa_parts(t, p: TssaParams):
     pi = ops.softmax(s, axis=1)                        # distribution over heads
     ratio = pi / (d * pi + p.eps)
     attn = 1.0 / (1.0 + ratio[..., None] * f * f)
-    out = (_tssa_pre(f, pi, attn, p) @ p.out_weight + p.out_bias).reshape(b, n, c)
-    return {"t": t, "f": f, "r": r, "s": s, "pi": pi, "attn": attn, "out": out}
+    out = ops.linear(_tssa_pre(f, pi, attn, p), p.out_weight, p.out_bias)
+    return {"t": t, "f": f, "r": r, "pi": pi, "attn": attn,
+            "out": out.reshape(b, n, c)}
 
 
 def _tssa_blocks(t, p: TssaParams):
@@ -119,10 +123,9 @@ def _tssa_block_bwd(q, p: TssaParams, gy):
     t, f, r, pi, attn = q["t"], q["f"], q["r"], q["pi"], q["attn"]
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
-    gy2 = gy.reshape(b * n, c)
-    g_out_w = _tssa_pre(f, pi, attn, p).T @ gy2
-    g_out_b = gy2.sum(axis=0)
-    g_pre = (gy2 @ p.out_weight.T).reshape(b, n, h, d).transpose(0, 2, 1, 3)
+    g_pre, g_out_w, g_out_b = ops.linear_vjp(_tssa_pre(f, pi, attn, p), p.out_weight,
+                                             p.out_bias, gy.reshape(b * n, c))
+    g_pre = g_pre.reshape(b, n, h, d).transpose(0, 2, 1, 3)
     scale = _tssa_scale(pi, p)
     gf = -scale * attn * g_pre
     g_attn = -scale * f * g_pre
@@ -135,12 +138,9 @@ def _tssa_block_bwd(q, p: TssaParams, gy):
 
     # d(ratio)/d(pi) collapses to eps / denom^2
     g_pi = g_ratio * p.eps / (denom * denom) + g_pi_direct
-    g_s = ops.softmax_vjp(q["s"], 1, g_pi)
-    g_v = 2.0 * (f / (r + p.eps)) * g_s[..., None]
-    # L2-normalize backward; guard the radius for exactly-zero token rows
-    rr = np.where(r > 0, r, 1.0)
-    proj = np.sum(g_v * f, axis=3, keepdims=True)
-    gf += g_v / (r + p.eps) - f * proj / (rr * (r + p.eps) ** 2)
+    g_s = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))   # softmax's VJP
+    # s = (r / (r + eps))^2, so ds/df = 2 eps f / (r + eps)^3
+    gf += (2.0 * p.eps * g_s[..., None] / (r + p.eps) ** 3) * f
     g_proj = gf.transpose(0, 2, 1, 3).reshape(b * n, h * d)
     g_qkv_w = t.reshape(b * n, c).T @ g_proj
     gt = (g_proj @ p.qkv_weight.T).reshape(b, n, c)

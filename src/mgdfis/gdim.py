@@ -105,9 +105,10 @@ def restore_h(f, k):
 
 
 def _bn_inference(x, scale, shift, mean, var, eps):
+    """(1 / sqrt(var + eps), normalised x, scaled and shifted output)"""
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    return xhat, scale[None, :, None, None] * xhat + shift[None, :, None, None]
+    return inv, xhat, scale[None, :, None, None] * xhat + shift[None, :, None, None]
 
 
 def _gmm_pass(p: GmmParams, axis):
@@ -135,8 +136,8 @@ def _gmm_pass_fwd(f, p: GmmParams, axis, cache):
     conved = conv2d(grouped + pos, q["conv_weight"], q["conv_bias"],
                     same_spec(c // p.k, 3, 3))
     restored = restore(conved, p.k)
-    _, bn_out = _bn_inference(restored, q["bn_scale"], q["bn_shift"],
-                              q["bn_mean"], q["bn_var"], p.bn_eps)
+    *_, bn_out = _bn_inference(restored, q["bn_scale"], q["bn_shift"],
+                               q["bn_mean"], q["bn_var"], p.bn_eps)
     cache.keep(f=f, restored=restored)
     cat = np.concatenate([f, ops.gelu(bn_out)], axis=1)
     return conv2d(cat, q["fuse_weight"], q["fuse_bias"],
@@ -148,9 +149,9 @@ def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     regroup, restore, pos, q = _gmm_pass(p, axis)
     f = cache.pop("f")
     c = f.shape[1]
-    xhat, bn_out = _bn_inference(cache.pop("restored"), q["bn_scale"],
-                                 q["bn_shift"], q["bn_mean"], q["bn_var"],
-                                 p.bn_eps)
+    inv, xhat, bn_out = _bn_inference(cache.pop("restored"), q["bn_scale"],
+                                      q["bn_shift"], q["bn_mean"], q["bn_var"],
+                                      p.bn_eps)
     g = {}
     g_cat, g["fuse_weight"], g["fuse_bias"] = conv2d_vjp(
         np.concatenate([f, ops.gelu(bn_out)], axis=1), q["fuse_weight"],
@@ -158,7 +159,6 @@ def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     g_bn = ops.activation_grad("gelu", bn_out) * g_cat[:, c:]
     g["bn_scale"] = np.sum(g_bn * xhat, axis=(0, 2, 3))
     g["bn_shift"] = np.sum(g_bn, axis=(0, 2, 3))
-    inv = 1.0 / np.sqrt(q["bn_var"] + p.bn_eps)
     g_conved = regroup(g_bn * (q["bn_scale"] * inv)[None, :, None, None], p.k)
     g_conv_in, g["conv_weight"], g["conv_bias"] = conv2d_vjp(
         regroup(f, p.k) + pos, q["conv_weight"], q["conv_bias"],

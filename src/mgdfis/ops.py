@@ -4,7 +4,11 @@ pooling, 2-D FFT and bilinear resampling.
 Every primitive is a pure function over float64 (or complex128) arrays and
 comes with a hand-written vector-Jacobian product (`*_vjp`) so gradients can
 be verified against central differences.  There is no tape: composite ops
-chain these VJPs explicitly.
+chain these VJPs explicitly.  A VJP whose cotangent is real checks it with
+`tensor.require_cotangent` against the output shape (or, knowing only the
+rank, with `tensor.as_feature_map`), so a complex or misshapen cotangent is
+a ShapeError naming the VJP.  fft2_vjp, rfft2_vjp and half_spectrum_weight_vjp,
+whose cotangent is a complex spectrum, check its shape themselves.
 
 conv2d folds the kernel columns into the GEMM (kn2col style): rows are
 zero-padded, a column stack holds kw copies of them, each shifted by its tap,
@@ -28,6 +32,7 @@ stands for the Hermitian spectrum it determines.  half_spectrum_weight builds
 the half of a resampled complex grid's Hermitian part in one separable map.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +40,7 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from .errors import ConfigError, ShapeError
+from .tensor import as_feature_map, require_cotangent
 
 
 def _rank4(op, x):
@@ -44,24 +50,29 @@ def _rank4(op, x):
     return x
 
 
-def _grad(op, gy, shape):
-    """gy, or a ShapeError naming op if it is not shaped like the output it
-    is the cotangent of."""
-    if gy.shape != tuple(shape):
-        raise ShapeError(op, "grad", tuple(shape), gy.shape)
-    return gy
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
+
+def _ints(field, value, n):
+    """value as a tuple of n ints, or a ConfigError naming the ConvSpec field."""
+    try:
+        ints = tuple(map(operator.index, value))
+    except TypeError:
+        ints = ()
+    if len(ints) != n:
+        raise ConfigError(f"ConvSpec.{field} must be {n} ints, got {value!r}")
+    return ints
+
 
 @dataclass(frozen=True)
 class ConvSpec:
     """Geometry of a 2-D convolution.
 
     padding is (top, bottom, left, right); asymmetric padding is what keeps
-    even kernels (4x6, 6x4) "same"-sized.
+    even kernels (4x6, 6x4) "same"-sized.  stride and dilation are (rows,
+    columns).  All three are stored as int tuples; any other length or
+    entry type is a ConfigError.
     """
 
     in_channels: int
@@ -82,6 +93,8 @@ class ConvSpec:
                 f"ConvSpec: groups {self.groups} must divide in_channels "
                 f"{self.in_channels} and out_channels {self.out_channels}"
             )
+        for field, n in (("stride", 2), ("padding", 4), ("dilation", 2)):
+            object.__setattr__(self, field, _ints(field, getattr(self, field), n))
         if any(s < 1 for s in self.stride) or any(d < 1 for d in self.dilation):
             raise ConfigError("ConvSpec: stride and dilation entries must be >= 1")
         if any(p < 0 for p in self.padding):
@@ -113,10 +126,16 @@ def same_padding(kernel_h, kernel_w, dilation=(1, 1)):
             (eff_w - 1) // 2, eff_w - 1 - (eff_w - 1) // 2)
 
 
-@lru_cache(maxsize=256)
 def same_spec(channels, kernel_h, kernel_w, out_channels=None, groups=1, dilation=(1, 1)):
     """Stride-1 "same" ConvSpec helper; specs are frozen, so calls with the
-    same arguments share one validated instance."""
+    same arguments share one validated instance.  dilation is made an int
+    pair before the cache sees it, so a list is accepted like a tuple."""
+    return _same_spec(channels, kernel_h, kernel_w, out_channels, groups,
+                      _ints("dilation", dilation, 2))
+
+
+@lru_cache(maxsize=256)
+def _same_spec(channels, kernel_h, kernel_w, out_channels, groups, dilation):
     return ConvSpec(
         in_channels=channels,
         out_channels=channels if out_channels is None else out_channels,
@@ -231,7 +250,7 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     GEMM for gw and the weights in one GEMM for the stack's gradient."""
     ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
     (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
-    _grad("conv2d_vjp", gy, (n, spec.out_channels, ho, wo))
+    gy = require_cotangent(gy, (n, spec.out_channels, ho, wo), "conv2d_vjp")
     gwide = gy.reshape(n, g, og, -1)  # gy's layout when stride 1 and wp == wo
     if (s0, s1) != (1, 1) or wp != wo:
         gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
@@ -280,7 +299,7 @@ def linear(x, w, b):
 
 
 def linear_vjp(x, w, b, gy):
-    _grad("linear_vjp", gy, x.shape[:-1] + w.shape[1:])
+    gy = require_cotangent(gy, x.shape[:-1] + w.shape[1:], "linear_vjp")
     return gy @ w.T, x.T @ gy, gy.sum(axis=0)
 
 
@@ -295,7 +314,7 @@ def softmax(x, axis):
 
 
 def softmax_vjp(x, axis, gy):
-    _grad("softmax_vjp", gy, x.shape)
+    gy = require_cotangent(gy, x.shape, "softmax_vjp")
     y = softmax(x, axis)
     return y * (gy - (gy * y).sum(axis=axis, keepdims=True))
 
@@ -341,7 +360,7 @@ def activation_grad(kind, x):
 
 
 def activation_vjp(kind, x, gy):
-    return activation_grad(kind, x) * _grad("activation_vjp", gy, x.shape)
+    return activation_grad(kind, x) * require_cotangent(gy, x.shape, "activation_vjp")
 
 
 def global_avg_pool(x):
@@ -351,7 +370,7 @@ def global_avg_pool(x):
 
 def global_avg_pool_vjp(x, gy):
     n, c, h, w = _rank4("global_avg_pool_vjp", x).shape
-    _grad("global_avg_pool_vjp", gy, (n, c, 1, 1))
+    gy = require_cotangent(gy, (n, c, 1, 1), "global_avg_pool_vjp")
     return np.broadcast_to(gy / (h * w), x.shape).copy()
 
 
@@ -381,7 +400,8 @@ def fft2_vjp(gy):
 
 def ifft2_vjp(gy):
     """VJP of x -> Re(ifft2(x)) for complex input; gy is real."""
-    h, w = _rank4("ifft2_vjp", gy).shape[-2:]
+    gy = as_feature_map(gy, "ifft2_vjp")
+    h, w = gy.shape[-2:]
     return np.fft.fft2(gy, axes=(-2, -1)) / (h * w)
 
 
@@ -418,7 +438,8 @@ def rfft2_vjp(gy, w):
 
 def irfft2_vjp(gy):
     """VJP of irfft2; gy is real."""
-    h, w = _rank4("irfft2_vjp", gy).shape[-2:]
+    gy = as_feature_map(gy, "irfft2_vjp")
+    h, w = gy.shape[-2:]
     return np.fft.rfft2(gy, axes=(-2, -1)) / (h * w)
 
 
@@ -440,6 +461,7 @@ def half_spectrum_weight(re, im, h, w):
     (A_h Z A_w^T + A-bar_h conj(Z) A-bar_w^T) / 2."""
     if re.ndim < 2 or re.shape != im.shape:
         raise ShapeError("half_spectrum_weight", "imaginary grid", re.shape, im.shape)
+    _sizes("half_spectrum_weight", *re.shape[-2:], h, w)
     rows, cols, mirror_cols, _ = _half_spectrum_maps(*re.shape[-2:], h, w)
     t = rows @ np.stack([re, im])   # (2, ..., 2h, in_w): A_h Z over A-bar_h Z
     a, b = t[..., :h, :] @ cols.T, t[..., h:, :] @ mirror_cols.T
@@ -457,6 +479,7 @@ def half_spectrum_weight_vjp(in_h, in_w, w, gy):
     if gy.ndim < 2 or gy.shape[-1] != w // 2 + 1:
         raise ShapeError("half_spectrum_weight_vjp", "grad",
                          f"(..., h, {w // 2 + 1})", gy.shape)
+    _sizes("half_spectrum_weight_vjp", in_h, in_w, *gy.shape[-2:])
     rows, cols, _, fold = _half_spectrum_maps(in_h, in_w, gy.shape[-2], w)
     g = np.stack([gy.real, gy.imag, gy.real, -gy.imag])   # gy, conj(gy)
     g_grid = rows.T @ np.concatenate([g[:2] @ cols, g[2:] @ fold], axis=-2)
@@ -466,6 +489,13 @@ def half_spectrum_weight_vjp(in_h, in_w, w, gy):
 # ---------------------------------------------------------------------------
 # bilinear resampling (half-pixel centers)
 # ---------------------------------------------------------------------------
+
+def _sizes(op, *sizes):
+    """A ShapeError naming op if a source or target size of a resize is
+    below 1."""
+    if min(sizes) < 1:
+        raise ShapeError(op, "size", ">= 1", min(sizes))
+
 
 @lru_cache(maxsize=64)
 def _resize_matrix(n_in, n_out):
@@ -486,7 +516,8 @@ def _resize_matrix(n_in, n_out):
 
 def bilinear_resize(x, out_h, out_w):
     """Resample the spatial axes of (N, C, H, W) to (out_h, out_w)."""
-    ah = _resize_matrix(_rank4("bilinear_resize", x).shape[2], out_h)
+    _sizes("bilinear_resize", *_rank4("bilinear_resize", x).shape[2:], out_h, out_w)
+    ah = _resize_matrix(x.shape[2], out_h)
     aw = _resize_matrix(x.shape[3], out_w)
     tmp = np.matmul(ah[None, None], x)
     return np.matmul(tmp, aw.T[None, None])
@@ -494,7 +525,9 @@ def bilinear_resize(x, out_h, out_w):
 
 def bilinear_resize_vjp(in_h, in_w, gy):
     """Adjoint of bilinear_resize back to spatial dims (in_h, in_w)."""
-    ah = _resize_matrix(in_h, _rank4("bilinear_resize_vjp", gy).shape[2])
+    gy = as_feature_map(gy, "bilinear_resize_vjp")
+    _sizes("bilinear_resize_vjp", in_h, in_w)
+    ah = _resize_matrix(in_h, gy.shape[2])
     aw = _resize_matrix(in_w, gy.shape[3])
     tmp = np.matmul(ah.T[None, None], gy)
     return np.matmul(tmp, aw[None, None])

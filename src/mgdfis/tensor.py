@@ -32,21 +32,27 @@ def require_channels(x, expected, op):
         raise ShapeError(op, "channel", expected, x.shape[1])
 
 
+def _require_shape(want, got, op):
+    """A ShapeError naming op and the first feature-map axis where shape got
+    differs from want, or both shapes where they are not both rank 4."""
+    if got != want:
+        if len(got) == len(want) == len(AXES):
+            name, dw, dg = next(t for t in zip(AXES, want, got) if t[1] != t[2])
+            raise ShapeError(op, name, dw, dg)
+        raise ShapeError(op, "shape", want, got)
+
+
 def require_same_shape(a, b, op):
-    if a.shape != b.shape:
-        for name, da, db in zip(AXES, a.shape, b.shape):
-            if da != db:
-                raise ShapeError(op, name, da, db)
-        raise ShapeError(op, "rank", a.shape, b.shape)
+    _require_shape(a.shape, b.shape, op)
 
 
 def require_cotangent(gy, out, op):
     """gy as float64, checked to be real and to have the shape of the
-    forward output out."""
+    forward output out (the array, or only its shape)."""
     if np.iscomplexobj(gy):
         raise ShapeError(op, "dtype", "real", np.asarray(gy).dtype)
     gy = np.asarray(gy, dtype=np.float64)
-    require_same_shape(out, gy, op)
+    _require_shape(tuple(getattr(out, "shape", out)), gy.shape, op)
     return gy
 
 

@@ -144,6 +144,14 @@ def test_mismatched_inputs_add_reconcile_work():
     assert flops.pipeline_flops(mis).total > flops.pipeline_flops(cfg).total
 
 
+def test_resample_counts_the_two_gemms_bilinear_resize_runs():
+    # f2 (1, 8, 3, 3) -> 6x6: per channel (6, 3) @ (3, 3), then (6, 3) @ (3, 6)
+    mis = dataclasses.replace(tiny_cfg(), f2_shape=(1, 8, 3, 3))
+    entry, = [e for e in flops.pipeline_flops(mis).entries
+              if e.op == "aggregate.resample"]
+    assert entry.flops == 8 * (2 * 6 * 3 * 3 + 2 * 6 * 3 * 6) == 2592
+
+
 @pytest.mark.parametrize("cfg", [tiny_cfg(), RunConfig()],
                          ids=["tiny", "default"])
 def test_ablation_series_strictly_increases(cfg):

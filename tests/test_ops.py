@@ -186,6 +186,25 @@ def test_conv_bad_groups_rejected():
         ops.ConvSpec(3, 3, 3, 3, groups=2)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("stride", (1,)), ("stride", 2), ("padding", (1, 1)), ("padding", (1, 1, 1, 1.5)),
+    ("dilation", (2,)), ("dilation", (2, 2, 2))])
+def test_conv_spec_rejects_malformed_tuples(field, value):
+    with pytest.raises(ConfigError, match=f"ConvSpec.{field}"):
+        ops.ConvSpec(1, 1, 3, 3, **{field: value})
+
+
+def test_conv_spec_stores_int_tuples():
+    spec = ops.ConvSpec(1, 1, 3, 3, stride=[1, np.int64(2)], padding=[1, 1, 1, 1],
+                        dilation=[1, 1])
+    assert (spec.stride, spec.padding, spec.dilation) == ((1, 2), (1, 1, 1, 1), (1, 1))
+    assert ops.conv2d(np.ones((1, 1, 3, 4)), np.ones((1, 1, 3, 3)), np.zeros(1),
+                      spec).shape == (1, 1, 3, 2)
+    assert ops.same_spec(2, 3, 3, dilation=[2, 2]) == ops.same_spec(2, 3, 3, dilation=(2, 2))
+    with pytest.raises(ConfigError, match="ConvSpec.dilation"):
+        ops.same_spec(2, 3, 3, dilation=(2,))
+
+
 def test_conv_output_smaller_than_kernel():
     spec = ops.ConvSpec(1, 1, 5, 5)
     with pytest.raises(ShapeError):
@@ -451,6 +470,25 @@ def test_resize_matches_reference(oh, ow):
     x = u(13, "rs2.x", (2, 2, 4, 5))
     got = ops.bilinear_resize(x, oh, ow)
     assert np.max(np.abs(got - orc.bilinear_ref(x, oh, ow))) < 1e-9
+
+
+def test_resize_sizes_below_one_are_shape_errors():
+    x, grid = np.ones((1, 1, 3, 3)), np.ones((2, 2))
+    calls = {
+        "bilinear_resize": [lambda: ops.bilinear_resize(x, 0, 4),
+                            lambda: ops.bilinear_resize(x, 2, -1),
+                            lambda: ops.bilinear_resize(np.ones((1, 1, 0, 3)), 2, 2)],
+        "bilinear_resize_vjp": [lambda: ops.bilinear_resize_vjp(0, 3, x),
+                                lambda: ops.bilinear_resize_vjp(3, -2, x)],
+        "half_spectrum_weight": [lambda: ops.half_spectrum_weight(grid, grid, 0, 4),
+                                 lambda: ops.half_spectrum_weight(grid, grid, 4, 0)],
+        "half_spectrum_weight_vjp": [
+            lambda: ops.half_spectrum_weight_vjp(0, 2, 4, np.ones((3, 3), complex))],
+    }
+    for op, fails in calls.items():
+        for call in fails:
+            with pytest.raises(ShapeError, match=f"^{op}: axis 'size' expected >= 1"):
+                call()
 
 
 def test_resize_adjoint_dot_test():

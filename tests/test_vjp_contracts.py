@@ -9,7 +9,9 @@ from mgdfis import dpam as D
 from mgdfis import ftssa as F
 from mgdfis import gdim as G
 from mgdfis import ops
+from mgdfis.checks import _case
 from mgdfis.errors import ShapeError
+from mgdfis.gradcheck import grad_check
 from mgdfis.params import (FusionWeights, init_aggregate, init_dmm, init_dpam,
                            init_dyt, init_ftssa, init_gmm, init_mona, init_seff,
                            init_tssa)
@@ -94,10 +96,13 @@ def _op_cases():
     forward output and only another rank is bad."""
     x, x2 = u("vc.x"), u("vc.x2", (2, 3))
     w, b = u("vc.lw", (3, 4)), u("vc.lb", (4,))
+    cw, cb, spec = u("vc.cw", (3, C, 2, 2)), u("vc.cb", (3,)), ops.ConvSpec(C, 3, 2, 2)
     out = x.shape
     bad = [(2,) + out[1:], out[:3] + (out[3] + 1,), out[:3], (3,)]
     rank = [out[:3], (3,)]
     return {
+        "conv2d_vjp": (lambda gy: ops.conv2d_vjp(x, cw, cb, spec, gy), (1, 3, 2, 2),
+                       [out, (1, 3, 2, 3), (1, 3, 2), (3,)]),
         "linear_vjp": (lambda gy: ops.linear_vjp(x2, w, b, gy), (2, 4),
                        [(2, 3), (1, 4), (4,), (2, 4, 1)]),
         "softmax_vjp": (lambda gy: ops.softmax_vjp(x, 1, gy), out,
@@ -126,6 +131,46 @@ def test_op_vjp_rejects_cotangent_not_shaped_like_output(name):
     for bad in bad_shapes:
         with pytest.raises(ShapeError, match=name):
             vjp(np.ones(bad))
+
+
+# these VJPs take a spectrum's cotangent, which is complex
+_COMPLEX_COTANGENT = ("fft2_vjp", "rfft2_vjp", "half_spectrum_weight_vjp")
+
+
+@pytest.mark.parametrize("name", [n for n in _op_cases() if n not in _COMPLEX_COTANGENT])
+def test_op_vjp_rejects_complex_cotangent(name):
+    # not a complex gradient of a real op, nor numpy's own error
+    vjp, shape, _ = _op_cases()[name]
+    with pytest.raises(ShapeError,
+                       match=f"{name}: axis 'dtype' expected real, got complex128"):
+        vjp((1 + 2j) * np.ones(shape))
+
+
+def _zero_token_case(pi_mode):
+    """tssa's arguments and a cotangent, the token at (1, 2) all zero: its
+    statistics have radius 0 in every head."""
+    x = u("vc.zt.x")
+    x[:, :, 1, 2] = 0.0
+    p = init_tssa(1, "vc.zt.p", C, heads=2, head_dim=2, pi_mode=pi_mode)
+    return x, p, u("vc.zt.gy")
+
+
+@pytest.mark.parametrize("pi_mode", ["constant", "distribution"])
+def test_tssa_vjp_is_finite_on_an_all_zero_token(pi_mode):
+    gx, gp = F.tssa_vjp(*_zero_token_case(pi_mode))
+    assert all(np.all(np.isfinite(g))
+               for g in (gx, gp.qkv_weight, gp.out_weight, gp.out_bias))
+
+
+def test_tssa_vjp_on_an_all_zero_token_passes_gradcheck():
+    # constant mode only: the distribution mode's scores (r / (r + 1e-8))^2
+    # step from 0 to about 1 within 1e-8 of radius 0, so a central
+    # difference of step 1e-4 at the zero token sees through the step and
+    # misses the derivative by about 4e-4 relative, with or without a guard
+    x, p, gy = _zero_token_case("constant")
+    rep = grad_check("tssa_zero_token", *_case(F.tssa, F.tssa_vjp, [("x", x), ("", p)], gy),
+                     eps=1e-4, tol=1e-4)
+    assert rep.passed, rep.summary()
 
 
 def test_dyt_vjp_rejects_batch_two_cotangent_for_batch_one_input():
