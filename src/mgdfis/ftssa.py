@@ -27,7 +27,8 @@ from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (DyTParams, FtssaParams, MonaParams, SeffParams,
                      TssaParams, add_params, zeros_like_params)
 from .tensor import (NO_CACHE, as_feature_map, cached, from_tokens,
-                     require_channels, require_cotangent, to_tokens)
+                     require_channels, require_cotangent, require_real,
+                     to_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +161,12 @@ def _tssa_bwd(cache, p: TssaParams, gy):
 
 def tssa_tokens(t, p: TssaParams):
     """Attention over a token sequence (batch, tokens, channels)."""
+    t = require_real(t, "tssa")
     if t.ndim != 3:
         raise ShapeError("tssa", "rank", 3, t.ndim)
     if t.shape[2] != p.qkv_weight.shape[0]:
         raise ShapeError("tssa", "channel", p.qkv_weight.shape[0], t.shape[2])
-    return _tssa_blocks(np.ascontiguousarray(t, dtype=np.float64), p)[0]
+    return _tssa_blocks(np.ascontiguousarray(t), p)[0]
 
 
 def tssa_vjp(x, p: TssaParams, gy):

@@ -10,21 +10,20 @@ rank, with `tensor.as_feature_map`), so a complex or misshapen cotangent is
 a ShapeError naming the VJP.  fft2_vjp, rfft2_vjp and half_spectrum_weight_vjp,
 whose cotangent is a complex spectrum, check its shape themselves.
 
-conv2d folds the kernel columns into the GEMM (kn2col style): rows are
+A pointwise conv (ConvSpec.pointwise: 1x1, stride 1, no padding, any groups;
+its dilation moves no tap) is one grouped matmul: conv2d is W @ x, the bias
+added in place, and conv2d_vjp is W^T @ gy, sum_n gy x^T and sum gy.  Every
+other conv folds the kernel columns into the GEMM (kn2col style): rows are
 zero-padded, a column stack holds kw copies of them, each shifted by its tap,
 and each block of rows is one GEMM, the kernel rows that read it stacked
 (len(ks) * og, kw * cg) @ the block's column stack.  Each kernel row's slice
 of that product is one contiguous add into an output as wide as the padded
-row, cropped at the end; a one-row kernel writes its product into the output
-rows directly.  conv2d_vjp runs the adjoint on the same layout: gy is
-stacked once per kernel row, so one GEMM gives gw and one the column stack's
-gradient, whose kw shifted copies add into gx.  Where a layout is the
-identity (gy of a stride-1 conv one column wide, a block with one kernel
-row, the gradient of a one-column stack) the VJP reads or writes the array
-in place instead of copying it.  Both calls allocate the same two stacks per
-block, the column stack and the per-kernel-row stack (the forward's product,
-the VJP's gy stack), and split the input rows into the same blocks, whose
-stacks fit a fixed budget.
+row, cropped at the end.  conv2d_vjp runs the adjoint on the same layout: gy
+is stacked once per kernel row, so one GEMM gives gw and one the column
+stack's gradient, whose kw shifted copies add into gx.  Both calls allocate
+per block the column stack (a view of the rows when kw == 1) and the
+per-kernel-row stack (the forward's product, the VJP's gy stack), on the
+same blocks of input rows, whose stacks fit a fixed budget.
 
 The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
 rfft2/irfft2 over the half spectrum (columns 0..w//2) of a real map, which
@@ -40,7 +39,7 @@ import numpy as np
 from scipy.special import expit, ndtr
 
 from .errors import ConfigError, ShapeError
-from .tensor import as_feature_map, require_cotangent
+from .tensor import as_feature_map, require_cotangent, require_real
 
 
 def _rank4(op, x):
@@ -101,6 +100,10 @@ class ConvSpec:
             raise ConfigError("ConvSpec: padding entries must be >= 0")
 
     @property
+    def pointwise(self):  # 1x1, stride 1, unpadded: one grouped matmul W @ x
+        return (self.kernel_h, self.kernel_w) == self.stride == (1, 1) and not any(self.padding)
+
+    @property
     def weight_shape(self):
         return (self.out_channels, self.in_channels // self.groups,
                 self.kernel_h, self.kernel_w)
@@ -147,10 +150,8 @@ def _same_spec(channels, kernel_h, kernel_w, out_channels, groups, dilation):
     )
 
 
-# Most float64 entries per image in the two stacks a block allocates: the
-# column stack (none for kw == 1, which reads its rows in place) and the
-# per-kernel-row stack (none for kh == 1): the forward's product, the VJP's
-# gy stack.
+# Most float64 entries per image in a block's column stack (none for kw == 1,
+# a view of the rows) and per-kernel-row stack (forward product, VJP gy stack).
 _STACK_ENTRIES = 1 << 20
 
 
@@ -170,7 +171,7 @@ def _conv_plan(spec, h, w):
         return ho, wo, wp, ()
     top, end = spans[0][1] + spans[0][2], spans[-1][1] + spans[-1][3]
     per_row = ((spec.kernel_w * spec.in_channels if spec.kernel_w > 1 else 0)
-               + (spec.kernel_h * spec.out_channels if spec.kernel_h > 1 else 0))
+               + spec.kernel_h * spec.out_channels)
     step = -(-(end - top) // max(1, -(-per_row * wp * (end - top) // _STACK_ENTRIES)))
     blocks = []
     for r0 in range(top, end, step):
@@ -185,23 +186,28 @@ def _conv_plan(spec, h, w):
     return ho, wo, wp, tuple(blocks)
 
 
-def _conv_setup(x, w, b, spec):
-    """Checked arguments on the conv's plan: (ho, wo, wp, blocks, xp, wt).
-    xp is x in (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself
-    for an unpadded 1x1 conv), so every tap reads within its row; wt is
+def _conv_args(x, w, b, spec):
+    """x, w and b as float64, each checked to be real and shaped for spec."""
+    x, w, b = (require_real(a, "conv2d") for a in (x, w, b))
+    for axis, want, got in [("channel", spec.in_channels, _rank4("conv2d", x).shape[1]),
+                            ("weights", spec.weight_shape, w.shape),
+                            ("bias", (spec.out_channels,), b.shape)]:
+        if got != want:
+            raise ShapeError("conv2d", axis, want, got)
+    return x, w, b
+
+
+def _conv_setup(x, w, spec):
+    """The conv's plan and layout: (ho, wo, wp, blocks, xp, wt).  xp is x in
+    (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself if it is
+    contiguous and that wide), so every tap reads within its row; wt is
     (g, kh, og, kw * cg), column j * cg + c holding tap j of channel c."""
-    if _rank4("conv2d", x).shape[1] != spec.in_channels:
-        raise ShapeError("conv2d", "channel", spec.in_channels, x.shape[1])
-    if tuple(w.shape) != spec.weight_shape:
-        raise ShapeError("conv2d", "weights", spec.weight_shape, tuple(w.shape))
-    if b.shape != (spec.out_channels,):
-        raise ShapeError("conv2d", "bias", (spec.out_channels,), tuple(b.shape))
     n, _, h, wd = x.shape
     ho, wo, wp, blocks = _conv_plan(spec, h, wd)
     g, pl = spec.groups, spec.padding[2]
     xp = x.reshape(n, g, -1, h, wd)
     span = wp + (spec.kernel_w - 1) * spec.dilation[1]
-    if span != wd:
+    if span != wd or not xp.flags.c_contiguous:  # _stack views xp's buffer
         xp = np.zeros(xp.shape[:-1] + (span,))
         xp[..., pl:pl + wd] = x.reshape(n, g, -1, h, wd)
     wt = w.reshape(g, spec.out_channels // g, -1, spec.kernel_h, spec.kernel_w)
@@ -211,12 +217,10 @@ def _conv_setup(x, w, b, spec):
 
 def _stack(xp, spec, wp, rows):
     """(n, g, kw * cg, nr * wp) column stack of the input rows `rows`, entry
-    j * cg + c holding channel c shifted by tap j: one copy of a view whose
-    tap axis steps by the dilation.  A 1x1 conv reads the rows in place."""
+    j * cg + c holding channel c shifted by tap j: a view whose tap axis
+    steps by the dilation, copied by the reshape unless kw == 1."""
     n, g, cg = xp.shape[:3]
     src = xp[..., rows, :]
-    if spec.kernel_w == 1:
-        return src.reshape(n, g, cg, -1)
     sn, sg, sc, sr, sw = src.strides
     taps = np.ndarray((n, g, spec.kernel_w, cg, src.shape[-2], wp), xp.dtype, xp,
                       rows.start * sr, (sn, sg, spec.dilation[1] * sw, sc, sr, sw))
@@ -225,62 +229,58 @@ def _stack(xp, spec, wp, rows):
 
 def conv2d(x, w, b, spec: ConvSpec):
     """Grouped / strided / dilated 2-D convolution (cross-correlation
-    convention); per block, one GEMM for every kernel row that reads it."""
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
-    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
+    convention): one matmul if pointwise, else one GEMM per block of rows."""
+    x, w, b = _conv_args(x, w, b, spec)
+    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, len(w) // spec.groups
+    if spec.pointwise:
+        y = np.matmul(w.reshape(g, og, -1), x.reshape(n, g, w.shape[1], -1))
+        y += b.reshape(g, og, 1)
+        return y.reshape(n, -1, *x.shape[2:])
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, spec)
     wide = np.zeros((n, g, og, ((ho - 1) * s0 + 1) * wp))
     for rows, ks, taps in blocks:
-        st = _stack(xp, spec, wp, rows)
-        if spec.kernel_h == 1:  # one tap over the whole block
-            np.matmul(wt[:, 0], st, out=wide[..., taps[0][2]])
-        else:
-            prod = np.matmul(wt[:, ks].reshape(g, len(taps) * og, -1), st).reshape(
-                n, g, len(taps), og, -1)
-            for k, (_, src, dst) in enumerate(taps):
-                wide[..., dst] += prod[:, :, k, :, src]
-            del prod
-        del st  # before the next block allocates its own
-    wide = wide.reshape(n, spec.out_channels, -1, wp)[..., ::s0, :(wo - 1) * s1 + 1:s1]
-    return wide + b[:, None, None]
+        prod = np.matmul(wt[:, ks].reshape(g, len(taps) * og, -1),
+                         _stack(xp, spec, wp, rows)).reshape(n, g, len(taps), og, -1)
+        for k, (_, src, dst) in enumerate(taps):
+            wide[..., dst] += prod[:, :, k, :, src]
+        del prod  # before the next block allocates its own
+    return wide.reshape(n, len(w), -1, wp)[..., ::s0, :(wo - 1) * s1 + 1:s1] + b[:, None, None]
 
 
 def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     """Gradients of sum-style losses through conv2d: returns (gx, gw, gb).
-    Per block, gy stacked once per kernel row meets the column stack in one
-    GEMM for gw and the weights in one GEMM for the stack's gradient."""
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, b, spec)
-    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, wt.shape[2]
-    gy = require_cotangent(gy, (n, spec.out_channels, ho, wo), "conv2d_vjp")
-    gwide = gy.reshape(n, g, og, -1)  # gy's layout when stride 1 and wp == wo
-    if (s0, s1) != (1, 1) or wp != wo:
-        gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
-        gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
-        gwide = gwide.reshape(n, g, og, -1)
+    Pointwise, one matmul each for gx and gw; otherwise, per block, gy
+    stacked once per kernel row meets the column stack in one GEMM for gw
+    and the weights in one GEMM for the stack's gradient."""
+    x, w, b = _conv_args(x, w, b, spec)
+    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, len(w) // spec.groups
+    gy = require_cotangent(gy, (n, len(w)) + spec.output_hw(*x.shape[2:]), "conv2d_vjp")
+    gb = gy.sum(axis=(0, 2, 3))
+    if spec.pointwise:
+        xs, gys = x.reshape(n, g, w.shape[1], -1), gy.reshape(n, g, og, -1)
+        gx = np.matmul(w.reshape(g, og, -1).swapaxes(-1, -2), gys).reshape(x.shape)
+        return gx, np.matmul(gys, xs.swapaxes(-1, -2)).sum(axis=0).reshape(w.shape), gb
+    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, spec)
+    gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
+    gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
+    gwide = gwide.reshape(n, g, og, -1)
     gxp, gwt = np.zeros(xp.shape), np.zeros_like(wt)
     for rows, ks, taps in blocks:
-        nr = rows.stop - rows.start
-        if len(taps) == 1 and taps[0][1] == slice(0, nr * wp):
-            gys = gwide[..., taps[0][2]]  # one tap over the whole block
-        else:
-            gys = np.zeros((n, g, len(taps), og, nr * wp))
-            for k, (_, src, dst) in enumerate(taps):
-                gys[:, :, k, :, src] = gwide[..., dst]
-            gys = gys.reshape(n, g, len(taps) * og, -1)
+        gys = np.zeros((n, g, len(taps), og, (rows.stop - rows.start) * wp))
+        for k, (_, src, dst) in enumerate(taps):
+            gys[:, :, k, :, src] = gwide[..., dst]
+        gys = gys.reshape(n, g, len(taps) * og, -1)
         # the column stack lives for this product only; its gradient follows
         gwt[:, ks] += np.matmul(gys, _stack(xp, spec, wp, rows).swapaxes(-1, -2)).sum(
             axis=0).reshape(wt[:, ks].shape)
         wts = wt[:, ks].reshape(g, gys.shape[2], -1).swapaxes(-1, -2)
-        if spec.kernel_w == 1:  # a one-column stack's gradient is gx's rows
-            np.matmul(wts, gys, out=gxp[..., rows, :].reshape(n, g, -1, nr * wp))
-        else:
-            gst = np.matmul(wts, gys).reshape(n, g, spec.kernel_w, -1, nr, wp)
-            for j in range(spec.kernel_w):
-                gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
-            del gst
-        del gys  # before the next block allocates its own
+        gst = np.matmul(wts, gys).reshape(n, g, spec.kernel_w, w.shape[1], -1, wp)
+        for j in range(spec.kernel_w):
+            gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
+        del gys, gst  # before the next block allocates its own
     gx = gxp[..., spec.padding[2]:spec.padding[2] + x.shape[3]].reshape(x.shape)
     gw = gwt.reshape(g, spec.kernel_h, og, spec.kernel_w, -1).transpose(0, 2, 4, 1, 3)
-    return gx, gw.reshape(spec.weight_shape), gy.sum(axis=(0, 2, 3))
+    return gx, gw.reshape(spec.weight_shape), gb
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,17 @@ from .errors import ShapeError
 AXES = ("batch", "channel", "height", "width")
 
 
-def as_feature_map(x, op="tensor"):
-    """Validate / coerce to a rank-4 float64 feature map; complex input is
-    rejected rather than cast, which would drop its imaginary part."""
+def require_real(x, op):
+    """x as float64; complex input is a ShapeError naming op rather than a
+    cast, which would drop its imaginary part."""
     if np.iscomplexobj(x):
         raise ShapeError(op, "dtype", "real", np.asarray(x).dtype)
-    x = np.asarray(x, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64)
+
+
+def as_feature_map(x, op="tensor"):
+    """Validate / coerce to a real rank-4 float64 feature map."""
+    x = require_real(x, op)
     if x.ndim != 4:
         raise ShapeError(op, "rank", 4, x.ndim)
     for name, d in zip(AXES, x.shape):
@@ -49,9 +54,7 @@ def require_same_shape(a, b, op):
 def require_cotangent(gy, out, op):
     """gy as float64, checked to be real and to have the shape of the
     forward output out (the array, or only its shape)."""
-    if np.iscomplexobj(gy):
-        raise ShapeError(op, "dtype", "real", np.asarray(gy).dtype)
-    gy = np.asarray(gy, dtype=np.float64)
+    gy = require_real(gy, op)
     _require_shape(tuple(getattr(out, "shape", out)), gy.shape, op)
     return gy
 

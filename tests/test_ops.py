@@ -3,6 +3,7 @@ pooling, FFT and resampling, each against trivial cases, loop oracles, or
 arbitrary-precision references."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -64,7 +65,7 @@ _SPEC_CASES = [
     (ops.ConvSpec(2, 3, 7, 7, padding=(9, 9, 9, 9)), (2, 2, 3, 3)),
     # every output reads padding only, so the output is the bias
     (ops.ConvSpec(1, 2, 1, 1, stride=(1, 3), padding=(0, 0, 2, 2)), (1, 1, 2, 1)),
-    # unpadded stride-1 1x1: the VJP reads gy and writes gx in place
+    # unpadded stride-1 1x1: pointwise, one grouped matmul each way
     (ops.ConvSpec(4, 6, 1, 1, groups=2), (2, 4, 3, 5)),
 ]
 
@@ -137,9 +138,29 @@ def _fuzz_geometries(count=80, seed=5):
     return cases
 
 
+# Geometries the seeded draw never makes: pointwise convs (groups 1-3, batch
+# 1-2, maps down to 1x1, a dilation, which moves no tap of a 1x1 kernel), then
+# x as a channel slice of a wider map for a pointwise conv and for unpadded
+# one-column kernels that are not pointwise, whose stacks view x's rows.
+_EXTRA_GEOMETRIES = [
+    (ops.ConvSpec(2, 5, 1, 1), (1, 2, 4, 3)),
+    (ops.ConvSpec(6, 4, 1, 1, groups=2), (2, 6, 3, 5)),
+    (ops.ConvSpec(3, 6, 1, 1, groups=3), (2, 3, 2, 2)),
+    (ops.ConvSpec(4, 2, 1, 1, groups=2), (1, 4, 1, 1)),
+    (ops.ConvSpec(1, 3, 1, 1), (2, 1, 1, 1)),
+    (ops.ConvSpec(3, 3, 1, 1, dilation=(2, 3)), (2, 3, 5, 4)),
+    (ops.ConvSpec(4, 6, 1, 1, groups=2), (2, 7, 3, 4)),
+    (ops.ConvSpec(2, 3, 3, 1), (2, 4, 5, 3)),
+    (ops.ConvSpec(2, 2, 1, 1, stride=(2, 1)), (2, 3, 4, 4)),
+]
+
+
 def _check_conv_cases(cases):
+    """Each case against the loop oracle and the adjoint identity; a shape
+    with more channels than its spec passes x as the channel slice of the
+    last in_channels, which is not contiguous."""
     for t, (spec, shape) in enumerate(cases):
-        x = u(t, "fz.x", shape)
+        x = u(t, "fz.x", shape)[:, shape[1] - spec.in_channels:]
         w = u(t, "fz.w", spec.weight_shape)
         b = u(t, "fz.b", (spec.out_channels,))
         got = ops.conv2d(x, w, b, spec)
@@ -156,7 +177,38 @@ def _check_conv_cases(cases):
 
 
 def test_conv_fuzz_matches_reference_and_adjoint():
-    _check_conv_cases(_fuzz_geometries())
+    _check_conv_cases(_fuzz_geometries() + _EXTRA_GEOMETRIES)
+
+
+def test_pointwise_conv_peak_is_its_output():
+    # the output is the matmul's own fresh array and the bias adds into it;
+    # the add's fixed 64 KiB ufunc buffer is 1% of this output
+    spec = ops.ConvSpec(64, 128, 1, 1)
+    x, w = u(1, "pk.x", (1, 64, 80, 80)), u(1, "pk.w", spec.weight_shape)
+    b = u(1, "pk.b", (128,))
+    ops.conv2d(x, w, b, spec)
+    tracemalloc.start()
+    try:
+        out = ops.conv2d(x, w, b, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.nbytes, peak / out.nbytes
+
+
+@pytest.mark.parametrize("spec", [ops.ConvSpec(2, 4, 1, 1, groups=2),
+                                  ops.same_spec(2, 3, 3, out_channels=4)],
+                         ids=["pointwise", "3x3"])
+@pytest.mark.parametrize("arg", ["x", "w", "b"])
+@pytest.mark.parametrize("call", ["conv2d", "conv2d_vjp"])
+def test_conv_rejects_complex_arguments(spec, arg, call):
+    # not a cast that drops the imaginary part, nor numpy's own error
+    args = {"x": u(4, "cx.x", (1, 2, 3, 3)), "w": u(4, "cx.w", spec.weight_shape),
+            "b": u(4, "cx.b", (4,))}
+    args[arg] = (1 + 0.5j) * args[arg]
+    extra = (np.ones((1, 4, 3, 3)),) if call == "conv2d_vjp" else ()
+    with pytest.raises(ShapeError, match="conv2d: axis 'dtype' expected real, got complex128"):
+        getattr(ops, call)(*args.values(), spec, *extra)
 
 
 def test_conv_fuzz_in_row_blocks(monkeypatch):

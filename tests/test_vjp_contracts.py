@@ -80,6 +80,13 @@ def test_forward_and_vjp_reject_complex_input(name):
         vjp(z, *rest, np.ones(fwd(x, *rest).shape))
 
 
+def test_tssa_tokens_rejects_complex_tokens():
+    # the token entry point, which has no feature map to check
+    p = init_tssa(1, "vc.tt", C, heads=2, head_dim=1)
+    with pytest.raises(ShapeError, match="tssa: axis 'dtype' expected real, got complex128"):
+        F.tssa_tokens((1 + 0.5j) * u("vc.tt.t", (1, 4, C)), p)
+
+
 @pytest.mark.parametrize("name", list(_cases()))
 def test_vjp_rejects_complex_cotangent(name):
     # a cast to float64 would drop the imaginary part with only a warning
