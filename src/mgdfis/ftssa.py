@@ -316,17 +316,22 @@ def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
     spectrum = ops.rfft2(conv2d(half, conv_w, conv_b, spec))
     weight = ops.half_spectrum_weight(re, im, h, w)
     cache.keep(half=half, spectrum=spectrum, weight=weight)
-    return ops.irfft2(weight * spectrum + bias[None, :, None, None], w)
+    z = weight * spectrum
+    z += bias[:, None, None]
+    return ops.irfft2(z, w)
 
 
 def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
     """(g_half, g_conv_w, g_conv_b, g_re, g_im, g_bias)"""
     w = g_t.shape[3]
     gz = ops.irfft2_vjp(g_t)
-    # complex product rule under the (dL/dRe + i dL/dIm) packing
-    g_re, g_im = ops.half_spectrum_weight_vjp(
-        *base_hw, w, (np.conj(cache.pop("spectrum")) * gz).sum(axis=0))
-    g_spatial = ops.rfft2_vjp(np.conj(cache.pop("weight")) * gz, w)
+    # complex product rule under the (dL/dRe + i dL/dIm) packing; conj(spectrum)
+    # * gz forms in the spectrum only the cache held, and conj(weight) * gz,
+    # whose weight has no batch axis, in gz, which it uses last
+    spectrum, weight = cache.pop("spectrum"), cache.pop("weight")
+    g_re, g_im = ops.half_spectrum_weight_vjp(*base_hw, w, np.multiply(
+        np.conj(spectrum, out=spectrum), gz, out=spectrum).sum(axis=0))
+    g_spatial = ops.rfft2_vjp(np.multiply(np.conj(weight, out=weight), gz, out=gz), w)
     # the bias adds to every bin, so its gradient sums gz over the full
     # spectrum, which is g_t at the origin
     return (*conv2d_vjp(cache.pop("half"), conv_w, conv_b, spec, g_spatial),

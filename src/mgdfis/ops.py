@@ -20,10 +20,14 @@ and each block of rows is one GEMM, the kernel rows that read it stacked
 of that product is one contiguous add into an output as wide as the padded
 row, cropped at the end.  conv2d_vjp runs the adjoint on the same layout: gy
 is stacked once per kernel row, so one GEMM gives gw and one the column
-stack's gradient, whose kw shifted copies add into gx.  Both calls allocate
-per block the column stack (a view of the rows when kw == 1) and the
-per-kernel-row stack (the forward's product, the VJP's gy stack), on the
-same blocks of input rows, whose stacks fit a fixed budget.
+stack's gradient, whose kw shifted copies add into gx.  Both calls run on
+the same blocks of input rows, whose stacks fit a fixed budget, and take
+each block's column stack (a view of the rows when kw == 1; in the VJP then
+the stack's gradient) and per-kernel-row stack (the forward's product, the
+VJP's gy stack) from a per-thread workspace: two flat buffers that grow to
+the largest block a thread has run and outlive the call, about 9 MB per
+thread at the default config, so a warm conv does not page-fault on them.
+The padded rows, the wide output and every returned array are fresh.
 
 The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
 rfft2/irfft2 over the half spectrum (columns 0..w//2) of a real map, which
@@ -31,7 +35,9 @@ stands for the Hermitian spectrum it determines.  half_spectrum_weight builds
 the half of a resampled complex grid's Hermitian part in one separable map.
 """
 
+import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -215,15 +221,35 @@ def _conv_setup(x, w, spec):
     return ho, wo, wp, blocks, xp, wt
 
 
+_WORKSPACE = threading.local()
+
+
+def _scratch(slot, shape):
+    """A float64 array of shape over this thread's workspace buffer `slot`
+    (0 the column stack, 1 the per-kernel-row stack), which grows to the
+    largest request and outlives the call; it holds what its last user left."""
+    size = math.prod(shape)  # np.prod costs more than a gradcheck-size conv's GEMM
+    bufs = getattr(_WORKSPACE, "bufs", None)
+    if bufs is None:
+        bufs = _WORKSPACE.bufs = [np.empty(0), np.empty(0)]
+    if bufs[slot].size < size:
+        bufs[slot] = np.empty(size)
+    return bufs[slot][:size].reshape(shape)
+
+
 def _stack(xp, spec, wp, rows):
     """(n, g, kw * cg, nr * wp) column stack of the input rows `rows`, entry
     j * cg + c holding channel c shifted by tap j: a view whose tap axis
-    steps by the dilation, copied by the reshape unless kw == 1."""
+    steps by the dilation, copied into workspace slot 0 unless kw == 1."""
     n, g, cg = xp.shape[:3]
     src = xp[..., rows, :]
     sn, sg, sc, sr, sw = src.strides
     taps = np.ndarray((n, g, spec.kernel_w, cg, src.shape[-2], wp), xp.dtype, xp,
                       rows.start * sr, (sn, sg, spec.dilation[1] * sw, sc, sr, sw))
+    if spec.kernel_w > 1:
+        stack = _scratch(0, taps.shape)
+        np.copyto(stack, taps)
+        taps = stack
     return taps.reshape(n, g, -1, src.shape[-2] * wp)
 
 
@@ -239,11 +265,12 @@ def conv2d(x, w, b, spec: ConvSpec):
     ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, spec)
     wide = np.zeros((n, g, og, ((ho - 1) * s0 + 1) * wp))
     for rows, ks, taps in blocks:
-        prod = np.matmul(wt[:, ks].reshape(g, len(taps) * og, -1),
-                         _stack(xp, spec, wp, rows)).reshape(n, g, len(taps), og, -1)
+        stack = _stack(xp, spec, wp, rows)
+        prod = np.matmul(wt[:, ks].reshape(g, len(taps) * og, -1), stack,
+                         out=_scratch(1, (n, g, len(taps) * og, stack.shape[-1])))
+        prod = prod.reshape(n, g, len(taps), og, -1)
         for k, (_, src, dst) in enumerate(taps):
             wide[..., dst] += prod[:, :, k, :, src]
-        del prod  # before the next block allocates its own
     return wide.reshape(n, len(w), -1, wp)[..., ::s0, :(wo - 1) * s1 + 1:s1] + b[:, None, None]
 
 
@@ -266,18 +293,20 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     gwide = gwide.reshape(n, g, og, -1)
     gxp, gwt = np.zeros(xp.shape), np.zeros_like(wt)
     for rows, ks, taps in blocks:
-        gys = np.zeros((n, g, len(taps), og, (rows.stop - rows.start) * wp))
+        gys = _scratch(1, (n, g, len(taps), og, (rows.stop - rows.start) * wp))
+        gys.fill(0.0)
         for k, (_, src, dst) in enumerate(taps):
             gys[:, :, k, :, src] = gwide[..., dst]
         gys = gys.reshape(n, g, len(taps) * og, -1)
-        # the column stack lives for this product only; its gradient follows
+        # the column stack lives for this product only; its gradient, of the
+        # same shape, then takes over its workspace slot
         gwt[:, ks] += np.matmul(gys, _stack(xp, spec, wp, rows).swapaxes(-1, -2)).sum(
             axis=0).reshape(wt[:, ks].shape)
         wts = wt[:, ks].reshape(g, gys.shape[2], -1).swapaxes(-1, -2)
-        gst = np.matmul(wts, gys).reshape(n, g, spec.kernel_w, w.shape[1], -1, wp)
+        gst = np.matmul(wts, gys, out=_scratch(0, (n, g, wts.shape[1], gys.shape[-1])))
+        gst = gst.reshape(n, g, spec.kernel_w, w.shape[1], -1, wp)
         for j in range(spec.kernel_w):
             gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
-        del gys, gst  # before the next block allocates its own
     gx = gxp[..., spec.padding[2]:spec.padding[2] + x.shape[3]].reshape(x.shape)
     gw = gwt.reshape(g, spec.kernel_h, og, spec.kernel_w, -1).transpose(0, 2, 4, 1, 3)
     return gx, gw.reshape(spec.weight_shape), gb

@@ -3,6 +3,7 @@ pooling, FFT and resampling, each against trivial cases, loop oracles, or
 arbitrary-precision references."""
 
 import math
+import threading
 import tracemalloc
 
 import mpmath
@@ -194,6 +195,81 @@ def test_pointwise_conv_peak_is_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * out.nbytes, peak / out.nbytes
+
+
+def test_kxk_conv_peak_reuses_its_workspace():
+    # warm k×k calls take the column stack and the per-kernel-row stack from
+    # the thread's workspace; allocated afresh per call they peaked at 5.10x
+    # the output (forward) and 5.10x gx + gw + gb (VJP)
+    spec = ops.same_spec(64, 6, 6)
+    x, w = u(2, "pk6.x", (1, 64, 80, 80)), u(2, "pk6.w", spec.weight_shape)
+    b, gy = u(2, "pk6.b", (64,)), u(2, "pk6.gy", (1, 64, 80, 80))
+    ops.conv2d_vjp(x, w, b, spec, gy)
+    ops.conv2d(x, w, b, spec)
+    tracemalloc.start()
+    try:
+        out_bytes = ops.conv2d(x, w, b, spec).nbytes  # freed before the VJP
+        fwd_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        grad_bytes = sum(g.nbytes for g in ops.conv2d_vjp(x, w, b, spec, gy))
+        vjp_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fwd_peak <= 4.0 * out_bytes, fwd_peak / out_bytes
+    assert vjp_peak <= 4.0 * grad_bytes, vjp_peak / grad_bytes
+
+
+def _conv_and_vjp(spec, shape, seed):
+    x, w = u(seed, "ws.x", shape), u(seed, "ws.w", spec.weight_shape)
+    b = u(seed, "ws.b", (spec.out_channels,))
+    y = ops.conv2d(x, w, b, spec)
+    return (y, *ops.conv2d_vjp(x, w, b, spec, u(seed, "ws.gy", y.shape)))
+
+
+# k×k geometries whose stacks grow from call to call, then shrink
+_WORKSPACE_CASES = [
+    (ops.same_spec(4, 3, 3), (1, 4, 10, 12)),
+    (ops.ConvSpec(8, 6, 5, 3, stride=(2, 1), padding=(2, 2, 1, 1), groups=2), (2, 8, 24, 20)),
+    (ops.same_spec(16, 7, 7, out_channels=8), (1, 16, 40, 36)),
+    (ops.same_spec(6, 3, 1, groups=6, dilation=(2, 1)), (1, 6, 9, 7)),
+    (ops.same_spec(4, 3, 3), (1, 4, 10, 12)),
+]
+
+
+def test_kxk_conv_results_outlive_the_workspace():
+    # later calls reuse and regrow the workspace buffers; no result may
+    # alias them, nor change once its call has returned
+    first = _conv_and_vjp(*_WORKSPACE_CASES[0], 0)
+    kept = [a.copy() for a in first]
+    results = [first] + [_conv_and_vjp(spec, shape, i)
+                         for i, (spec, shape) in enumerate(_WORKSPACE_CASES[1:], 1)]
+    for earlier, later in zip(results, results[1:]):
+        assert not any(np.shares_memory(a, c) for a in earlier for c in later)
+    for got, want in zip(first, kept):
+        assert np.array_equal(got, want)
+
+
+def test_kxk_conv_workspace_is_per_thread():
+    # two threads running different convs at once must each see the serial
+    # results, which a workspace shared across threads would corrupt
+    plans = [_WORKSPACE_CASES[:3] * 3, _WORKSPACE_CASES[2:][::-1] * 3]
+    serial = [[_conv_and_vjp(spec, shape, 7) for spec, shape in plan] for plan in plans]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def work(t):
+        start.wait()
+        got[t] = [_conv_and_vjp(spec, shape, 7) for spec, shape in plans[t]]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for want, have in zip(serial, got):
+        for a, b in zip(want, have):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("spec", [ops.ConvSpec(2, 4, 1, 1, groups=2),
