@@ -13,7 +13,9 @@ outputs, conv inputs), calling each child op by its public name on
 `NO_CACHE` keeps nothing, and `op_vjp` is `_op_bwd` on the cache of one
 forward run.  A VJP rejects what its forward rejects and a cotangent `gy`
 that is complex or not shaped like the output (`tensor.require_cotangent`).
-tssa's backward reads the head distribution it cached, runs its output
+tssa keeps the cache of each token block on its own `cache.sub(i)`, i the
+block's first token, so under `NO_CACHE` it keeps none; its backward pops
+them block by block, reads the head distribution it cached, runs its output
 projection's VJP through `ops.linear_vjp`, and recomputes no softmax.
 """
 import math
@@ -89,12 +91,14 @@ def _tssa_parts(t, p: TssaParams):
             "out": out.reshape(b, n, c)}
 
 
-def _tssa_blocks(t, p: TssaParams):
-    """(output, the blocks' caches): _tssa_parts over each _TOKEN_BLOCK
-    tokens of t."""
-    blocks = [_tssa_parts(t[:, i:i + _TOKEN_BLOCK], p)
-              for i in range(0, t.shape[1], _TOKEN_BLOCK)]
-    return np.concatenate([q.pop("out") for q in blocks], axis=1), blocks
+def _tssa_blocks(t, p: TssaParams, cache):
+    """_tssa_parts per _TOKEN_BLOCK tokens; the block from token i caches on sub(i)."""
+    out = np.empty_like(t)
+    for i in range(0, t.shape[1], _TOKEN_BLOCK):
+        q = _tssa_parts(t[:, i:i + _TOKEN_BLOCK], p)
+        out[:, i:i + _TOKEN_BLOCK] = q.pop("out")
+        cache.sub(i).keep(**q)
+    return out
 
 
 def _tssa_scale(pi, p: TssaParams):
@@ -113,9 +117,7 @@ def tssa(x, p: TssaParams, *, cache=NO_CACHE):
     """Feature-map wrapper: flatten to tokens, attend, restore the layout."""
     x = as_feature_map(x, "tssa")
     require_channels(x, p.qkv_weight.shape[0], "tssa")
-    out, blocks = _tssa_blocks(to_tokens(x), p)
-    cache.keep(blocks=blocks)
-    return from_tokens(out, x.shape[2], x.shape[3])
+    return from_tokens(_tssa_blocks(to_tokens(x), p, cache), x.shape[2], x.shape[3])
 
 
 def _tssa_block_bwd(q, p: TssaParams, gy):
@@ -150,12 +152,12 @@ def _tssa_block_bwd(q, p: TssaParams, gy):
 
 def _tssa_bwd(cache, p: TssaParams, gy):
     gy_t = to_tokens(gy)
-    grads = [_tssa_block_bwd(q, p, gy_t[:, i:i + _TOKEN_BLOCK]) for i, q in zip(
-        range(0, gy_t.shape[1], _TOKEN_BLOCK), cache.pop("blocks"))]
-    gt = np.concatenate([g[0] for g in grads], axis=1)
-    g_qkv_w, g_out_w, g_out_b = (sum(g[k] for g in grads) for k in (1, 2, 3))
-    gp = dataclasses.replace(p, qkv_weight=g_qkv_w, out_weight=g_out_w,
-                             out_bias=g_out_b)
+    gt, gw = np.empty_like(gy_t), (0.0, 0.0, 0.0)
+    for i in range(0, gy_t.shape[1], _TOKEN_BLOCK):
+        gt[:, i:i + _TOKEN_BLOCK], *g = _tssa_block_bwd(
+            cache.pop(i), p, gy_t[:, i:i + _TOKEN_BLOCK])
+        gw = [a + b for a, b in zip(gw, g)]        # weight gradients in block order
+    gp = dataclasses.replace(p, qkv_weight=gw[0], out_weight=gw[1], out_bias=gw[2])
     return from_tokens(gt, gy.shape[2], gy.shape[3]), gp
 
 
@@ -164,9 +166,12 @@ def tssa_tokens(t, p: TssaParams):
     t = require_real(t, "tssa")
     if t.ndim != 3:
         raise ShapeError("tssa", "rank", 3, t.ndim)
+    for name, d in zip(("batch", "token"), t.shape):
+        if d < 1:
+            raise ShapeError("tssa", name, ">= 1", d)
     if t.shape[2] != p.qkv_weight.shape[0]:
         raise ShapeError("tssa", "channel", p.qkv_weight.shape[0], t.shape[2])
-    return _tssa_blocks(np.ascontiguousarray(t), p)[0]
+    return _tssa_blocks(np.ascontiguousarray(t), p, NO_CACHE)
 
 
 def tssa_vjp(x, p: TssaParams, gy):

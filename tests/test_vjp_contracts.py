@@ -87,6 +87,14 @@ def test_tssa_tokens_rejects_complex_tokens():
         F.tssa_tokens((1 + 0.5j) * u("vc.tt.t", (1, 4, C)), p)
 
 
+@pytest.mark.parametrize("axis,shape", [("batch", (0, 4, C)), ("token", (1, 0, C))])
+def test_tssa_tokens_rejects_empty_tokens(axis, shape):
+    # as tssa does for an empty feature map
+    p = init_tssa(1, "vc.tt", C, heads=2, head_dim=1)
+    with pytest.raises(ShapeError, match=f"tssa: axis '{axis}' expected >= 1, got 0"):
+        F.tssa_tokens(np.zeros(shape), p)
+
+
 @pytest.mark.parametrize("name", list(_cases()))
 def test_vjp_rejects_complex_cotangent(name):
     # a cast to float64 would drop the imaginary part with only a warning
