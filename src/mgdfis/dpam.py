@@ -2,10 +2,9 @@
 
 The attention map gates the refined features against a weighted sum of the
 two (reconciled) input maps; three scalar fusion weights balance the mix.
-Each op has one forward, the public op with a keyword-only `cache`, and a
-private `_op_bwd`, with the same input and cotangent checks, as in
-`mgdfis.ftssa`.  dpam caches its map, whose sigmoid derivative is
-amap * (1 - amap), so its backward evaluates no second sigmoid.
+Forwards, backwards and VJPs follow `mgdfis.ftssa`.  dpam caches its map,
+whose sigmoid derivative is amap * (1 - amap), so its backward evaluates no
+second sigmoid.
 """
 
 import numpy as np
@@ -14,8 +13,7 @@ from . import ops
 from .gdim import _reconcile_bwd, _reconcile_fwd
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import AggregateParams, DpamParams, FusionWeights, add_params
-from .tensor import (NO_CACHE, as_feature_map, cached, require_cotangent,
-                     require_same_shape)
+from .tensor import NO_CACHE, as_feature_map, require_same_shape, vjp
 
 
 def dpam(f_agg, f_hat, p: DpamParams, *, cache=NO_CACHE):
@@ -41,9 +39,7 @@ def _dpam_bwd(cache, p: DpamParams, gy):
     return g_cat[:, :c], g_cat[:, c:], DpamParams(conv_weight=gw, conv_bias=gb)
 
 
-def dpam_vjp(f_agg, f_hat, p: DpamParams, gy):
-    out, cache = cached(dpam, f_agg, f_hat, p)
-    return _dpam_bwd(cache, p, require_cotangent(gy, out, "dpam_vjp"))
+dpam_vjp = vjp(dpam, _dpam_bwd, inputs=2)
 
 
 def mgdfis_fuse(amap, f_hat, x1, x2, w: FusionWeights,
@@ -79,8 +75,4 @@ def _fuse_bwd(cache, w: FusionWeights, agg_p, gy):
     return g_amap, g_f_hat, g_x1, g_x2, gw, g_agg
 
 
-def mgdfis_fuse_vjp(amap, f_hat, x1, x2, w: FusionWeights, agg_p, gy):
-    """Returns (g_amap, g_f_hat, g_x1, g_x2, g_w, g_agg)."""
-    out, cache = cached(mgdfis_fuse, amap, f_hat, x1, x2, w, agg_p)
-    return _fuse_bwd(cache, w, agg_p,
-                     require_cotangent(gy, out, "mgdfis_fuse_vjp"))
+mgdfis_fuse_vjp = vjp(mgdfis_fuse, _fuse_bwd, inputs=4)

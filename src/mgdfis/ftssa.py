@@ -10,17 +10,17 @@ gradients in the parameters' record type)`.  The forward keeps in `cache`
 only what backward cannot rebuild elementwise (conv, FFT and projection
 outputs, conv inputs), calling each child op by its public name on
 `cache.sub(name)`; backward pops each entry as it uses it.  The default
-`NO_CACHE` keeps nothing, and `op_vjp` is `_op_bwd` on the cache of one
-forward run.  A VJP rejects what its forward rejects and a cotangent `gy`
-that is complex or not shaped like the output (`tensor.require_cotangent`).
-tssa keeps the cache of each token block on its own `cache.sub(i)`, i the
-block's first token, so under `NO_CACHE` it keeps none; its backward pops
-them block by block, reads the head distribution it cached, runs its output
-projection's VJP through `ops.linear_vjp`, and recomputes no softmax.
+`NO_CACHE` keeps nothing, and the public VJP is `op_vjp = vjp(op, _op_bwd)`
+(`tensor.vjp`).  tssa keeps the cache of each token block on its own
+`cache.sub(i)`, i the block's first token, so under `NO_CACHE` it keeps none;
+its backward pops them block by block, reads the head distribution it
+cached, runs its output projection's VJP through `ops.linear_vjp`, and
+recomputes no softmax.
 """
-import math
-
 import dataclasses
+import math
+from functools import partial
+
 import numpy as np
 
 from . import ops
@@ -28,9 +28,8 @@ from .errors import ShapeError
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (DyTParams, FtssaParams, MonaParams, SeffParams,
                      TssaParams, add_params, zeros_like_params)
-from .tensor import (NO_CACHE, as_feature_map, cached, from_tokens,
-                     require_channels, require_cotangent, require_real,
-                     to_tokens)
+from .tensor import (NO_CACHE, as_feature_map, from_tokens, require_channels,
+                     require_real, to_tokens, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +56,7 @@ def _dyt_bwd(cache, p: DyTParams, gy):
     return gx, DyTParams(alpha=g_alpha, gamma=g_gamma, beta=g_beta)
 
 
-def dyt_vjp(x, p: DyTParams, gy):
-    out, cache = cached(dyt, x, p)
-    return _dyt_bwd(cache, p, require_cotangent(gy, out, "dyt_vjp"))
+dyt_vjp = vjp(dyt, _dyt_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +158,9 @@ def _tssa_bwd(cache, p: TssaParams, gy):
     return from_tokens(gt, gy.shape[2], gy.shape[3]), gp
 
 
+tssa_vjp = vjp(tssa, _tssa_bwd)
+
+
 def tssa_tokens(t, p: TssaParams):
     """Attention over a token sequence (batch, tokens, channels)."""
     t = require_real(t, "tssa")
@@ -172,11 +172,6 @@ def tssa_tokens(t, p: TssaParams):
     if t.shape[2] != p.qkv_weight.shape[0]:
         raise ShapeError("tssa", "channel", p.qkv_weight.shape[0], t.shape[2])
     return _tssa_blocks(np.ascontiguousarray(t), p, NO_CACHE)
-
-
-def tssa_vjp(x, p: TssaParams, gy):
-    out, cache = cached(tssa, x, p)
-    return _tssa_bwd(cache, p, require_cotangent(gy, out, "tssa_vjp"))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +226,7 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
     return gy + g_mix_in + gz, gp
 
 
-def mona_op_vjp(z, p: MonaParams, gy):
-    out, cache = cached(mona_op, z, p)
-    return _mona_op_bwd(cache, p, require_cotangent(gy, out, "mona_op_vjp"))
+mona_op_vjp = vjp(mona_op, _mona_op_bwd)
 
 
 def xmona(x, p: MonaParams, *, cache=NO_CACHE):
@@ -259,9 +252,7 @@ def _xmona_bwd(cache, p: MonaParams, gy):
     return gx, gp
 
 
-def xmona_vjp(x, p: MonaParams, gy):
-    out, cache = cached(xmona, x, p)
-    return _xmona_bwd(cache, p, require_cotangent(gy, out, "xmona_vjp"))
+xmona_vjp = vjp(xmona, _xmona_bwd)
 
 
 def mona(x, p: MonaParams, *, cache=NO_CACHE):
@@ -292,9 +283,7 @@ def _mona_bwd(cache, p: MonaParams, gy):
     return gx + gx_down, gp
 
 
-def mona_vjp(x, p: MonaParams, gy):
-    out, cache = cached(mona, x, p)
-    return _mona_bwd(cache, p, require_cotangent(gy, out, "mona_vjp"))
+mona_vjp = vjp(mona, _mona_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +374,7 @@ def _seff_bwd(cache, p: SeffParams, gy):
     return gx, gp
 
 
-def seff_vjp(x, p: SeffParams, gy):
-    out, cache = cached(seff, x, p)
-    return _seff_bwd(cache, p, require_cotangent(gy, out, "seff_vjp"))
+seff_vjp = vjp(seff, _seff_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +390,7 @@ def _stage_fwd(inner, x, dyt_p, inner_p, mona_p, cache):
 
 
 def _stage_bwd(inner_bwd, cache, dyt_p, inner_p, mona_p, gy):
+    """(g_x, g_dyt, g_inner, g_mona)"""
     g_res, g_mona = _mona_bwd(cache.pop("mona"), mona_p, gy)
     g_normed, g_inner = inner_bwd(cache.pop("inner"), inner_p, g_res)
     gx, g_dyt = _dyt_bwd(cache.pop("dyt"), dyt_p, g_normed)
@@ -415,10 +403,7 @@ def daff(x, dyt_p: DyTParams, tssa_p: TssaParams, mona_p: MonaParams, *,
     return _stage_fwd(tssa, x, dyt_p, tssa_p, mona_p, cache)
 
 
-def daff_vjp(x, dyt_p, tssa_p, mona_p, gy):
-    out, cache = cached(daff, x, dyt_p, tssa_p, mona_p)
-    return _stage_bwd(_tssa_bwd, cache, dyt_p, tssa_p, mona_p,
-                      require_cotangent(gy, out, "daff_vjp"))
+daff_vjp = vjp(daff, partial(_stage_bwd, _tssa_bwd))
 
 
 def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams, *,
@@ -427,10 +412,7 @@ def serr(x, dyt_p: DyTParams, seff_p: SeffParams, mona_p: MonaParams, *,
     return _stage_fwd(seff, x, dyt_p, seff_p, mona_p, cache)
 
 
-def serr_vjp(x, dyt_p, seff_p, mona_p, gy):
-    out, cache = cached(serr, x, dyt_p, seff_p, mona_p)
-    return _stage_bwd(_seff_bwd, cache, dyt_p, seff_p, mona_p,
-                      require_cotangent(gy, out, "serr_vjp"))
+serr_vjp = vjp(serr, partial(_stage_bwd, _seff_bwd))
 
 
 def ftssa(x, p: FtssaParams, *, cache=NO_CACHE):
@@ -448,6 +430,4 @@ def _ftssa_bwd(cache, p: FtssaParams, gy):
                            dyt2=g_dyt2, seff=g_seff, mona2=g_mona2)
 
 
-def ftssa_vjp(x, p: FtssaParams, gy):
-    out, cache = cached(ftssa, x, p)
-    return _ftssa_bwd(cache, p, require_cotangent(gy, out, "ftssa_vjp"))
+ftssa_vjp = vjp(ftssa, _ftssa_bwd)

@@ -5,9 +5,7 @@ The mixing module runs two sequential passes.  Each pass regroups channels
 into k groups, concatenates the groups along one spatial axis (width first,
 then height), adds a position embedding, convolves, restores the original
 layout, normalizes, and fuses with the pass input through a 1x1 convolution.
-Each op has one forward, the public op with a keyword-only `cache`, and a
-private `_op_bwd`, with the same input and cotangent checks, as in
-`mgdfis.ftssa`; composites call their children by public name.
+Forwards, backwards and VJPs follow `mgdfis.ftssa`.
 """
 
 import dataclasses
@@ -19,7 +17,7 @@ from .ftssa import _ftssa_bwd, ftssa
 from .ops import conv2d, conv2d_vjp, same_spec
 from .params import (AggregateParams, DmmParams, GmmParams, add_params,
                      zeros_like_params)
-from .tensor import NO_CACHE, as_feature_map, cached, require_cotangent
+from .tensor import NO_CACHE, as_feature_map, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +64,12 @@ def aggregate(f1, f2, agg_p: AggregateParams = None, *, cache=NO_CACHE):
     return f1 + _reconcile_fwd(as_feature_map(f2, "aggregate"), f1.shape, agg_p, cache)
 
 
-def aggregate_vjp(f1, f2, agg_p, gy):
-    out, cache = cached(aggregate, f1, f2, agg_p)
-    gy = require_cotangent(gy, out, "aggregate_vjp")
+def _aggregate_bwd(cache, agg_p, gy):
+    """(g_f1, g_f2, g_agg)"""
     return (gy, *_reconcile_bwd(cache, agg_p, gy))
+
+
+aggregate_vjp = vjp(aggregate, _aggregate_bwd, inputs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,7 @@ def _gmm_bwd(cache, p: GmmParams, gy):
     return gf, gp
 
 
-def gmm_vjp(f_agg, p: GmmParams, gy):
-    out, cache = cached(gmm, f_agg, p)
-    return _gmm_bwd(cache, p, require_cotangent(gy, out, "gmm_vjp"))
+gmm_vjp = vjp(gmm, _gmm_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +222,7 @@ def _dmm_directional_bwd(cache, p: DmmParams, gy):
     return gy + gf, gp
 
 
-def dmm_directional_vjp(f_gmm, p: DmmParams, gy):
-    out, cache = cached(dmm_directional, f_gmm, p)
-    return _dmm_directional_bwd(cache, p,
-                                require_cotangent(gy, out, "dmm_directional_vjp"))
+dmm_directional_vjp = vjp(dmm_directional, _dmm_directional_bwd)
 
 
 def _gate_fwd(feat, p: DmmParams, cache):
@@ -262,16 +257,13 @@ def dmm_attention(f_add, p: DmmParams, *, cache=NO_CACHE):
 
 
 def _dmm_attention_bwd(cache, p: DmmParams, gy):
+    """gy has the gate's (N, C, 1, 1) dims."""
     g_feat, gp = _gate_bwd(cache.pop("gate"), p, gy)
     g_f_add, g_ftssa = _ftssa_bwd(cache.pop("ftssa"), p.ftssa, g_feat)
     return g_f_add, dataclasses.replace(gp, ftssa=g_ftssa)
 
 
-def dmm_attention_vjp(f_add, p: DmmParams, gy):
-    """gy has the gate's (N, C, 1, 1) dims."""
-    out, cache = cached(dmm_attention, f_add, p)
-    return _dmm_attention_bwd(cache, p,
-                              require_cotangent(gy, out, "dmm_attention_vjp"))
+dmm_attention_vjp = vjp(dmm_attention, _dmm_attention_bwd)
 
 
 def dmm(f_gmm, p: DmmParams, *, cache=NO_CACHE):
@@ -289,9 +281,7 @@ def _dmm_bwd(cache, p: DmmParams, gy):
     return gf, add_params(gp_att, gp_dir)
 
 
-def dmm_vjp(f_gmm, p: DmmParams, gy):
-    out, cache = cached(dmm, f_gmm, p)
-    return _dmm_bwd(cache, p, require_cotangent(gy, out, "dmm_vjp"))
+dmm_vjp = vjp(dmm, _dmm_bwd)
 
 
 def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams,
@@ -302,14 +292,11 @@ def gdim(f1, f2, gmm_p: GmmParams, dmm_p: DmmParams,
 
 
 def _gdim_bwd(cache, gmm_p, dmm_p, agg_p, gy):
+    """Returns (g_f1, g_f2, g_gmm, g_dmm, g_agg)."""
     g_f_gmm, g_dmm = _dmm_bwd(cache.pop("dmm"), dmm_p, gy)
     g_f_agg, g_gmm = _gmm_bwd(cache.pop("gmm"), gmm_p, g_f_gmm)
     g2, g_agg = _reconcile_bwd(cache.pop("agg"), agg_p, g_f_agg)
     return g_f_agg, g2, g_gmm, g_dmm, g_agg
 
 
-def gdim_vjp(f1, f2, gmm_p, dmm_p, agg_p, gy):
-    """Returns (g_f1, g_f2, g_gmm, g_dmm, g_agg)."""
-    out, cache = cached(gdim, f1, f2, gmm_p, dmm_p, agg_p)
-    return _gdim_bwd(cache, gmm_p, dmm_p, agg_p,
-                     require_cotangent(gy, out, "gdim_vjp"))
+gdim_vjp = vjp(gdim, _gdim_bwd, inputs=2)

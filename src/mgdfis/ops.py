@@ -316,24 +316,34 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
 # linear / softmax / activations / pooling
 # ---------------------------------------------------------------------------
 
-def linear(x, w, b):
-    """Row-wise affine map: out = x @ w + b for x (m, n), w (n, p), b (p,)."""
+def _linear_args(x, w, b):
+    """x, w and b as float64, each checked to be real and shaped for
+    x @ w + b: x (m, n), w (n, p), b (p,)."""
+    x, w, b = (require_real(a, "linear") for a in (x, w, b))
     if x.ndim != 2 or w.ndim != 2:
         raise ShapeError("linear", "rank", 2, x.ndim if x.ndim != 2 else w.ndim)
     if x.shape[1] != w.shape[0]:
         raise ShapeError("linear", "inner", w.shape[0], x.shape[1])
     if b.shape != (w.shape[1],):
-        raise ShapeError("linear", "bias", (w.shape[1],), tuple(b.shape))
+        raise ShapeError("linear", "bias", (w.shape[1],), b.shape)
+    return x, w, b
+
+
+def linear(x, w, b):
+    """Row-wise affine map: out = x @ w + b for x (m, n), w (n, p), b (p,)."""
+    x, w, b = _linear_args(x, w, b)
     return x @ w + b
 
 
 def linear_vjp(x, w, b, gy):
+    x, w, b = _linear_args(x, w, b)
     gy = require_cotangent(gy, x.shape[:-1] + w.shape[1:], "linear_vjp")
     return gy @ w.T, x.T @ gy, gy.sum(axis=0)
 
 
 def softmax(x, axis):
     """Numerically stable softmax along one axis (max-subtraction)."""
+    x = require_real(x, "softmax")
     axis = int(axis)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError("softmax", "axis", f"in [-{x.ndim}, {x.ndim})", axis)
@@ -380,7 +390,7 @@ def _activation_pair(kind):
 
 
 def activation(kind, x):
-    return _activation_pair(kind)[0](x)
+    return _activation_pair(kind)[0](require_real(x, "activation"))
 
 
 def activation_grad(kind, x):
@@ -389,15 +399,18 @@ def activation_grad(kind, x):
 
 
 def activation_vjp(kind, x, gy):
+    x = require_real(x, "activation")
     return activation_grad(kind, x) * require_cotangent(gy, x.shape, "activation_vjp")
 
 
 def global_avg_pool(x):
     """Per (batch, channel) spatial mean; output spatial dims 1x1."""
+    x = require_real(x, "global_avg_pool")
     return _rank4("global_avg_pool", x).mean(axis=(2, 3), keepdims=True)
 
 
 def global_avg_pool_vjp(x, gy):
+    x = require_real(x, "global_avg_pool")
     n, c, h, w = _rank4("global_avg_pool_vjp", x).shape
     gy = require_cotangent(gy, (n, c, 1, 1), "global_avg_pool_vjp")
     return np.broadcast_to(gy / (h * w), x.shape).copy()
@@ -545,6 +558,7 @@ def _resize_matrix(n_in, n_out):
 
 def bilinear_resize(x, out_h, out_w):
     """Resample the spatial axes of (N, C, H, W) to (out_h, out_w)."""
+    x = require_real(x, "bilinear_resize")
     _sizes("bilinear_resize", *_rank4("bilinear_resize", x).shape[2:], out_h, out_w)
     ah = _resize_matrix(x.shape[2], out_h)
     aw = _resize_matrix(x.shape[3], out_w)

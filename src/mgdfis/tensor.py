@@ -86,6 +86,26 @@ def cached(fwd, *args):
     return fwd(*args, cache=cache), cache
 
 
+def vjp(fwd, bwd, inputs=1):
+    """The public VJP `fwd_vjp(*args, gy)`: fwd(*args) run once on a fresh
+    Cache, gy checked against its output, then bwd(cache, *args[inputs:], gy);
+    bwd reads the first `inputs` arguments from the cache alone."""
+    name = fwd.__name__ + "_vjp"
+    arity = fwd.__code__.co_argcount + 1
+
+    def op_vjp(*args):
+        if len(args) != arity:
+            raise TypeError(f"{name}() takes {arity} arguments, got {len(args)}")
+        *args, gy = args
+        out, cache = cached(fwd, *args)
+        return bwd(cache, *args[inputs:], require_cotangent(gy, out, name))
+
+    op_vjp.__name__ = op_vjp.__qualname__ = name
+    op_vjp.__module__ = fwd.__module__
+    op_vjp.__doc__ = getattr(bwd, "func", bwd).__doc__   # a partial bwd: its function's
+    return op_vjp
+
+
 def to_tokens(x):
     """(N, C, H, W) -> (N, H*W, C), token n = h*W + w (width fastest)."""
     n, c, h, w = x.shape

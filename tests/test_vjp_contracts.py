@@ -161,6 +161,65 @@ def test_op_vjp_rejects_complex_cotangent(name):
         vjp((1 + 2j) * np.ones(shape))
 
 
+def test_stage_vjps_are_the_registered_cases():
+    # every op_vjp of the stage modules is a case above, and every case's op
+    # has one; a VJP carries its attribute's name and its forward's module,
+    # on which the tracer's spans and the ShapeError messages key
+    found = {}
+    for mod in (F, G, D):
+        for attr, fn in vars(mod).items():
+            name = attr.removesuffix("_vjp")
+            fwd = getattr(mod, name, None)
+            if name != attr and getattr(fwd, "__module__", None) == mod.__name__:
+                found[name] = (fwd, fn)
+    assert sorted(found) == sorted(_cases())
+    for name, (fwd, fn) in found.items():
+        assert fn.__name__ == fn.__qualname__ == f"{name}_vjp"
+        assert fn.__module__ == fwd.__module__
+
+
+@pytest.mark.parametrize("name", list(_cases()))
+def test_vjp_without_cotangent_is_a_type_error(name):
+    _, vjp, args = _cases()[name]
+    with pytest.raises(TypeError, match=f"{name}_vjp"):
+        vjp(*args)
+
+
+def test_linear_and_its_vjp_reject_a_mismatched_inner_dim():
+    x, w, b = u("vc.li.x", (2, 3)), u("vc.li.w", (5, 4)), u("vc.li.b", (4,))
+    with pytest.raises(ShapeError, match="linear: axis 'inner' expected 5, got 3"):
+        ops.linear(x, w, b)
+    with pytest.raises(ShapeError, match="linear: axis 'inner' expected 5, got 3"):
+        ops.linear_vjp(x, w, b, np.ones((2, 4)))
+
+
+def _real_op_calls():
+    """name: a call of a real op or its VJP on its input z."""
+    w, b, gy = u("vc.ro.w", (3, 4)), u("vc.ro.b", (4,)), np.ones((2, 4))
+    return {
+        "linear": lambda z: ops.linear(z[0, 0, :2], w, b),
+        "linear_vjp": lambda z: ops.linear_vjp(z[0, 0, :2], w, b, gy),
+        "softmax": lambda z: ops.softmax(z, 1),
+        "softmax_vjp": lambda z: ops.softmax_vjp(z, 1, np.ones(z.shape)),
+        "global_avg_pool": ops.global_avg_pool,
+        "global_avg_pool_vjp": lambda z: ops.global_avg_pool_vjp(z, np.ones((1, C, 1, 1))),
+        "bilinear_resize": lambda z: ops.bilinear_resize(z, 2, 4),
+        "activation": lambda z: ops.activation("tanh", z),
+        "activation_vjp": lambda z: ops.activation_vjp("tanh", z, np.ones(z.shape)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_real_op_calls()))
+def test_real_op_rejects_complex_input(name):
+    # not a complex128 result, nor a cast that drops the imaginary part
+    call = _real_op_calls()[name]
+    x = u("vc.x")
+    call(x)
+    op = name.removesuffix("_vjp")
+    with pytest.raises(ShapeError, match=f"{op}: axis 'dtype' expected real, got complex128"):
+        call(x + 0.5j * x)
+
+
 def _zero_token_case(pi_mode):
     """tssa's arguments and a cotangent, the token at (1, 2) all zero: its
     statistics have radius 0 in every head."""
