@@ -76,32 +76,24 @@ aggregate_vjp = vjp(aggregate, _aggregate_bwd, inputs=2)
 # column/row mixing
 # ---------------------------------------------------------------------------
 
-def regroup_w(f, k):
-    """Channel group g becomes width band g: (N,C,H,W) -> (N,C/k,H,kW)."""
-    n, c, h, w = f.shape
-    return f.reshape(n, k, c // k, h, w).transpose(0, 2, 3, 1, 4).reshape(
-        n, c // k, h, k * w)
+def regroup(f, k, axis):
+    """Channel group g becomes band g of spatial axis `axis` (3 for the
+    column pass, 2 for the row pass): (N, C, H, W) -> (N, C/k, H, kW) or
+    (N, C/k, kH, W)."""
+    shape = list(f.shape)
+    shape[1] //= k
+    shape[axis] *= k
+    return np.moveaxis(f.reshape(f.shape[0], k, -1, *f.shape[2:]), 1, axis).reshape(shape)
 
 
-def restore_w(f, k):
-    n, ck, h, kw = f.shape
-    w = kw // k
-    return f.reshape(n, ck, h, k, w).transpose(0, 3, 1, 2, 4).reshape(
-        n, k * ck, h, w)
-
-
-def regroup_h(f, k):
-    """Channel group g becomes height band g: (N,C,H,W) -> (N,C/k,kH,W)."""
-    n, c, h, w = f.shape
-    return f.reshape(n, k, c // k, h, w).transpose(0, 2, 1, 3, 4).reshape(
-        n, c // k, k * h, w)
-
-
-def restore_h(f, k):
-    n, ck, kh, w = f.shape
-    h = kh // k
-    return f.reshape(n, ck, k, h, w).transpose(0, 2, 1, 3, 4).reshape(
-        n, k * ck, h, w)
+def restore(f, k, axis):
+    """Inverse of regroup(., k, axis): band g of axis `axis` becomes channel
+    group g again."""
+    shape = list(f.shape)
+    shape[1] *= k
+    shape[axis] //= k
+    split = f.shape[:axis] + (k, -1) + f.shape[axis + 1:]
+    return np.moveaxis(f.reshape(split), axis, 1).reshape(shape)
 
 
 def _bn_inference(x, scale, shift, mean, var, eps):
@@ -112,15 +104,13 @@ def _bn_inference(x, scale, shift, mean, var, eps):
 
 
 def _gmm_pass(p: GmmParams, axis):
-    """(regroup, restore, position embedding, {field: value}) of the column
-    pass (axis "w", the col_* fields) or the row pass (axis "h", row_*)."""
-    pre = "col" if axis == "w" else "row"
+    """(position embedding, {field: value}) of the column pass (axis 3, the
+    col_* fields) or the row pass (axis 2, row_*)."""
+    pre = "col" if axis == 3 else "row"
     q = {name: getattr(p, f"{pre}_{name}") for name in (
         "conv_weight", "conv_bias", "bn_scale", "bn_shift", "bn_mean",
         "bn_var", "fuse_weight", "fuse_bias")}
-    if axis == "w":
-        return regroup_w, restore_w, p.pos_w, q
-    return regroup_h, restore_h, p.pos_h, q
+    return (p.pos_w if axis == 3 else p.pos_h), q
 
 
 def _gmm_pass_fwd(f, p: GmmParams, axis, cache):
@@ -128,14 +118,14 @@ def _gmm_pass_fwd(f, p: GmmParams, axis, cache):
     if f.shape[1] % p.k:
         raise ConfigError(f"gmm: group count {p.k} must divide channel count "
                           f"{f.shape[1]}")
-    regroup, restore, pos, q = _gmm_pass(p, axis)
+    pos, q = _gmm_pass(p, axis)
     c = f.shape[1]
-    grouped = regroup(f, p.k)
+    grouped = regroup(f, p.k, axis)
     if pos.shape != (1,) + grouped.shape[1:]:
         raise ShapeError("gmm", "pos_embed", (1,) + grouped.shape[1:], pos.shape)
     conved = conv2d(grouped + pos, q["conv_weight"], q["conv_bias"],
                     same_spec(c // p.k, 3, 3))
-    restored = restore(conved, p.k)
+    restored = restore(conved, p.k, axis)
     *_, bn_out = _bn_inference(restored, q["bn_scale"], q["bn_shift"],
                                q["bn_mean"], q["bn_var"], p.bn_eps)
     cache.keep(f=f, restored=restored)
@@ -146,7 +136,7 @@ def _gmm_pass_fwd(f, p: GmmParams, axis, cache):
 
 def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     """(g_f, g_pos, {field: gradient})"""
-    regroup, restore, pos, q = _gmm_pass(p, axis)
+    pos, q = _gmm_pass(p, axis)
     f = cache.pop("f")
     c = f.shape[1]
     inv, xhat, bn_out = _bn_inference(cache.pop("restored"), q["bn_scale"],
@@ -159,23 +149,23 @@ def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     g_bn = ops.activation_grad("gelu", bn_out) * g_cat[:, c:]
     g["bn_scale"] = np.sum(g_bn * xhat, axis=(0, 2, 3))
     g["bn_shift"] = np.sum(g_bn, axis=(0, 2, 3))
-    g_conved = regroup(g_bn * (q["bn_scale"] * inv)[None, :, None, None], p.k)
+    g_conved = regroup(g_bn * (q["bn_scale"] * inv)[None, :, None, None], p.k, axis)
     g_conv_in, g["conv_weight"], g["conv_bias"] = conv2d_vjp(
-        regroup(f, p.k) + pos, q["conv_weight"], q["conv_bias"],
+        regroup(f, p.k, axis) + pos, q["conv_weight"], q["conv_bias"],
         same_spec(c // p.k, 3, 3), g_conved)
     g_pos = g_conv_in.sum(axis=0, keepdims=True)
-    return g_cat[:, :c] + restore(g_conv_in, p.k), g_pos, g
+    return g_cat[:, :c] + restore(g_conv_in, p.k, axis), g_pos, g
 
 
 def gmm(f_agg, p: GmmParams, *, cache=NO_CACHE):
     """Column pass then row pass; output dims equal input dims."""
-    return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, "w", cache.sub("col")), p, "h",
+    return _gmm_pass_fwd(_gmm_pass_fwd(f_agg, p, 3, cache.sub("col")), p, 2,
                          cache.sub("row"))
 
 
 def _gmm_bwd(cache, p: GmmParams, gy):
-    g_col, g_pos_h, g_row = _gmm_pass_bwd(cache.pop("row"), p, "h", gy)
-    gf, g_pos_w, g_c = _gmm_pass_bwd(cache.pop("col"), p, "w", g_col)
+    g_col, g_pos_h, g_row = _gmm_pass_bwd(cache.pop("row"), p, 2, gy)
+    gf, g_pos_w, g_c = _gmm_pass_bwd(cache.pop("col"), p, 3, g_col)
     gp = dataclasses.replace(
         p, pos_w=g_pos_w, pos_h=g_pos_h,
         **{f"col_{name}": v for name, v in g_c.items()},

@@ -22,11 +22,11 @@ row, cropped at the end.  conv2d_vjp runs the adjoint on the same layout: gy
 is stacked once per kernel row, so one GEMM gives gw and one the column
 stack's gradient, whose kw shifted copies add into gx.  Both calls run on
 the same blocks of input rows, whose stacks fit a fixed budget, and take
-each block's column stack (a view of the rows when kw == 1; in the VJP then
-the stack's gradient) and per-kernel-row stack (the forward's product, the
-VJP's gy stack) from a per-thread workspace: two flat buffers that grow to
-the largest block a thread has run and outlive the call, about 9 MB per
-thread at the default config, so a warm conv does not page-fault on them.
+each block's column stack (in the VJP then the stack's gradient) and
+per-kernel-row stack (the forward's product, the VJP's gy stack) from a
+per-thread workspace: two flat buffers that grow to the largest block a
+thread has run and outlive the call, about 9 MB per thread at the default
+config, so a warm conv does not page-fault on them.
 The padded rows, the wide output and every returned array are fresh.
 
 The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
@@ -156,8 +156,8 @@ def _same_spec(channels, kernel_h, kernel_w, out_channels, groups, dilation):
     )
 
 
-# Most float64 entries per image in a block's column stack (none for kw == 1,
-# a view of the rows) and per-kernel-row stack (forward product, VJP gy stack).
+# Most float64 entries per image in a block's column stack and per-kernel-row
+# stack (forward product, VJP gy stack).
 _STACK_ENTRIES = 1 << 20
 
 
@@ -176,8 +176,7 @@ def _conv_plan(spec, h, w):
     if not spans:
         return ho, wo, wp, ()
     top, end = spans[0][1] + spans[0][2], spans[-1][1] + spans[-1][3]
-    per_row = ((spec.kernel_w * spec.in_channels if spec.kernel_w > 1 else 0)
-               + spec.kernel_h * spec.out_channels)
+    per_row = spec.kernel_w * spec.in_channels + spec.kernel_h * spec.out_channels
     step = -(-(end - top) // max(1, -(-per_row * wp * (end - top) // _STACK_ENTRIES)))
     blocks = []
     for r0 in range(top, end, step):
@@ -204,18 +203,16 @@ def _conv_args(x, w, b, spec):
 
 
 def _conv_setup(x, w, spec):
-    """The conv's plan and layout: (ho, wo, wp, blocks, xp, wt).  xp is x in
-    (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows (x itself if it is
-    contiguous and that wide), so every tap reads within its row; wt is
-    (g, kh, og, kw * cg), column j * cg + c holding tap j of channel c."""
+    """The conv's plan and layout: (ho, wo, wp, blocks, xp, wt).  xp is x
+    copied into (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows, so
+    every tap reads within its row; wt is (g, kh, og, kw * cg), column
+    j * cg + c holding tap j of channel c."""
     n, _, h, wd = x.shape
     ho, wo, wp, blocks = _conv_plan(spec, h, wd)
     g, pl = spec.groups, spec.padding[2]
-    xp = x.reshape(n, g, -1, h, wd)
     span = wp + (spec.kernel_w - 1) * spec.dilation[1]
-    if span != wd or not xp.flags.c_contiguous:  # _stack views xp's buffer
-        xp = np.zeros(xp.shape[:-1] + (span,))
-        xp[..., pl:pl + wd] = x.reshape(n, g, -1, h, wd)
+    xp = np.zeros((n, g, spec.in_channels // g, h, span))
+    xp[..., pl:pl + wd] = x.reshape(n, g, -1, h, wd)
     wt = w.reshape(g, spec.out_channels // g, -1, spec.kernel_h, spec.kernel_w)
     wt = wt.transpose(0, 3, 1, 4, 2).reshape(g, spec.kernel_h, wt.shape[1], -1)
     return ho, wo, wp, blocks, xp, wt
@@ -238,19 +235,17 @@ def _scratch(slot, shape):
 
 
 def _stack(xp, spec, wp, rows):
-    """(n, g, kw * cg, nr * wp) column stack of the input rows `rows`, entry
-    j * cg + c holding channel c shifted by tap j: a view whose tap axis
-    steps by the dilation, copied into workspace slot 0 unless kw == 1."""
+    """(n, g, kw * cg, nr * wp) column stack of the input rows `rows` in
+    workspace slot 0, entry j * cg + c holding channel c shifted by tap j:
+    a copy of the view of xp whose tap axis steps by the dilation."""
     n, g, cg = xp.shape[:3]
     src = xp[..., rows, :]
     sn, sg, sc, sr, sw = src.strides
     taps = np.ndarray((n, g, spec.kernel_w, cg, src.shape[-2], wp), xp.dtype, xp,
                       rows.start * sr, (sn, sg, spec.dilation[1] * sw, sc, sr, sw))
-    if spec.kernel_w > 1:
-        stack = _scratch(0, taps.shape)
-        np.copyto(stack, taps)
-        taps = stack
-    return taps.reshape(n, g, -1, src.shape[-2] * wp)
+    stack = _scratch(0, taps.shape)
+    np.copyto(stack, taps)
+    return stack.reshape(n, g, -1, src.shape[-2] * wp)
 
 
 def conv2d(x, w, b, spec: ConvSpec):

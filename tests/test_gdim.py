@@ -12,8 +12,7 @@ from mgdfis import ops
 from mgdfis.errors import ConfigError, ShapeError
 from mgdfis.ftssa import ftssa
 from mgdfis.gdim import (aggregate, dmm, dmm_attention, dmm_directional,
-                         dmm_directional_vjp, gdim, gmm, regroup_h, regroup_w,
-                         restore_h, restore_w)
+                         dmm_directional_vjp, gdim, gmm, regroup, restore)
 from mgdfis.params import (init_aggregate, init_dmm, init_gmm,
                            zeros_like_params)
 from mgdfis.rng import stream
@@ -69,14 +68,14 @@ def test_aggregate_wrong_projection_channels():
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_regroup_restore_roundtrip(k):
     f = u(5, f"rg{k}", (2, 4, 3, 5))
-    assert np.array_equal(restore_w(regroup_w(f, k), k), f)
-    assert np.array_equal(restore_h(regroup_h(f, k), k), f)
+    for axis in (2, 3):
+        assert np.array_equal(restore(regroup(f, k, axis), k, axis), f)
 
 
 def test_regroup_w_index_map():
     c, k = 4, 2
     f = u(6, "rg.f", (1, c, 2, 3))
-    g = regroup_w(f, k)
+    g = regroup(f, k, 3)
     assert g.shape == (1, c // k, 2, k * 3)
     for grp in range(k):
         for c2 in range(c // k):
@@ -88,7 +87,7 @@ def test_regroup_w_index_map():
 def test_regroup_h_index_map():
     c, k = 4, 2
     f = u(7, "rg.f", (1, c, 2, 3))
-    g = regroup_h(f, k)
+    g = regroup(f, k, 2)
     assert g.shape == (1, c // k, k * 2, 3)
     for grp in range(k):
         for c2 in range(c // k):

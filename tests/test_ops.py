@@ -142,7 +142,7 @@ def _fuzz_geometries(count=80, seed=5):
 # Geometries the seeded draw never makes: pointwise convs (groups 1-3, batch
 # 1-2, maps down to 1x1, a dilation, which moves no tap of a 1x1 kernel), then
 # x as a channel slice of a wider map for a pointwise conv and for unpadded
-# one-column kernels that are not pointwise, whose stacks view x's rows.
+# one-column kernels that are not pointwise.
 _EXTRA_GEOMETRIES = [
     (ops.ConvSpec(2, 5, 1, 1), (1, 2, 4, 3)),
     (ops.ConvSpec(6, 4, 1, 1, groups=2), (2, 6, 3, 5)),
@@ -288,9 +288,9 @@ def test_conv_rejects_complex_arguments(spec, arg, call):
 
 
 def test_conv_fuzz_in_row_blocks(monkeypatch):
-    # a budget of a few entries splits every conv that allocates a stack
-    # into blocks of a row or two, which pipeline-size maps no longer need;
-    # each block of the dilated 2x1 conv has one tap that reads one row of two
+    # a budget of a few entries splits every k×k conv into blocks of a row
+    # or two, which pipeline-size maps no longer need; each block of the
+    # dilated 2x1 conv has one tap that reads one row of two
     monkeypatch.setattr(ops, "_STACK_ENTRIES", 64)
     ops._conv_plan.cache_clear()  # plans are cached without the budget
     try:
