@@ -156,14 +156,19 @@ def _check_resize(seed):
 
 
 def _fft_filter(x, w_re, w_im):
-    """Spectral reweighting in isolation: Re(ifft2(W * fft2(x)))."""
-    return ops.ifft2((w_re + 1j * w_im) * ops.fft2(x))
+    """Spectral reweighting in isolation, Re(ifft2(W * fft2(x))) for W =
+    w_re + i w_im, run as seff runs it: on the half spectrum, with the half
+    of W's Hermitian part."""
+    h, w = x.shape[2:]
+    return ops.irfft2(ops.half_spectrum_weight(w_re, w_im, h, w) * ops.rfft2(x), w)
 
 
 def _fft_filter_vjp(x, w_re, w_im, gy):
-    gz = ops.ifft2_vjp(gy)
-    gw = np.conj(ops.fft2(x)) * gz
-    return ops.fft2_vjp(np.conj(w_re + 1j * w_im) * gz), gw.real, gw.imag
+    h, w = x.shape[2:]
+    gz = ops.irfft2_vjp(gy)
+    g_weight = np.conj(ops.rfft2(x)) * gz
+    g_x = ops.rfft2_vjp(np.conj(ops.half_spectrum_weight(w_re, w_im, h, w)) * gz, w)
+    return (g_x, *ops.half_spectrum_weight_vjp(h, w, w, g_weight))
 
 
 @_register("fft_filter")

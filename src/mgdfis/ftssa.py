@@ -41,8 +41,11 @@ def dyt(x, p: DyTParams, *, cache=NO_CACHE):
     x = as_feature_map(x, "dyt")
     require_channels(x, p.gamma.shape[0], "dyt")
     cache.keep(x=x)
-    t = np.tanh(p.alpha * x)
-    return p.gamma[None, :, None, None] * t + p.beta[None, :, None, None]
+    y = p.alpha * x    # the one fresh array: tanh, gamma and beta apply in place
+    np.tanh(y, out=y)
+    y *= p.gamma[None, :, None, None]
+    y += p.beta[None, :, None, None]
+    return y
 
 
 def _dyt_bwd(cache, p: DyTParams, gy):
@@ -312,6 +315,7 @@ def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
     cache.keep(half=half, spectrum=spectrum, weight=weight)
     z = weight * spectrum
     z += bias[:, None, None]
+    del spectrum, weight    # without a cache, freed before the inverse transform
     return ops.irfft2(z, w)
 
 
@@ -342,8 +346,11 @@ def seff(x, p: SeffParams, *, cache=NO_CACHE):
                      p.w1_re, p.w1_im, p.freq_bias1, cache.sub("b1"))
     t2 = _branch_fwd(split[:, c:], p.branch2_weight, p.branch2_bias, sp["b2"],
                      p.w2_re, p.w2_im, p.freq_bias2, cache.sub("b2"))
+    del split    # without a cache, no branch keeps a view of it
     cache.keep(x=x, t1=t1, t2=t2)
-    return conv2d(ops.silu(t2) * t1, p.merge_weight, p.merge_bias, sp["merge"])
+    gated = ops.silu(t2)
+    gated *= t1
+    return conv2d(gated, p.merge_weight, p.merge_bias, sp["merge"])
 
 
 def _seff_bwd(cache, p: SeffParams, gy):

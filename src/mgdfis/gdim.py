@@ -96,11 +96,33 @@ def restore(f, k, axis):
     return np.moveaxis(f.reshape(split), axis, 1).reshape(shape)
 
 
-def _bn_inference(x, scale, shift, mean, var, eps):
-    """(1 / sqrt(var + eps), normalised x, scaled and shifted output)"""
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    return inv, xhat, scale[None, :, None, None] * xhat + shift[None, :, None, None]
+def _bn_normalise(x, q, eps, out=None):
+    """(1 / sqrt(var + eps), (x - mean) times it) of the pass's inference BN,
+    the normalised x written into out when it is given."""
+    inv = 1.0 / np.sqrt(q["bn_var"] + eps)
+    xhat = np.subtract(x, q["bn_mean"][None, :, None, None], out=out)
+    xhat *= inv[None, :, None, None]
+    return inv, xhat
+
+
+def _bn_affine(xhat, q, out=None):
+    """The BN output scale * xhat + shift, written into out when it is given."""
+    y = np.multiply(xhat, q["bn_scale"][None, :, None, None], out=out)
+    y += q["bn_shift"][None, :, None, None]
+    return y
+
+
+def _fuse_input(f, restored, q, eps):
+    """[f, gelu(BN(restored))], the fuse conv's input, in one buffer: f is
+    copied into the first half, and BN then GELU written into the second."""
+    c = f.shape[1]
+    cat = np.empty((f.shape[0], 2 * c) + f.shape[2:])
+    cat[:, :c] = f
+    act = cat[:, c:]
+    _bn_normalise(restored, q, eps, out=act)
+    _bn_affine(act, q, out=act)
+    np.copyto(act, ops.gelu(act))
+    return cat
 
 
 def _gmm_pass(p: GmmParams, axis):
@@ -126,26 +148,23 @@ def _gmm_pass_fwd(f, p: GmmParams, axis, cache):
     conved = conv2d(grouped + pos, q["conv_weight"], q["conv_bias"],
                     same_spec(c // p.k, 3, 3))
     restored = restore(conved, p.k, axis)
-    *_, bn_out = _bn_inference(restored, q["bn_scale"], q["bn_shift"],
-                               q["bn_mean"], q["bn_var"], p.bn_eps)
+    del conved
     cache.keep(f=f, restored=restored)
-    cat = np.concatenate([f, ops.gelu(bn_out)], axis=1)
-    return conv2d(cat, q["fuse_weight"], q["fuse_bias"],
-                  same_spec(2 * c, 1, 1, out_channels=c))
+    return conv2d(_fuse_input(f, restored, q, p.bn_eps), q["fuse_weight"],
+                  q["fuse_bias"], same_spec(2 * c, 1, 1, out_channels=c))
 
 
 def _gmm_pass_bwd(cache, p: GmmParams, axis, gy):
     """(g_f, g_pos, {field: gradient})"""
     pos, q = _gmm_pass(p, axis)
-    f = cache.pop("f")
+    f, restored = cache.pop("f"), cache.pop("restored")
     c = f.shape[1]
-    inv, xhat, bn_out = _bn_inference(cache.pop("restored"), q["bn_scale"],
-                                      q["bn_shift"], q["bn_mean"], q["bn_var"],
-                                      p.bn_eps)
     g = {}
     g_cat, g["fuse_weight"], g["fuse_bias"] = conv2d_vjp(
-        np.concatenate([f, ops.gelu(bn_out)], axis=1), q["fuse_weight"],
-        q["fuse_bias"], same_spec(2 * c, 1, 1, out_channels=c), gy)
+        _fuse_input(f, restored, q, p.bn_eps), q["fuse_weight"], q["fuse_bias"],
+        same_spec(2 * c, 1, 1, out_channels=c), gy)
+    inv, xhat = _bn_normalise(restored, q, p.bn_eps)
+    bn_out = _bn_affine(xhat, q)
     g_bn = ops.activation_grad("gelu", bn_out) * g_cat[:, c:]
     g["bn_scale"] = np.sum(g_bn * xhat, axis=(0, 2, 3))
     g["bn_shift"] = np.sum(g_bn, axis=(0, 2, 3))

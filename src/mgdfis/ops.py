@@ -7,32 +7,34 @@ be verified against central differences.  There is no tape: composite ops
 chain these VJPs explicitly.  A VJP whose cotangent is real checks it with
 `tensor.require_cotangent` against the output shape (or, knowing only the
 rank, with `tensor.as_feature_map`), so a complex or misshapen cotangent is
-a ShapeError naming the VJP.  fft2_vjp, rfft2_vjp and half_spectrum_weight_vjp,
-whose cotangent is a complex spectrum, check its shape themselves.
+a ShapeError naming the VJP.  rfft2_vjp and half_spectrum_weight_vjp, whose
+cotangent is a complex spectrum, check its shape themselves.
 
 A pointwise conv (ConvSpec.pointwise: 1x1, stride 1, no padding, any groups;
 its dilation moves no tap) is one grouped matmul: conv2d is W @ x, the bias
 added in place, and conv2d_vjp is W^T @ gy, sum_n gy x^T and sum gy.  Every
-other conv folds the kernel columns into the GEMM (kn2col style): rows are
-zero-padded, a column stack holds kw copies of them, each shifted by its tap,
-and each block of rows is one GEMM, the kernel rows that read it stacked
-(len(ks) * og, kw * cg) @ the block's column stack.  Each kernel row's slice
-of that product is one contiguous add into an output as wide as the padded
-row, cropped at the end.  conv2d_vjp runs the adjoint on the same layout: gy
-is stacked once per kernel row, so one GEMM gives gw and one the column
-stack's gradient, whose kw shifted copies add into gx.  Both calls run on
-the same blocks of input rows, whose stacks fit a fixed budget, and take
-each block's column stack (in the VJP then the stack's gradient) and
-per-kernel-row stack (the forward's product, the VJP's gy stack) from a
+other conv folds the kernel columns into the GEMM (kn2col style) on one
+layout that both calls share.  The rows are zero-padded at the sides, and a
+column stack as wide as the output holds kw copies of them, tap j sampled at
+column j * dil_w + o * stride_w for output column o.  Each block of rows is
+one GEMM, the kernel rows that read it stacked (len(ks) * og, kw * cg) @ the
+block's column stack, and each kernel row's slice of the product (its rows
+stepped by the row stride) adds straight into the output, which then takes
+the bias in place.  conv2d_vjp runs the adjoint: gy is stacked once per
+kernel row, straight from gy, so one GEMM gives gw and one the column
+stack's gradient, whose kw shifted copies add into a gx padded like the
+rows.  Each block's column stack (in the VJP then the stack's gradient) and
+per-kernel-row stack (the forward's product, the VJP's gy stack) come from a
 per-thread workspace: two flat buffers that grow to the largest block a
 thread has run and outlive the call, about 9 MB per thread at the default
-config, so a warm conv does not page-fault on them.
-The padded rows, the wide output and every returned array are fresh.
+config, so a warm conv does not page-fault on them.  A k×k conv's fresh
+arrays are its padded rows and its output (the VJP: padded gx, gw and gb).
 
-The spectral ops come in two forms: fft2/ifft2 over complex spectra, and
-rfft2/irfft2 over the half spectrum (columns 0..w//2) of a real map, which
-stands for the Hermitian spectrum it determines.  half_spectrum_weight builds
-the half of a resampled complex grid's Hermitian part in one separable map.
+The spectral ops come in two forms, both on scipy.fft: fft2/ifft2 over
+complex spectra, and rfft2/irfft2 over the half spectrum (columns 0..w//2)
+of a real map, which stands for the Hermitian spectrum it determines.
+half_spectrum_weight builds the half of a resampled complex grid's Hermitian
+part in one separable map, its one GEMM writing the complex output's planes.
 """
 
 import math
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.special import expit, ndtr
 
 from .errors import ConfigError, ShapeError
@@ -163,32 +166,39 @@ _STACK_ENTRIES = 1 << 20
 
 @lru_cache(maxsize=256)
 def _conv_plan(spec, h, w):
-    """Schedule over an (h, w) input: (ho, wo, wp, blocks).  The conv runs
-    at stride 1 over rows padded to wp columns and keeps every stride-th
-    output; output row o of kernel row i reads input row o + i * dil_h -
-    pad_top.  A block (rows, ks, taps) stacks the input rows `rows`, ks
-    slices the kernel rows reading them, and each tap (i, src, dst) pairs
-    their flat stack and output columns."""
+    """Schedule over an (h, w) input: (ho, wo, blocks).  Output row o of
+    kernel row i reads input row o * stride_h + i * dil_h - pad_top.  A
+    block (rows, ks, taps) stacks the input rows `rows`, ks slices the
+    kernel rows reading them, and each tap (k, src, dst) pairs the block
+    rows kernel row ks.start + k reads (a slice stepped by the row stride)
+    with the output rows they feed."""
     ho, wo = spec.output_hw(h, w)
-    hs, wp = (ho - 1) * spec.stride[0] + 1, w + spec.padding[2] + spec.padding[3]
-    spans = [(i, q, max(0, -q), min(hs, h - q)) for i in range(spec.kernel_h)
-             for q in [i * spec.dilation[0] - spec.padding[0]] if min(hs, h - q) > max(0, -q)]
+    s = spec.stride[0]
+    offsets = [i * spec.dilation[0] - spec.padding[0] for i in range(spec.kernel_h)]
+
+    def reading(q, r0, r1):
+        """The output rows [a, b) whose input row o * s + q is in [r0, r1)."""
+        return max(0, -((q - r0) // s)), min(ho, -((q - r1) // s))
+
+    spans = [(a * s + q, (b - 1) * s + q + 1) for q in offsets
+             for a, b in [reading(q, 0, h)] if b > a]
     if not spans:
-        return ho, wo, wp, ()
-    top, end = spans[0][1] + spans[0][2], spans[-1][1] + spans[-1][3]
-    per_row = spec.kernel_w * spec.in_channels + spec.kernel_h * spec.out_channels
-    step = -(-(end - top) // max(1, -(-per_row * wp * (end - top) // _STACK_ENTRIES)))
+        return ho, wo, ()
+    top, end = min(r0 for r0, _ in spans), max(r1 for _, r1 in spans)
+    per_row = (spec.kernel_w * spec.in_channels + spec.kernel_h * spec.out_channels) * wo
+    step = -(-(end - top) // max(1, -(-per_row * (end - top) // _STACK_ENTRIES)))
     blocks = []
     for r0 in range(top, end, step):
         r1 = min(end, r0 + step)
-        outs = [(i, q, max(lo, r0 - q), min(hi, r1 - q)) for i, q, lo, hi in spans
-                if min(hi, r1 - q) > max(lo, r0 - q)]
-        if not outs:  # a dilation wider than the output skips rows
+        outs = [(i, q, a, b) for i, q in enumerate(offsets)
+                for a, b in [reading(q, r0, r1)] if b > a]
+        if not outs:  # a dilation or stride wider than the block skips its rows
             continue
-        blocks.append((slice(r0, r1), slice(outs[0][0], outs[-1][0] + 1), tuple(
-            (i, slice((a + q - r0) * wp, (b + q - r0) * wp), slice(a * wp, b * wp))
+        i0 = outs[0][0]
+        blocks.append((slice(r0, r1), slice(i0, outs[-1][0] + 1), tuple(
+            (i - i0, slice(a * s + q - r0, (b - 1) * s + q - r0 + 1, s), slice(a, b))
             for i, q, a, b in outs)))
-    return ho, wo, wp, tuple(blocks)
+    return ho, wo, tuple(blocks)
 
 
 def _conv_args(x, w, b, spec):
@@ -203,19 +213,17 @@ def _conv_args(x, w, b, spec):
 
 
 def _conv_setup(x, w, spec):
-    """The conv's plan and layout: (ho, wo, wp, blocks, xp, wt).  xp is x
-    copied into (n, g, cg, h, wp + (kw - 1) * dil_w) zero-padded rows, so
-    every tap reads within its row; wt is (g, kh, og, kw * cg), column
-    j * cg + c holding tap j of channel c."""
+    """The conv's plan and layout: (ho, wo, blocks, xp, wt).  xp is x
+    copied into (n, g, cg, h, w + pad_left + pad_right) zero-padded rows;
+    wt is (g, kh, og, kw * cg), column j * cg + c holding tap j of channel c."""
     n, _, h, wd = x.shape
-    ho, wo, wp, blocks = _conv_plan(spec, h, wd)
+    ho, wo, blocks = _conv_plan(spec, h, wd)
     g, pl = spec.groups, spec.padding[2]
-    span = wp + (spec.kernel_w - 1) * spec.dilation[1]
-    xp = np.zeros((n, g, spec.in_channels // g, h, span))
+    xp = np.zeros((n, g, spec.in_channels // g, h, pl + wd + spec.padding[3]))
     xp[..., pl:pl + wd] = x.reshape(n, g, -1, h, wd)
     wt = w.reshape(g, spec.out_channels // g, -1, spec.kernel_h, spec.kernel_w)
     wt = wt.transpose(0, 3, 1, 4, 2).reshape(g, spec.kernel_h, wt.shape[1], -1)
-    return ho, wo, wp, blocks, xp, wt
+    return ho, wo, blocks, xp, wt
 
 
 _WORKSPACE = threading.local()
@@ -234,39 +242,43 @@ def _scratch(slot, shape):
     return bufs[slot][:size].reshape(shape)
 
 
-def _stack(xp, spec, wp, rows):
-    """(n, g, kw * cg, nr * wp) column stack of the input rows `rows` in
-    workspace slot 0, entry j * cg + c holding channel c shifted by tap j:
-    a copy of the view of xp whose tap axis steps by the dilation."""
+def _stack(xp, spec, wo, rows):
+    """(n, g, kw * cg, nr * wo) column stack of the input rows `rows` in
+    workspace slot 0, entry j * cg + c holding channel c at tap j of each
+    output column: a copy of the view of xp whose tap axis steps by the
+    dilation and whose columns step by the stride."""
     n, g, cg = xp.shape[:3]
     src = xp[..., rows, :]
     sn, sg, sc, sr, sw = src.strides
-    taps = np.ndarray((n, g, spec.kernel_w, cg, src.shape[-2], wp), xp.dtype, xp,
-                      rows.start * sr, (sn, sg, spec.dilation[1] * sw, sc, sr, sw))
+    taps = np.ndarray((n, g, spec.kernel_w, cg, src.shape[-2], wo), xp.dtype, xp,
+                      rows.start * sr, (sn, sg, spec.dilation[1] * sw, sc, sr,
+                                        spec.stride[1] * sw))
     stack = _scratch(0, taps.shape)
     np.copyto(stack, taps)
-    return stack.reshape(n, g, -1, src.shape[-2] * wp)
+    return stack.reshape(n, g, -1, src.shape[-2] * wo)
 
 
 def conv2d(x, w, b, spec: ConvSpec):
     """Grouped / strided / dilated 2-D convolution (cross-correlation
     convention): one matmul if pointwise, else one GEMM per block of rows."""
     x, w, b = _conv_args(x, w, b, spec)
-    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, len(w) // spec.groups
+    n, g, og = x.shape[0], spec.groups, len(w) // spec.groups
     if spec.pointwise:
         y = np.matmul(w.reshape(g, og, -1), x.reshape(n, g, w.shape[1], -1))
         y += b.reshape(g, og, 1)
         return y.reshape(n, -1, *x.shape[2:])
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, spec)
-    wide = np.zeros((n, g, og, ((ho - 1) * s0 + 1) * wp))
+    ho, wo, blocks, xp, wt = _conv_setup(x, w, spec)
+    y = np.zeros((n, g, og, ho, wo))
     for rows, ks, taps in blocks:
-        stack = _stack(xp, spec, wp, rows)
-        prod = np.matmul(wt[:, ks].reshape(g, len(taps) * og, -1), stack,
-                         out=_scratch(1, (n, g, len(taps) * og, stack.shape[-1])))
-        prod = prod.reshape(n, g, len(taps), og, -1)
-        for k, (_, src, dst) in enumerate(taps):
-            wide[..., dst] += prod[:, :, k, :, src]
-    return wide.reshape(n, len(w), -1, wp)[..., ::s0, :(wo - 1) * s1 + 1:s1] + b[:, None, None]
+        stack = _stack(xp, spec, wo, rows)
+        kn = ks.stop - ks.start
+        prod = np.matmul(wt[:, ks].reshape(g, kn * og, -1), stack,
+                         out=_scratch(1, (n, g, kn * og, stack.shape[-1])))
+        prod = prod.reshape(n, g, kn, og, -1, wo)
+        for k, src, dst in taps:
+            y[..., dst, :] += prod[:, :, k, :, src]
+    y += b.reshape(g, og, 1, 1)
+    return y.reshape(n, len(w), ho, wo)
 
 
 def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
@@ -275,33 +287,33 @@ def conv2d_vjp(x, w, b, spec: ConvSpec, gy):
     stacked once per kernel row meets the column stack in one GEMM for gw
     and the weights in one GEMM for the stack's gradient."""
     x, w, b = _conv_args(x, w, b, spec)
-    (s0, s1), n, g, og = spec.stride, x.shape[0], spec.groups, len(w) // spec.groups
+    n, g, og = x.shape[0], spec.groups, len(w) // spec.groups
     gy = require_cotangent(gy, (n, len(w)) + spec.output_hw(*x.shape[2:]), "conv2d_vjp")
     gb = gy.sum(axis=(0, 2, 3))
     if spec.pointwise:
         xs, gys = x.reshape(n, g, w.shape[1], -1), gy.reshape(n, g, og, -1)
         gx = np.matmul(w.reshape(g, og, -1).swapaxes(-1, -2), gys).reshape(x.shape)
         return gx, np.matmul(gys, xs.swapaxes(-1, -2)).sum(axis=0).reshape(w.shape), gb
-    ho, wo, wp, blocks, xp, wt = _conv_setup(x, w, spec)
-    gwide = np.zeros((n, g, og, (ho - 1) * s0 + 1, wp))
-    gwide[..., ::s0, :(wo - 1) * s1 + 1:s1] = gy.reshape(n, g, og, ho, wo)
-    gwide = gwide.reshape(n, g, og, -1)
+    ho, wo, blocks, xp, wt = _conv_setup(x, w, spec)
+    gy = gy.reshape(n, g, og, ho, wo)
     gxp, gwt = np.zeros(xp.shape), np.zeros_like(wt)
+    (s1, d1), cols = (spec.stride[1], spec.dilation[1]), (wo - 1) * spec.stride[1] + 1
     for rows, ks, taps in blocks:
-        gys = _scratch(1, (n, g, len(taps), og, (rows.stop - rows.start) * wp))
+        nr, kn = rows.stop - rows.start, ks.stop - ks.start
+        gys = _scratch(1, (n, g, kn, og, nr, wo))
         gys.fill(0.0)
-        for k, (_, src, dst) in enumerate(taps):
-            gys[:, :, k, :, src] = gwide[..., dst]
-        gys = gys.reshape(n, g, len(taps) * og, -1)
+        for k, src, dst in taps:
+            gys[:, :, k, :, src] = gy[..., dst, :]
+        gys = gys.reshape(n, g, kn * og, -1)
         # the column stack lives for this product only; its gradient, of the
         # same shape, then takes over its workspace slot
-        gwt[:, ks] += np.matmul(gys, _stack(xp, spec, wp, rows).swapaxes(-1, -2)).sum(
+        gwt[:, ks] += np.matmul(gys, _stack(xp, spec, wo, rows).swapaxes(-1, -2)).sum(
             axis=0).reshape(wt[:, ks].shape)
-        wts = wt[:, ks].reshape(g, gys.shape[2], -1).swapaxes(-1, -2)
+        wts = wt[:, ks].reshape(g, kn * og, -1).swapaxes(-1, -2)
         gst = np.matmul(wts, gys, out=_scratch(0, (n, g, wts.shape[1], gys.shape[-1])))
-        gst = gst.reshape(n, g, spec.kernel_w, w.shape[1], -1, wp)
+        gst = gst.reshape(n, g, spec.kernel_w, w.shape[1], nr, wo)
         for j in range(spec.kernel_w):
-            gxp[..., rows, j * spec.dilation[1]:j * spec.dilation[1] + wp] += gst[:, :, j]
+            gxp[..., rows, j * d1:j * d1 + cols:s1] += gst[:, :, j]
     gx = gxp[..., spec.padding[2]:spec.padding[2] + x.shape[3]].reshape(x.shape)
     gw = gwt.reshape(g, spec.kernel_h, og, spec.kernel_w, -1).transpose(0, 2, 4, 1, 3)
     return gx, gw.reshape(spec.weight_shape), gb
@@ -361,11 +373,15 @@ def sigmoid(x):
 
 
 def silu(x):
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    s *= x
+    return s
 
 
 def gelu(x):
-    return x * ndtr(x)
+    g = ndtr(x)
+    g *= x
+    return g
 
 
 # kind: (act(x), d act(x) / dx), both elementwise
@@ -421,32 +437,19 @@ def global_avg_pool_vjp(x, gy):
 # by contract.
 
 def fft2(x):
-    return np.fft.fft2(_rank4("fft2", x), axes=(-2, -1))
+    return sfft.fft2(_rank4("fft2", x), axes=(-2, -1))
 
 
 def ifft2(spectrum):
-    return np.fft.ifft2(_rank4("ifft2", spectrum), axes=(-2, -1)).real
-
-
-def fft2_vjp(gy):
-    """VJP of fft2 for a real input.  gy is complex with the convention
-    gy = dL/dRe(X) + i * dL/dIm(X); returns dL/dx (real)."""
-    h, w = _rank4("fft2_vjp", gy).shape[-2:]
-    return h * w * np.fft.ifft2(gy, axes=(-2, -1)).real
-
-
-def ifft2_vjp(gy):
-    """VJP of x -> Re(ifft2(x)) for complex input; gy is real."""
-    gy = as_feature_map(gy, "ifft2_vjp")
-    h, w = gy.shape[-2:]
-    return np.fft.fft2(gy, axes=(-2, -1)) / (h * w)
+    return sfft.ifft2(_rank4("ifft2", spectrum), axes=(-2, -1)).real
 
 
 # The real transform: rfft2 keeps the half spectrum (columns 0..w//2) of a real
 # map.  A half spectrum stands for the Hermitian full spectrum it determines,
 # in values and in cotangents, so each VJP below is the full-spectrum VJP of
-# its op written on half spectra: irfft2_vjp is ifft2_vjp's half, and
-# rfft2_vjp of a half equals fft2_vjp of the full spectrum.  For real x and W
+# its op written on half spectra: irfft2_vjp of gy is the half of
+# fft2(gy) / (h w), and rfft2_vjp of a half equals h w Re(ifft2) of the full
+# spectrum (gy packing dL/dRe + i dL/dIm).  For real x and W
 # the grid re + i im resampled to (h, w), Re(ifft2(W * fft2(x))) ==
 # irfft2(half_spectrum_weight(re, im, h, w) * rfft2(x), w).
 
@@ -459,53 +462,65 @@ def _half(op, spectrum, w):
 
 
 def rfft2(x):
-    return np.fft.rfft2(_rank4("rfft2", x), axes=(-2, -1))
+    return sfft.rfft2(_rank4("rfft2", x), axes=(-2, -1))
 
 
 def irfft2(spectrum, w):
     """The real (h, w) map whose spectrum has this half."""
-    return np.fft.irfft2(_half("irfft2", spectrum, w), s=(spectrum.shape[-2], w),
-                         axes=(-2, -1))
+    return sfft.irfft2(_half("irfft2", spectrum, w), s=(spectrum.shape[-2], w),
+                       axes=(-2, -1))
 
 
 def rfft2_vjp(gy, w):
     """VJP of rfft2 for a real input of width w; gy is a half spectrum."""
-    return irfft2(_half("rfft2_vjp", gy, w), w) * (gy.shape[-2] * w)
+    gx = irfft2(_half("rfft2_vjp", gy, w), w)
+    gx *= gy.shape[-2] * w
+    return gx
 
 
 def irfft2_vjp(gy):
     """VJP of irfft2; gy is real."""
     gy = as_feature_map(gy, "irfft2_vjp")
     h, w = gy.shape[-2:]
-    return np.fft.rfft2(gy, axes=(-2, -1)) / (h * w)
+    gz = sfft.rfft2(gy, axes=(-2, -1))
+    gz /= h * w
+    return gz
 
 
 @lru_cache(maxsize=64)
 def _half_spectrum_maps(in_h, in_w, h, w):
-    """(A_h over A-bar_h, A_w, A-bar_w, fold) on the half columns k, A being
+    """(A_h over A-bar_h, A_w, fold, planes) on the half columns k, A being
     a resize matrix and A-bar its rows at -k; fold is A-bar_w but zero where
-    -k is a half column too (k == 0, k == w / 2)."""
+    -k is a half column too (k == 0, k == w / 2).  planes (4 in_w, 2 (w//2 +
+    1)) maps the rows [Re A_h Z, Re A-bar_h Z, Im A_h Z, Im A-bar_h Z] to the
+    interleaved real and imaginary planes of the half spectrum."""
     ah, aw = _resize_matrix(in_h, h), _resize_matrix(in_w, w)
     k = np.arange(w // 2 + 1)
     mirror = aw[-k % w]
     fold = np.where(((k > 0) & (2 * k != w))[:, None], mirror, 0.0)
-    return np.concatenate([ah, ah[-np.arange(h) % h]]), aw[:w // 2 + 1], mirror, fold
+    planes = np.zeros((4, in_w, len(k), 2))
+    planes[0, ..., 0], planes[1, ..., 0] = aw[k].T, mirror.T
+    planes[2, ..., 1], planes[3, ..., 1] = aw[k].T, -mirror.T
+    planes *= 0.5
+    return (np.concatenate([ah, ah[-np.arange(h) % h]]), aw[:w // 2 + 1], fold,
+            planes.reshape(4 * in_w, -1))
 
 
 def half_spectrum_weight(re, im, h, w):
     """Half spectrum (..., h, w // 2 + 1) of the Hermitian part of the grid
     Z = re + i im (..., in_h, in_w) resampled to (h, w):
-    (A_h Z A_w^T + A-bar_h conj(Z) A-bar_w^T) / 2."""
+    (A_h Z A_w^T + A-bar_h conj(Z) A-bar_w^T) / 2, one GEMM writing both
+    planes of the complex output."""
     if re.ndim < 2 or re.shape != im.shape:
         raise ShapeError("half_spectrum_weight", "imaginary grid", re.shape, im.shape)
-    _sizes("half_spectrum_weight", *re.shape[-2:], h, w)
-    rows, cols, mirror_cols, _ = _half_spectrum_maps(*re.shape[-2:], h, w)
+    in_h, in_w = re.shape[-2:]
+    _sizes("half_spectrum_weight", in_h, in_w, h, w)
+    rows, _, _, planes = _half_spectrum_maps(in_h, in_w, h, w)
     t = rows @ np.stack([re, im])   # (2, ..., 2h, in_w): A_h Z over A-bar_h Z
-    a, b = t[..., :h, :] @ cols.T, t[..., h:, :] @ mirror_cols.T
-    out = np.empty(a.shape[1:], complex)   # filled in place: one fresh array
-    np.add(a[0], b[0], out=out.real)
-    np.subtract(a[1], b[1], out=out.imag)
-    out *= 0.5
+    t = np.moveaxis(t.reshape(2, *re.shape[:-2], 2, h, in_w), (0, -3), (-3, -2))
+    out = np.empty(re.shape[:-2] + (h, w // 2 + 1), complex)
+    np.matmul(t.reshape(*re.shape[:-2], h, 4 * in_w), planes,
+              out=out.view(np.float64))
     return out
 
 
@@ -517,7 +532,7 @@ def half_spectrum_weight_vjp(in_h, in_w, w, gy):
         raise ShapeError("half_spectrum_weight_vjp", "grad",
                          f"(..., h, {w // 2 + 1})", gy.shape)
     _sizes("half_spectrum_weight_vjp", in_h, in_w, *gy.shape[-2:])
-    rows, cols, _, fold = _half_spectrum_maps(in_h, in_w, gy.shape[-2], w)
+    rows, cols, fold, _ = _half_spectrum_maps(in_h, in_w, gy.shape[-2], w)
     g = np.stack([gy.real, gy.imag, gy.real, -gy.imag])   # gy, conj(gy)
     g_grid = rows.T @ np.concatenate([g[:2] @ cols, g[2:] @ fold], axis=-2)
     return g_grid[0], g_grid[1]

@@ -27,12 +27,21 @@ _MASK64 = (1 << 64) - 1
 
 
 def mix64(z):
-    """splitmix64 finalizer on uint64 scalars or arrays."""
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
+    """splitmix64 finalizer on uint64 scalars or arrays (an array is mixed
+    in one copy)."""
+    return _mix64_inplace(np.uint64(z) if np.isscalar(z) else z.astype(np.uint64))
+
+
+def _mix64_inplace(z):
+    """mix64 of z (uint64), an array mixed in place with one shifted
+    temporary at a time."""
     with np.errstate(over="ignore"):  # wraparound is the point
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _M1
+        z ^= z >> np.uint64(27)
+        z *= _M2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def fnv1a64(label: str) -> int:
@@ -54,15 +63,22 @@ class SplitMix64:
         self._index = 0
 
     def next_uint64(self, n: int) -> np.ndarray:
-        idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
+        z = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
         with np.errstate(over="ignore"):
-            return mix64(self.seed + idx * GOLDEN)
+            z *= GOLDEN
+            z += self.seed
+        return _mix64_inplace(z)
 
     def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        u = (self.next_uint64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (low + (high - low) * u).reshape(shape)
+        z = self.next_uint64(n)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        u *= high - low
+        u += low
+        return u.reshape(shape)
 
 
 def stream(seed: int, label: str) -> SplitMix64:

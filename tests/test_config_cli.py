@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,25 @@ def test_dpam_and_full_stages_equal_public_composition(stage):
             }[stage]
     got = pipeline.execute_stage(cfg, params, f1, f2, threads=1)
     assert np.array_equal(got, want)
+
+
+def test_default_forward_peak_memory():
+    # a warm default-config full forward (f1 1x64x80x80, f2 1x64x40x40)
+    # traces 37.8 MiB above its start to return one 3.1 MiB map; with a
+    # cropped wide output per k×k conv and fresh temporaries in seff, GMM
+    # and DyT it traced 44.1 MiB
+    cfg = RunConfig(stage="full")
+    params = pipeline.build_params(cfg)
+    f1, f2 = pipeline.load_inputs(cfg)
+    pipeline.execute_stage(cfg, params, f1, f2, threads=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pipeline.execute_stage(cfg, params, f1, f2, threads=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, peak / 2**20
 
 
 def test_stage_submodules_are_not_shadowed():

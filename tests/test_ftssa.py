@@ -381,9 +381,11 @@ def test_seff_branch_real_fft_matches_complex_formula(h, w):
     weight = (ops.bilinear_resize(p.w1_re[None], h, w)
               + 1j * ops.bilinear_resize(p.w1_im[None], h, w))
     want_out = ops.ifft2(weight * spectrum + p.freq_bias1[None, :, None, None])
-    gz = ops.ifft2_vjp(gy)
+    gz = np.fft.fft2(gy, axes=(-2, -1)) / (h * w)   # VJP of Re(ifft2)
     gw = (np.conj(spectrum) * gz).sum(axis=0, keepdims=True)
-    want = (*ops.conv2d_vjp(half, *args, ops.fft2_vjp(np.conj(weight) * gz)),
+    g_spectrum = np.conj(weight) * gz   # fft2's VJP at a real input: h w Re(ifft2)
+    want = (*ops.conv2d_vjp(half, *args,
+                            h * w * np.fft.ifft2(g_spectrum, axes=(-2, -1)).real),
             ops.bilinear_resize_vjp(4, 4, gw.real)[0],
             ops.bilinear_resize_vjp(4, 4, gw.imag)[0],
             gz.real.sum(axis=(0, 2, 3)))

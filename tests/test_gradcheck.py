@@ -121,3 +121,46 @@ def test_run_check_merges_seeds():
     rep = checks.run_check("linear", seeds=2)
     one = checks.run_check("linear", seeds=1)
     assert rep.checked == 2 * one.checked
+
+
+def _steep(lv):
+    # the loss's third derivative is large enough that the central difference
+    # at eps 1e-4 is 1.5e-4 off, above tol; the fourth-order stencil at the
+    # same eps is 2.7e-8 off
+    return np.exp(300.0 * lv["x"]) + np.exp(300.0 * lv["s"])
+
+
+def _steep_grads(lv, scale=1.0):
+    return {"x": scale * 300.0 * np.exp(300.0 * lv["x"]),
+            "s": scale * 600.0 * np.exp(300.0 * lv["s"])}
+
+
+def test_truncation_error_is_remeasured_at_fourth_order():
+    lv = {"x": np.array([0.01, -0.02]), "s": 0.005}
+    rep = grad_check("steep", _steep, _steep_grads, lv)
+    assert rep.passed, rep.summary()
+    assert rep.max_rel_err < 1e-6
+    # a gradient 0.1% off still fails after the fourth-order measurement
+    rep = grad_check("steep_bad", _steep, lambda l: _steep_grads(l, 1.001), lv)
+    assert not rep.passed
+    assert 9.9e-4 < rep.max_rel_err < 1.0e-3
+
+
+def test_ftssa_entry_below_central_difference_accuracy_passes():
+    # at this seed mona1.mix_bias's gradient is -1.43e-7, and the central
+    # difference's truncation error puts it 6.74e-4 off at eps 1e-4; the
+    # fourth-order stencil passes it, and the same gradient scaled by 1.001
+    # still fails at 9.99e-4
+    fwd, bwd, leaves = checks.OP_CHECKS["ftssa"](1977655604)
+    rep = grad_check("ftssa", fwd, bwd, leaves)
+    assert rep.passed, rep.summary()
+
+    def scaled(lv):
+        g = bwd(lv)
+        g["mona1.mix_bias"] = 1.001 * g["mona1.mix_bias"]
+        return g
+
+    rep = grad_check("ftssa", fwd, scaled, leaves)
+    assert not rep.passed
+    assert rep.worst_leaf == "mona1.mix_bias(0,)"
+    assert 9.9e-4 < rep.max_rel_err < 1.0e-3, rep.summary()

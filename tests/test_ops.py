@@ -197,13 +197,11 @@ def test_pointwise_conv_peak_is_its_output():
     assert peak <= 1.05 * out.nbytes, peak / out.nbytes
 
 
-def test_kxk_conv_peak_reuses_its_workspace():
-    # warm k×k calls take the column stack and the per-kernel-row stack from
-    # the thread's workspace; allocated afresh per call they peaked at 5.10x
-    # the output (forward) and 5.10x gx + gw + gb (VJP)
-    spec = ops.same_spec(64, 6, 6)
-    x, w = u(2, "pk6.x", (1, 64, 80, 80)), u(2, "pk6.w", spec.weight_shape)
-    b, gy = u(2, "pk6.b", (64,)), u(2, "pk6.gy", (1, 64, 80, 80))
+def _kxk_peaks(spec, shape):
+    """(forward peak / output bytes, VJP peak / gradient bytes) of a warm
+    k×k conv under tracemalloc."""
+    x, w = u(2, "pk6.x", shape), u(2, "pk6.w", spec.weight_shape)
+    b, gy = u(2, "pk6.b", (spec.out_channels,)), u(2, "pk6.gy", shape)
     ops.conv2d_vjp(x, w, b, spec, gy)
     ops.conv2d(x, w, b, spec)
     tracemalloc.start()
@@ -216,8 +214,25 @@ def test_kxk_conv_peak_reuses_its_workspace():
         vjp_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert fwd_peak <= 4.0 * out_bytes, fwd_peak / out_bytes
-    assert vjp_peak <= 4.0 * grad_bytes, vjp_peak / grad_bytes
+    return fwd_peak / out_bytes, vjp_peak / grad_bytes
+
+
+def test_kxk_conv_peak_reuses_its_workspace():
+    # warm k×k calls take the column stack and the per-kernel-row stack from
+    # the thread's workspace and add into their output, leaving the padded
+    # input copy (and the VJP's padded gx); with a padded-width output
+    # cropped at the end they peaked at 3.56x / 3.49x, now 2.48x / 2.62x
+    fwd, vjp = _kxk_peaks(ops.same_spec(64, 6, 6), (1, 64, 80, 80))
+    assert fwd <= 3.0, fwd
+    assert vjp <= 3.0, vjp
+
+
+def test_depthwise_conv_peak_reuses_its_workspace():
+    # seff's depthwise 3x3: 3.09x / 3.17x with the cropped wide output, now
+    # 2.08x / 2.10x
+    fwd, vjp = _kxk_peaks(ops.same_spec(64, 3, 3, groups=64), (1, 64, 80, 80))
+    assert fwd <= 2.5, fwd
+    assert vjp <= 2.5, vjp
 
 
 def _conv_and_vjp(spec, shape, seed):
@@ -295,7 +310,7 @@ def test_conv_fuzz_in_row_blocks(monkeypatch):
     ops._conv_plan.cache_clear()  # plans are cached without the budget
     try:
         gapped = (ops.ConvSpec(1, 2, 2, 1, dilation=(3, 1)), (2, 1, 4, 8))
-        blocks = ops._conv_plan(gapped[0], 4, 8)[3]
+        blocks = ops._conv_plan(gapped[0], 4, 8)[-1]
         assert [(b[0].stop - b[0].start, len(b[2])) for b in blocks] == [(2, 1), (2, 1)]
         _check_conv_cases(_fuzz_geometries() + [gapped])
     finally:
@@ -525,8 +540,12 @@ def test_real_fft_matches_complex_fft(h, w):
     assert np.max(np.abs(half - full[..., :w // 2 + 1])) < 1e-12
     got = ops.irfft2(ops.half_spectrum_weight(re, im, h, w) * half, w)
     assert np.max(np.abs(got - ops.ifft2(weight * full))) < 1e-12
-    assert np.max(np.abs(ops.irfft2_vjp(x) - ops.ifft2_vjp(x)[..., :w // 2 + 1])) < 1e-12
-    assert np.max(np.abs(ops.rfft2_vjp(half, w) - ops.fft2_vjp(full))) < 1e-12
+    # the complex VJPs: of Re(ifft2), fft2(gy) / (h w); of fft2 at a real
+    # input, h w Re(ifft2(gy)) for gy packing dL/dRe + i dL/dIm
+    ifft2_vjp = np.fft.fft2(x, axes=(-2, -1)) / (h * w)
+    fft2_vjp = h * w * np.fft.ifft2(full, axes=(-2, -1)).real
+    assert np.max(np.abs(ops.irfft2_vjp(x) - ifft2_vjp[..., :w // 2 + 1])) < 1e-12
+    assert np.max(np.abs(ops.rfft2_vjp(half, w) - fft2_vjp)) < 1e-12
     # on a half cotangent the weight's VJP is the resize adjoint of the full
     g_re, g_im = ops.half_spectrum_weight_vjp(3, 3, w, half)
     assert np.max(np.abs(g_re - ops.bilinear_resize_vjp(3, 3, full.real))) < 1e-12

@@ -127,8 +127,6 @@ def _op_cases():
                                 (1, C, 1, 1), [out, (2, C, 1, 1), (1, C, 1)]),
         "bilinear_resize_vjp": (lambda gy: ops.bilinear_resize_vjp(2, 2, gy), out,
                                 rank),
-        "fft2_vjp": (ops.fft2_vjp, out, rank),
-        "ifft2_vjp": (ops.ifft2_vjp, out, rank),
         "irfft2_vjp": (ops.irfft2_vjp, out, rank),
         "rfft2_vjp": (lambda gy: ops.rfft2_vjp(gy, 3), out[:3] + (2,),
                       rank + [out]),
@@ -149,7 +147,7 @@ def test_op_vjp_rejects_cotangent_not_shaped_like_output(name):
 
 
 # these VJPs take a spectrum's cotangent, which is complex
-_COMPLEX_COTANGENT = ("fft2_vjp", "rfft2_vjp", "half_spectrum_weight_vjp")
+_COMPLEX_COTANGENT = ("rfft2_vjp", "half_spectrum_weight_vjp")
 
 
 @pytest.mark.parametrize("name", [n for n in _op_cases() if n not in _COMPLEX_COTANGENT])
