@@ -14,8 +14,11 @@ outputs, conv inputs), calling each child op by its public name on
 (`tensor.vjp`).  tssa keeps the cache of each token block on its own
 `cache.sub(i)`, i the block's first token, so under `NO_CACHE` it keeps none;
 its backward pops them block by block, reads the head distribution it
-cached, runs its output projection's VJP through `ops.linear_vjp`, and
-recomputes no softmax.
+cached, recomputes the attention, elementwise in the statistics and that
+distribution, runs its output projection's VJP through `ops.linear_vjp`, and
+recomputes no softmax.  seff's branches keep their input and half spectrum;
+their complex weight depends on parameters alone, so the backward rebuilds
+it.
 """
 import dataclasses
 import math
@@ -72,10 +75,11 @@ _TOKEN_BLOCK = 1024
 
 
 def _tssa_parts(t, p: TssaParams):
-    """Token-level forward of one block: the output under "out", beside the
-    cache that backward reads (the tokens "t", their statistics "f" and
-    radii "r", the head distribution "pi" and the attention "attn"; not the
-    scores, whose softmax VJP needs only pi)."""
+    """Token-level forward of one block: the output under "out" and the
+    attention "attn", beside the cache that backward reads (the tokens "t",
+    their statistics "f" and radii "r" and the head distribution "pi"; not
+    attn, which backward rebuilds elementwise from f and pi, nor the scores,
+    whose softmax VJP needs only pi)."""
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
     proj = t.reshape(b * n, c) @ p.qkv_weight          # (b*n, h*d)
@@ -84,8 +88,7 @@ def _tssa_parts(t, p: TssaParams):
     v = f / (r + p.eps)
     s = (v * v).sum(axis=3)                            # (b, h, n)
     pi = ops.softmax(s, axis=1)                        # distribution over heads
-    ratio = pi / (d * pi + p.eps)
-    attn = 1.0 / (1.0 + ratio[..., None] * f * f)
+    attn = _tssa_attn(f, pi, p)
     out = ops.linear(_tssa_pre(f, pi, attn, p), p.out_weight, p.out_bias)
     return {"t": t, "f": f, "r": r, "pi": pi, "attn": attn,
             "out": out.reshape(b, n, c)}
@@ -97,8 +100,15 @@ def _tssa_blocks(t, p: TssaParams, cache):
     for i in range(0, t.shape[1], _TOKEN_BLOCK):
         q = _tssa_parts(t[:, i:i + _TOKEN_BLOCK], p)
         out[:, i:i + _TOKEN_BLOCK] = q.pop("out")
+        del q["attn"]
         cache.sub(i).keep(**q)
     return out
+
+
+def _tssa_attn(f, pi, p: TssaParams):
+    """The attention 1 / (1 + ratio f^2), ratio = pi / (d pi + eps)."""
+    ratio = pi / (p.head_dim * pi + p.eps)
+    return 1.0 / (1.0 + ratio[..., None] * f * f)
 
 
 def _tssa_scale(pi, p: TssaParams):
@@ -123,7 +133,8 @@ def tssa(x, p: TssaParams, *, cache=NO_CACHE):
 def _tssa_block_bwd(q, p: TssaParams, gy):
     """(token gradient, g_qkv_w, g_out_w, g_out_b) of one block's cache q
     under its token cotangent gy (b, n, c)."""
-    t, f, r, pi, attn = q["t"], q["f"], q["r"], q["pi"], q["attn"]
+    t, f, r, pi = q["t"], q["f"], q["r"], q["pi"]
+    attn = _tssa_attn(f, pi, p)
     b, n, c = t.shape
     h, d = p.heads, p.head_dim
     g_pre, g_out_w, g_out_b = ops.linear_vjp(_tssa_pre(f, pi, attn, p), p.out_weight,
@@ -308,32 +319,37 @@ def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
     runtime spatial dims.  The map is real, so this is
     irfft2(W_h * rfft2(dwconv(half)) + bias) on the half spectrum, where
     W_h, the half of W's Hermitian part, comes from the base grid in one
-    separable map (ops.half_spectrum_weight)."""
+    separable map (ops.half_spectrum_weight).  W_h depends on parameters
+    alone, so the cache keeps the spectrum and not W_h, which backward
+    rebuilds."""
     h, w = half.shape[2], half.shape[3]
     spectrum = ops.rfft2(conv2d(half, conv_w, conv_b, spec))
     weight = ops.half_spectrum_weight(re, im, h, w)
-    cache.keep(half=half, spectrum=spectrum, weight=weight)
+    cache.keep(half=half, spectrum=spectrum)
     z = weight * spectrum
     z += bias[:, None, None]
-    del spectrum, weight    # without a cache, freed before the inverse transform
+    del spectrum, weight    # freed before the inverse transform, spectrum if uncached
     return ops.irfft2(z, w)
 
 
-def _branch_bwd(cache, conv_w, conv_b, spec, base_hw, g_t):
+def _branch_bwd(cache, conv_w, conv_b, spec, re, im, g_t):
     """(g_half, g_conv_w, g_conv_b, g_re, g_im, g_bias)"""
-    w = g_t.shape[3]
+    h, w = g_t.shape[2:]
     gz = ops.irfft2_vjp(g_t)
     # complex product rule under the (dL/dRe + i dL/dIm) packing; conj(spectrum)
     # * gz forms in the spectrum only the cache held, and conj(weight) * gz,
-    # whose weight has no batch axis, in gz, which it uses last
-    spectrum, weight = cache.pop("spectrum"), cache.pop("weight")
-    g_re, g_im = ops.half_spectrum_weight_vjp(*base_hw, w, np.multiply(
-        np.conj(spectrum, out=spectrum), gz, out=spectrum).sum(axis=0))
+    # whose rebuilt weight has no batch axis, in gz, which it uses last
+    spectrum = cache.pop("spectrum")
+    g_re, g_im = ops.half_spectrum_weight_vjp(*re.shape[-2:], w, np.multiply(
+        np.conj(spectrum, out=spectrum), gz, out=spectrum))
+    del spectrum
+    weight = ops.half_spectrum_weight(re, im, h, w)
     g_spatial = ops.rfft2_vjp(np.multiply(np.conj(weight, out=weight), gz, out=gz), w)
+    del weight, gz      # freed before the conv's VJP allocates
     # the bias adds to every bin, so its gradient sums gz over the full
     # spectrum, which is g_t at the origin
     return (*conv2d_vjp(cache.pop("half"), conv_w, conv_b, spec, g_spatial),
-            g_re, g_im, g_t[:, :, 0, 0].sum(axis=0))
+            g_re.sum(axis=0), g_im.sum(axis=0), g_t[:, :, 0, 0].sum(axis=0))
 
 
 def seff(x, p: SeffParams, *, cache=NO_CACHE):
@@ -356,7 +372,6 @@ def seff(x, p: SeffParams, *, cache=NO_CACHE):
 def _seff_bwd(cache, p: SeffParams, gy):
     c = p.merge_weight.shape[0]
     sp = _seff_specs(c)
-    base_hw = p.w1_re.shape[1:]
     t1, t2 = cache.pop("t1"), cache.pop("t2")
     gate = ops.silu(t2)
     g_prod, g_merge_w, g_merge_b = conv2d_vjp(gate * t1, p.merge_weight,
@@ -365,9 +380,11 @@ def _seff_bwd(cache, p: SeffParams, gy):
     g_t2 = ops.activation_grad("silu", t2) * t1 * g_prod
     del t1, t2, gate, g_prod     # freed before the FFT adjoints allocate
     g_f1, g_b1_w, g_b1_b, g_w1_re, g_w1_im, g_fb1 = _branch_bwd(
-        cache.pop("b1"), p.branch1_weight, p.branch1_bias, sp["b1"], base_hw, g_t1)
+        cache.pop("b1"), p.branch1_weight, p.branch1_bias, sp["b1"], p.w1_re, p.w1_im,
+        g_t1)
     g_f2, g_b2_w, g_b2_b, g_w2_re, g_w2_im, g_fb2 = _branch_bwd(
-        cache.pop("b2"), p.branch2_weight, p.branch2_bias, sp["b2"], base_hw, g_t2)
+        cache.pop("b2"), p.branch2_weight, p.branch2_bias, sp["b2"], p.w2_re, p.w2_im,
+        g_t2)
     gx, g_split_w, g_split_b = conv2d_vjp(cache.pop("x"), p.split_weight,
                                           p.split_bias, sp["split"],
                                           np.concatenate([g_f1, g_f2], axis=1))

@@ -34,7 +34,8 @@ The spectral ops come in two forms, both on scipy.fft: fft2/ifft2 over
 complex spectra, and rfft2/irfft2 over the half spectrum (columns 0..w//2)
 of a real map, which stands for the Hermitian spectrum it determines.
 half_spectrum_weight builds the half of a resampled complex grid's Hermitian
-part in one separable map, its one GEMM writing the complex output's planes.
+part in one separable map, its one GEMM writing the complex output's planes;
+its VJP's first GEMM reads both planes of the complex cotangent.
 """
 
 import math
@@ -489,11 +490,14 @@ def irfft2_vjp(gy):
 
 @lru_cache(maxsize=64)
 def _half_spectrum_maps(in_h, in_w, h, w):
-    """(A_h over A-bar_h, A_w, fold, planes) on the half columns k, A being
-    a resize matrix and A-bar its rows at -k; fold is A-bar_w but zero where
-    -k is a half column too (k == 0, k == w / 2).  planes (4 in_w, 2 (w//2 +
-    1)) maps the rows [Re A_h Z, Re A-bar_h Z, Im A_h Z, Im A-bar_h Z] to the
-    interleaved real and imaginary planes of the half spectrum."""
+    """(A_h over A-bar_h, planes, grads) on the half columns k, A being a
+    resize matrix and A-bar its rows at -k.  planes (4 in_w, 2 (w//2 + 1))
+    maps the rows [Re A_h Z, Re A-bar_h Z, Im A_h Z, Im A-bar_h Z] to the
+    interleaved real and imaginary planes of the half spectrum; grads
+    (2 (w//2 + 1), 4 in_w), its mirror in the VJP, maps those interleaved
+    planes of a cotangent g to [Re g A_w, Im g A_w, Re g fold, -Im g fold],
+    fold being A-bar_w but zero where -k is a half column too (k == 0,
+    k == w / 2)."""
     ah, aw = _resize_matrix(in_h, h), _resize_matrix(in_w, w)
     k = np.arange(w // 2 + 1)
     mirror = aw[-k % w]
@@ -502,8 +506,11 @@ def _half_spectrum_maps(in_h, in_w, h, w):
     planes[0, ..., 0], planes[1, ..., 0] = aw[k].T, mirror.T
     planes[2, ..., 1], planes[3, ..., 1] = aw[k].T, -mirror.T
     planes *= 0.5
-    return (np.concatenate([ah, ah[-np.arange(h) % h]]), aw[:w // 2 + 1], fold,
-            planes.reshape(4 * in_w, -1))
+    grads = np.zeros((len(k), 2, 4, in_w))
+    grads[:, 0, 0], grads[:, 1, 1] = aw[k], aw[k]
+    grads[:, 0, 2], grads[:, 1, 3] = fold, -fold
+    return (np.concatenate([ah, ah[-np.arange(h) % h]]),
+            planes.reshape(4 * in_w, -1), grads.reshape(-1, 4 * in_w))
 
 
 def half_spectrum_weight(re, im, h, w):
@@ -515,7 +522,7 @@ def half_spectrum_weight(re, im, h, w):
         raise ShapeError("half_spectrum_weight", "imaginary grid", re.shape, im.shape)
     in_h, in_w = re.shape[-2:]
     _sizes("half_spectrum_weight", in_h, in_w, h, w)
-    rows, _, _, planes = _half_spectrum_maps(in_h, in_w, h, w)
+    rows, planes, _ = _half_spectrum_maps(in_h, in_w, h, w)
     t = rows @ np.stack([re, im])   # (2, ..., 2h, in_w): A_h Z over A-bar_h Z
     t = np.moveaxis(t.reshape(2, *re.shape[:-2], 2, h, in_w), (0, -3), (-3, -2))
     out = np.empty(re.shape[:-2] + (h, w // 2 + 1), complex)
@@ -527,15 +534,19 @@ def half_spectrum_weight(re, im, h, w):
 def half_spectrum_weight_vjp(in_h, in_w, w, gy):
     """(g_re, g_im) = A_h^T gy A_w + A-bar_h^T conj(gy) fold: gy packs
     dL/dRe + i dL/dIm of a half standing for the full spectrum, whose columns
-    above w // 2 the fold adds onto their mirrors."""
+    above w // 2 the fold adds onto their mirrors.  One GEMM reads both
+    planes of gy; a second applies [A_h over A-bar_h]^T."""
     if gy.ndim < 2 or gy.shape[-1] != w // 2 + 1:
         raise ShapeError("half_spectrum_weight_vjp", "grad",
                          f"(..., h, {w // 2 + 1})", gy.shape)
-    _sizes("half_spectrum_weight_vjp", in_h, in_w, *gy.shape[-2:])
-    rows, cols, fold, _ = _half_spectrum_maps(in_h, in_w, gy.shape[-2], w)
-    g = np.stack([gy.real, gy.imag, gy.real, -gy.imag])   # gy, conj(gy)
-    g_grid = rows.T @ np.concatenate([g[:2] @ cols, g[2:] @ fold], axis=-2)
-    return g_grid[0], g_grid[1]
+    h = gy.shape[-2]
+    _sizes("half_spectrum_weight_vjp", in_h, in_w, h, w)
+    rows, _, grads = _half_spectrum_maps(in_h, in_w, h, w)
+    t = np.ascontiguousarray(gy, complex).view(np.float64) @ grads
+    # (..., h, [A_w, fold], [re, im], in_w) -> (..., [A_w, fold] h, [re, im] in_w)
+    t = t.reshape(*gy.shape[:-2], h, 2, 2 * in_w).swapaxes(-3, -2)
+    g_grid = rows.T @ t.reshape(*gy.shape[:-2], 2 * h, 2 * in_w)
+    return g_grid[..., :in_w], g_grid[..., in_w:]
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,9 @@ def cached(fwd, *args):
 
 def vjp(fwd, bwd, inputs=1):
     """The public VJP `fwd_vjp(*args, gy)`: fwd(*args) run once on a fresh
-    Cache, gy checked against its output, then bwd(cache, *args[inputs:], gy);
-    bwd reads the first `inputs` arguments from the cache alone."""
+    Cache, gy checked against its output, which is then released, and
+    bwd(cache, *args[inputs:], gy); bwd reads the first `inputs` arguments
+    and everything else of the forward from the cache alone."""
     name = fwd.__name__ + "_vjp"
     arity = fwd.__code__.co_argcount + 1
 
@@ -98,7 +99,9 @@ def vjp(fwd, bwd, inputs=1):
             raise TypeError(f"{name}() takes {arity} arguments, got {len(args)}")
         *args, gy = args
         out, cache = cached(fwd, *args)
-        return bwd(cache, *args[inputs:], require_cotangent(gy, out, name))
+        gy = require_cotangent(gy, out, name)
+        del out     # bwd never reads it, so it is not held through the backward
+        return bwd(cache, *args[inputs:], gy)
 
     op_vjp.__name__ = op_vjp.__qualname__ = name
     op_vjp.__module__ = fwd.__module__

@@ -14,6 +14,7 @@ import oracles as orc
 from mgdfis import cli, pipeline
 from mgdfis.config import RunConfig, apply_overrides, load_config, parse_config
 from mgdfis.errors import ConfigError, ShapeError
+from mgdfis.gdim import gdim_vjp
 from mgdfis.mgdt import read_tensor, write_tensor
 from mgdfis.params import (add_params, all_tensors, init_gmm, init_mona,
                            init_pipeline, init_tssa, param_leaves,
@@ -266,6 +267,26 @@ def test_default_forward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20, peak / 2**20
+
+
+def test_default_gdim_vjp_peak_memory():
+    # a warm default-config gdim_vjp traces 83.1 MiB above its start; its
+    # peak sits in seff's backward, under the whole dmm cache.  With its
+    # output held through the backward and tssa's attention and seff's
+    # complex weights cached, it traced 95.7 MiB
+    cfg = RunConfig(stage="full")
+    p = pipeline.build_params(cfg)
+    f1, f2 = pipeline.load_inputs(cfg)
+    gy = stream(1, "gdim.gy").uniform(f1.shape, -1.0, 1.0)
+    gdim_vjp(f1, f2, p.gmm, p.dmm, p.agg, gy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gdim_vjp(f1, f2, p.gmm, p.dmm, p.agg, gy)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 88 * 2**20, peak / 2**20
 
 
 def test_stage_submodules_are_not_shadowed():

@@ -592,6 +592,31 @@ def test_half_spectrum_weight_vjp_meets_the_adjoint_identity(base, h, w):
     assert abs(loss - float(np.sum(re * g_re + im * g_im))) < 1e-12 * max(1.0, abs(loss))
 
 
+def _half_spectrum_weight_vjp_stacked(in_h, in_w, w, gy):
+    """The VJP as four real planes [Re gy, Im gy, Re gy, -Im gy] (gy beside
+    conj(gy)), the first two through A_w and the last two through the fold."""
+    h, k = gy.shape[-2], np.arange(w // 2 + 1)
+    ah, aw = ops._resize_matrix(in_h, h), ops._resize_matrix(in_w, w)
+    rows = np.concatenate([ah, ah[-np.arange(h) % h]])
+    fold = np.where(((k > 0) & (2 * k != w))[:, None], aw[-k % w], 0.0)
+    g = np.stack([gy.real, gy.imag, gy.real, -gy.imag])
+    g_grid = rows.T @ np.concatenate([g[:2] @ aw[k], g[2:] @ fold], axis=-2)
+    return g_grid[0], g_grid[1]
+
+
+@pytest.mark.parametrize("base,h,w", _HALF_WEIGHT_CASES)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_half_spectrum_weight_vjp_matches_the_stacked_planes(base, h, w, lead):
+    # one GEMM over both planes of gy against the four-plane formula, on
+    # unbatched and batched cotangents
+    shape = lead + (h, w // 2 + 1)
+    gy = u(12, "hw.gre", shape) + 1j * u(12, "hw.gim", shape)
+    got = ops.half_spectrum_weight_vjp(*base, w, gy)
+    for g, want in zip(got, _half_spectrum_weight_vjp_stacked(*base, w, gy)):
+        assert g.shape == want.shape == lead + base
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_fft_requires_rank_four():
     with pytest.raises(ShapeError):
         ops.fft2(np.zeros((3, 3)))

@@ -2,13 +2,15 @@
 and a cotangent whose shape is not the forward output's is a ShapeError
 rather than a silently broadcast gradient."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from mgdfis import dpam as D
 from mgdfis import ftssa as F
 from mgdfis import gdim as G
-from mgdfis import ops
+from mgdfis import ops, tensor
 from mgdfis.checks import _case
 from mgdfis.errors import ShapeError
 from mgdfis.gradcheck import grad_check
@@ -174,6 +176,27 @@ def test_stage_vjps_are_the_registered_cases():
     for name, (fwd, fn) in found.items():
         assert fn.__name__ == fn.__qualname__ == f"{name}_vjp"
         assert fn.__module__ == fwd.__module__
+
+
+def test_vjp_releases_the_forward_output_before_the_backward():
+    # the backward reads only the cache, so the forward's output is not held
+    # through it
+    seen = {}
+
+    def double(x, *, cache):
+        cache.keep(x=x)
+        out = 2.0 * x
+        seen["out"] = weakref.ref(out)
+        return out
+
+    def _double_bwd(cache, gy):
+        seen["alive"] = seen["out"]() is not None
+        cache.pop("x")
+        return 2.0 * gy
+
+    gx = tensor.vjp(double, _double_bwd)(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)))
+    assert seen["alive"] is False
+    assert np.array_equal(gx, np.full((1, 1, 2, 2), 2.0))
 
 
 @pytest.mark.parametrize("name", list(_cases()))
