@@ -10,7 +10,7 @@ import sys
 
 from .bench import bench_tssa, format_table
 from .checks import run_all
-from .config import RunConfig, apply_overrides, load_config
+from .config import STAGES, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, ShapeError, TensorFormatError
 from .flops import ablation_series, pipeline_flops
 from .pipeline import dump_params, run
@@ -32,7 +32,7 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="execute a pipeline stage")
     run_p.add_argument("--config", help="key = value config file")
-    run_p.add_argument("--stage", help="ftssa | gmm | dmm | gdim | dpam | full")
+    run_p.add_argument("--stage", help=" | ".join(STAGES))
     run_p.add_argument("--seed", type=int, help="unsigned 64-bit seed")
     run_p.add_argument("--out", help="output directory")
 

@@ -1,7 +1,7 @@
 """Stage orchestration for the CLI: seeded inputs and parameters, stage
-selection, tensor output, and a structured-text summary.
-
-Stages are cumulative prefixes of the full pipeline:
+selection, tensor output, and a structured-text summary; and `full`, the
+pipeline as one op, with its VJP `full_vjp`.  The stages, in `config.STAGES`
+order, are cuts of full's one chain, all but ftssa:
   ftssa  attention stages applied to the primary input alone
   gmm    column/row mixing of the aggregated inputs
   dmm    detail capture over the gmm output
@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .dpam import dpam, mgdfis_fuse
+from .dpam import _dpam_bwd, _fuse_bwd, dpam, mgdfis_fuse
 from .errors import ConfigError, ShapeError
 from .ftssa import ftssa
-from .gdim import _reconcile_fwd, dmm, gmm
+from .gdim import _dmm_bwd, _gmm_bwd, _reconcile_bwd, _reconcile_fwd, dmm, gmm
 from .mgdt import read_tensor, write_tensor
-from .params import all_tensors, init_pipeline, structural_fields
+from .params import PipelineParams, all_tensors, init_pipeline, structural_fields
 from .rng import stream
-from .tensor import NO_CACHE, as_feature_map
+from .tensor import NO_CACHE, as_feature_map, vjp
 
 
 @dataclass
@@ -67,25 +67,50 @@ def load_inputs(cfg: RunConfig):
     return f1, f2
 
 
-def _stage_value(cfg, params, f1, f2):
-    stage = cfg.stage
-    if stage == "ftssa":
-        return ftssa(f1, params.dmm.ftssa)
-    # one chain, aggregate -> gmm -> dmm -> dpam -> fuse, cut at the stage;
-    # f2 is reconciled to f1's dims once and reused by aggregate and fuse, and
-    # each value equals that of the composition through the public ops
-    x2 = _reconcile_fwd(f2, f1.shape, params.agg, NO_CACHE)
+def _chain(f1, f2, p: PipelineParams, stage, cache):
+    """The pipeline on sub-caches, cut at the stage; f2 is reconciled once."""
+    x2 = _reconcile_fwd(f2, f1.shape, p.agg, cache.sub("x2"))
     f_agg = f1 + x2
-    f_gmm = gmm(f_agg, params.gmm)
+    f_gmm = gmm(f_agg, p.gmm, cache=cache.sub("gmm"))
     if stage == "gmm":
         return f_gmm
-    f_hat = dmm(f_gmm, params.dmm)
+    f_hat = dmm(f_gmm, p.dmm, cache=cache.sub("dmm"))
     if stage in ("dmm", "gdim"):
         return f_hat
-    amap = dpam(f_agg, f_hat, params.dpam)
+    amap = dpam(f_agg, f_hat, p.dpam, cache=cache.sub("dpam"))
     if stage == "dpam":
         return amap
-    return mgdfis_fuse(amap, f_hat, f1, x2, params.fusion, params.agg)
+    return mgdfis_fuse(amap, f_hat, f1, x2, p.fusion, p.agg,
+                       cache=cache.sub("fuse"))
+
+
+def full(f1, f2, p: PipelineParams, *, cache=NO_CACHE):
+    """mgdfis_fuse(dpam(aggregate, gdim), gdim, f1, f2): the whole pipeline."""
+    return _chain(as_feature_map(f1, "full"), as_feature_map(f2, "full"), p,
+                  "full", cache)
+
+
+def _full_bwd(cache, p: PipelineParams, gy):
+    """(g_f1, g_f2, g_p).  fuse gets its inputs at its own dims, so the
+    aggregate gradient it returns is zero."""
+    g_amap, g_hat, g_x1, g_x2, g_fusion, _ = _fuse_bwd(cache.pop("fuse"),
+                                                       p.fusion, p.agg, gy)
+    g_f_agg, g_hat2, g_dpam = _dpam_bwd(cache.pop("dpam"), p.dpam, g_amap)
+    g_f_gmm, g_dmm = _dmm_bwd(cache.pop("dmm"), p.dmm, g_hat + g_hat2)
+    g_gmm_in, g_gmm = _gmm_bwd(cache.pop("gmm"), p.gmm, g_f_gmm)
+    g_f_agg += g_gmm_in
+    g_f2, g_agg = _reconcile_bwd(cache.pop("x2"), p.agg, g_x2 + g_f_agg)
+    return g_x1 + g_f_agg, g_f2, PipelineParams(
+        agg=g_agg, gmm=g_gmm, dmm=g_dmm, dpam=g_dpam, fusion=g_fusion)
+
+
+full_vjp = vjp(full, _full_bwd, inputs=2)
+
+
+def _stage_value(cfg, params, f1, f2):
+    if cfg.stage == "ftssa":
+        return ftssa(f1, params.dmm.ftssa)
+    return _chain(f1, f2, params, cfg.stage, NO_CACHE)
 
 
 def _thread_count():

@@ -1,15 +1,20 @@
-"""The end-to-end gradient where shapes vary: the chain of public VJPs that
-differentiates <gy, mgdfis_fuse(dpam(aggregate, gdim), gdim, f1, f2)> into
-f1, f2 and every parameter, checked along one random direction per seeded
-geometry against a central difference of the loss."""
+"""The end-to-end gradient: `pipeline.full_vjp` differentiates <gy, full(f1,
+f2, p)> into f1, f2 and every parameter.  It is checked along one random
+direction per seeded geometry against a central difference of the loss,
+entry by entry on a tiny geometry, and against the chain of the four public
+stage VJPs it replaces."""
 
 import numpy as np
+import pytest
 
 from mgdfis import dpam as D
 from mgdfis import gdim as G
-from mgdfis.checks import _jitter
+from mgdfis.checks import _SMALL, _case, _jitter, _u
+from mgdfis.config import RunConfig
+from mgdfis.gradcheck import grad_check
 from mgdfis.params import (PipelineParams, add_params, init_pipeline,
                            param_leaves, replace_leaves)
+from mgdfis.pipeline import build_params, full, full_vjp, load_inputs
 
 EPS = 1e-5
 TOL = 1e-6
@@ -35,25 +40,11 @@ def _geometries(count=300, seed=19):
             pi_mode=("constant", "distribution")[t % 3 == 1])
 
 
-def _forward(f1, f2, p):
-    f_agg = G.aggregate(f1, f2, p.agg)
-    f_hat = G.gdim(f1, f2, p.gmm, p.dmm, p.agg)
-    amap = D.dpam(f_agg, f_hat, p.dpam)
-    return f_agg, f_hat, amap, D.mgdfis_fuse(amap, f_hat, f1, f2, p.fusion, p.agg)
-
-
 def _grads(f1, f2, p, gy):
-    """Gradients of <gy, out> as one leaf dict: f1, f2 and param_leaves."""
-    f_agg, f_hat, amap, _ = _forward(f1, f2, p)
-    g_amap, g_hat, g1, g2, g_fusion, g_agg = D.mgdfis_fuse_vjp(
-        amap, f_hat, f1, f2, p.fusion, p.agg, gy)
-    g_fagg, g_hat2, g_dpam = D.dpam_vjp(f_agg, f_hat, p.dpam, g_amap)
-    g1b, g2b, g_agg2 = G.aggregate_vjp(f1, f2, p.agg, g_fagg)
-    g1c, g2c, g_gmm, g_dmm, g_agg3 = G.gdim_vjp(f1, f2, p.gmm, p.dmm, p.agg,
-                                                g_hat + g_hat2)
-    grads = PipelineParams(agg=add_params(add_params(g_agg, g_agg2), g_agg3),
-                           gmm=g_gmm, dmm=g_dmm, dpam=g_dpam, fusion=g_fusion)
-    return {"f1": g1 + g1b + g1c, "f2": g2 + g2b + g2c, **param_leaves(grads)}
+    """Gradients of <gy, full(f1, f2, p)> as one leaf dict: f1, f2 and
+    param_leaves."""
+    g1, g2, gp = full_vjp(f1, f2, p, gy)
+    return {"f1": g1, "f2": g2, **param_leaves(gp)}
 
 
 def _directional_error(t, f1_shape, f2_shape, kw):
@@ -67,7 +58,7 @@ def _directional_error(t, f1_shape, f2_shape, kw):
 
     def loss(step):
         lv = {key: v + step * d[key] for key, v in base.items()}
-        out = _forward(lv["f1"], lv["f2"], replace_leaves(p, lv))[-1]
+        out = full(lv["f1"], lv["f2"], replace_leaves(p, lv))
         return float(np.sum(gy * out))
 
     grads = _grads(base["f1"], base["f2"], p, gy)
@@ -84,3 +75,54 @@ def test_pipeline_gradient_over_seeded_geometries():
     print(f"worst directional rel err {worst[0]:.2e} over {len(errors)} "
           f"geometries, at {worst[1:]}")
     assert worst[0] <= TOL, worst
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_full_passes_gradcheck(seed):
+    # every entry of f1 1x2x3x3, f2 1x3x2x2 and the jittered parameters, at
+    # the registered cases' eps and tol; it is not registered, since one seed
+    # takes about as long as all 29 registered cases together
+    p = _jitter(init_pipeline(seed, 2, 3, 3, 3, k=2, heads=2, head_dim=1,
+                              seff_base=2), seed, "fz.full")
+    rep = grad_check("full", *_case(full, full_vjp, [
+        ("f1", _u(seed, "fz.full.f1", (1, 2, 3, 3))),
+        ("f2", _u(seed, "fz.full.f2", (1, 3, 2, 2))), ("", p)],
+        np.full((1, 2, 3, 3), _SMALL)), eps=1e-4, tol=1e-4)
+    assert rep.passed, rep.summary()
+
+
+def _tiny_inputs():
+    p = _jitter(init_pipeline(7, 2, 3, 3, 3, k=2, heads=2, head_dim=1,
+                              seff_base=2), 7, "fz.ref")
+    return _u(7, "fz.ref.f1", (1, 2, 3, 3)), _u(7, "fz.ref.f2", (1, 3, 2, 2)), p
+
+
+def _default_inputs():
+    cfg = RunConfig()
+    return (*load_inputs(cfg), build_params(cfg))
+
+
+@pytest.mark.parametrize("inputs", [_tiny_inputs, _default_inputs])
+def test_full_vjp_matches_the_chain_of_stage_vjps(inputs):
+    # the reference wires the gradient by hand through the public stage VJPs,
+    # each of which runs its own forward: f_agg's gradient sums dpam's and
+    # gmm's parts, and the reconciled f2's those of fuse and aggregate
+    f1, f2, p = inputs()
+    gy = np.random.default_rng(23).uniform(-1.0, 1.0, f1.shape)
+    f_agg = G.aggregate(f1, f2, p.agg)
+    f_hat = G.gdim(f1, f2, p.gmm, p.dmm, p.agg)
+    amap = D.dpam(f_agg, f_hat, p.dpam)
+    g_amap, g_hat, g1, g2, g_fusion, g_agg = D.mgdfis_fuse_vjp(
+        amap, f_hat, f1, f2, p.fusion, p.agg, gy)
+    g_fagg, g_hat2, g_dpam = D.dpam_vjp(f_agg, f_hat, p.dpam, g_amap)
+    g1b, g2b, g_agg2 = G.aggregate_vjp(f1, f2, p.agg, g_fagg)
+    g1c, g2c, g_gmm, g_dmm, g_agg3 = G.gdim_vjp(f1, f2, p.gmm, p.dmm, p.agg,
+                                                g_hat + g_hat2)
+    grads = PipelineParams(agg=add_params(add_params(g_agg, g_agg2), g_agg3),
+                           gmm=g_gmm, dmm=g_dmm, dpam=g_dpam, fusion=g_fusion)
+    want = {"f1": g1 + g1b + g1c, "f2": g2 + g2b + g2c, **param_leaves(grads)}
+    got = _grads(f1, f2, p, gy)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        err = np.max(np.abs(np.subtract(got[key], w)))
+        assert err <= 1e-12 * np.max(np.abs(w)), (key, err)

@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mgdfis import checks, dpam, ftssa, gdim, ops
-from mgdfis.params import init_aggregate, init_dmm, init_gmm
+from mgdfis import checks, dpam, ftssa, gdim, ops, pipeline
+from mgdfis.params import init_aggregate, init_dmm, init_gmm, init_pipeline
 from mgdfis.rng import stream
 from test_ops import _SPEC_CASES
 
@@ -60,6 +60,18 @@ def test_gdim_vjp_runs_exactly_one_forward(conv_calls):
     # the 4x6 and 6x4 directional convs run as one folded 6x6 conv, and each
     # of the two Mona adapters runs its dw3/dw5/dw7 as one folded 7x7 conv
     assert n_fwd == 18
+    assert n_vjp == n_fwd
+
+
+def test_full_vjp_runs_exactly_one_forward(conv_calls):
+    c = 4
+    f1 = stream(1, "rc.f1").uniform((1, c, 6, 6), -1.0, 1.0)
+    f2 = stream(1, "rc.f2").uniform((1, 6, 3, 3), -1.0, 1.0)
+    p = init_pipeline(1, c, 6, 6, 6, k=2, heads=2, head_dim=2, seff_base=4)
+    n_fwd = _count(conv_calls, pipeline.full, f1, f2, p)
+    n_vjp = _count(conv_calls, pipeline.full_vjp, f1, f2, p, np.ones_like(f1))
+    # gdim's 18 and dpam's 7x7; f2 is reconciled once, for aggregate and fuse
+    assert n_fwd == 19
     assert n_vjp == n_fwd
 
 

@@ -10,13 +10,13 @@ import pytest
 from mgdfis import dpam as D
 from mgdfis import ftssa as F
 from mgdfis import gdim as G
-from mgdfis import ops, tensor
+from mgdfis import ops, pipeline, tensor
 from mgdfis.checks import _case
 from mgdfis.errors import ShapeError
 from mgdfis.gradcheck import grad_check
 from mgdfis.params import (FusionWeights, init_aggregate, init_dmm, init_dpam,
-                           init_dyt, init_ftssa, init_gmm, init_mona, init_seff,
-                           init_tssa)
+                           init_dyt, init_ftssa, init_gmm, init_mona,
+                           init_pipeline, init_seff, init_tssa)
 from mgdfis.rng import stream
 
 C = 2
@@ -58,6 +58,9 @@ def _cases():
         "mgdfis_fuse": (D.mgdfis_fuse, D.mgdfis_fuse_vjp,
                         (u("vc.amap"), u("vc.fh"), x, f2, FusionWeights(),
                          agg_p)),
+        "full": (pipeline.full, pipeline.full_vjp,
+                 (x, f2, init_pipeline(1, C, 3, 3, 3, k=2, heads=2, head_dim=1,
+                                       seff_base=2))),
     }
 
 
@@ -162,11 +165,12 @@ def test_op_vjp_rejects_complex_cotangent(name):
 
 
 def test_stage_vjps_are_the_registered_cases():
-    # every op_vjp of the stage modules is a case above, and every case's op
-    # has one; a VJP carries its attribute's name and its forward's module,
-    # on which the tracer's spans and the ShapeError messages key
+    # every op_vjp of the stage modules and the pipeline is a case above, and
+    # every case's op has one; a VJP carries its attribute's name and its
+    # forward's module, on which the tracer's spans and the ShapeError
+    # messages key
     found = {}
-    for mod in (F, G, D):
+    for mod in (F, G, D, pipeline):
         for attr, fn in vars(mod).items():
             name = attr.removesuffix("_vjp")
             fwd = getattr(mod, name, None)
