@@ -326,6 +326,5 @@ def run_check(name, seeds=20, eps=1e-4, tol=1e-4):
     return merged
 
 
-def run_all(seeds=20, eps=1e-4, tol=1e-4, names=None):
-    return [run_check(n, seeds=seeds, eps=eps, tol=tol)
-            for n in (names or list(OP_CHECKS))]
+def run_all(seeds=20, eps=1e-4, tol=1e-4):
+    return [run_check(n, seeds=seeds, eps=eps, tol=tol) for n in OP_CHECKS]

@@ -43,7 +43,6 @@ def _build_parser():
 
     flops_p = sub.add_parser("flops", help="analytic flop report")
     flops_p.add_argument("--config", help="key = value config file")
-    flops_p.add_argument("--seed", type=int)
 
     sub.add_parser("gradcheck", help="finite-difference gradient suite")
 

@@ -204,14 +204,9 @@ def _mona_specs(p: MonaParams):
 
 
 def _mona_kernel(p: MonaParams):
-    """dw3 + dw5 + dw7 as one depthwise 7x7 conv (ACNet's structural
-    re-parameterisation): the three read the same input with centred "same"
-    padding, so their sum is the conv whose kernel is dw7 plus dw5 and dw3
-    zero-padded to 7x7, with the summed bias."""
-    w = p.dw7_weight.copy()
-    w[..., 1:6, 1:6] += p.dw5_weight
-    w[..., 2:5, 2:5] += p.dw3_weight
-    return w, p.dw3_bias + p.dw5_bias + p.dw7_bias
+    """dw7 + dw5 + dw3 as one depthwise 7x7 conv: ops.fold_same's triple."""
+    return ops.fold_same("mona_op", [
+        (p.dw7_weight, p.dw7_bias), (p.dw5_weight, p.dw5_bias), (p.dw3_weight, p.dw3_bias)])
 
 
 def mona_op(z, p: MonaParams, *, cache=NO_CACHE):
@@ -220,7 +215,7 @@ def mona_op(z, p: MonaParams, *, cache=NO_CACHE):
     z = as_feature_map(z, "mona_op")
     require_channels(z, p.down_weight.shape[0], "mona_op")
     sp = _mona_specs(p)
-    mix_in = conv2d(z, *_mona_kernel(p), sp["dw"]) / 3.0 + z
+    mix_in = conv2d(z, *_mona_kernel(p)[:2], sp["dw"]) / 3.0 + z
     cache.keep(z=z, mix_in=mix_in)
     return z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
 
@@ -229,14 +224,13 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
     sp = _mona_specs(p)
     g_mix_in, g_mix_w, g_mix_b = conv2d_vjp(cache.pop("mix_in"), p.mix_weight,
                                             p.mix_bias, sp["mix"], gy)
-    gz, gw, gb = conv2d_vjp(cache.pop("z"), *_mona_kernel(p), sp["dw"],
-                            g_mix_in / 3.0)
-    # each folded kernel's gradient is its crop of gw, in its own array
+    w, b, (win7, win5, win3) = _mona_kernel(p)
+    gz, gw, gb = conv2d_vjp(cache.pop("z"), w, b, sp["dw"], g_mix_in / 3.0)
     gp = dataclasses.replace(
-        zeros_like_params(p),
-        dw3_weight=gw[..., 2:5, 2:5].copy(), dw3_bias=gb,
-        dw5_weight=gw[..., 1:6, 1:6].copy(), dw5_bias=gb.copy(),
-        dw7_weight=gw, dw7_bias=gb.copy(), mix_weight=g_mix_w, mix_bias=g_mix_b)
+        zeros_like_params(p), mix_weight=g_mix_w, mix_bias=g_mix_b,
+        dw3_weight=gw[win3].copy(), dw3_bias=gb,
+        dw5_weight=gw[win5].copy(), dw5_bias=gb.copy(),
+        dw7_weight=gw[win7].copy(), dw7_bias=gb.copy())
     return gy + g_mix_in + gz, gp
 
 
@@ -376,8 +370,10 @@ def _seff_bwd(cache, p: SeffParams, gy):
     gate = ops.silu(t2)
     g_prod, g_merge_w, g_merge_b = conv2d_vjp(gate * t1, p.merge_weight,
                                               p.merge_bias, sp["merge"], gy)
-    g_t1 = gate * g_prod
-    g_t2 = ops.activation_grad("silu", t2) * t1 * g_prod
+    g_t2 = ops.activation_grad("silu", t2)
+    g_t2 *= t1
+    g_t2 *= g_prod
+    g_t1 = np.multiply(gate, g_prod, out=gate)   # gate's last use
     del t1, t2, gate, g_prod     # freed before the FFT adjoints allocate
     g_f1, g_b1_w, g_b1_b, g_w1_re, g_w1_im, g_fb1 = _branch_bwd(
         cache.pop("b1"), p.branch1_weight, p.branch1_bias, sp["b1"], p.w1_re, p.w1_im,

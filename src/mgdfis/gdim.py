@@ -200,15 +200,9 @@ gmm_vjp = vjp(gmm, _gmm_bwd)
 # ---------------------------------------------------------------------------
 
 def _directional_kernel(p: DmmParams):
-    """conv4x6 + conv6x4 as one 6x6 conv (ACNet's structural
-    re-parameterisation): both read the same input, so their sum is the conv
-    whose kernel is the sum of the two zero-padded to 6x6, with the summed
-    bias.  Their same-padding offsets (1, 2, 2, 3) and (2, 3, 1, 2) sit one
-    row or column inside the 6x6 conv's (2, 3, 2, 3)."""
-    w = np.zeros(p.conv46_weight.shape[:2] + (6, 6))
-    w[:, :, 1:5] = p.conv46_weight
-    w[..., 1:5] += p.conv64_weight
-    return w, p.conv46_bias + p.conv64_bias
+    """conv4x6 + conv6x4 as one 6x6 conv: ops.fold_same's triple."""
+    return ops.fold_same("dmm", [(p.conv46_weight, p.conv46_bias),
+                                 (p.conv64_weight, p.conv64_bias)])
 
 
 def dmm_directional(f_gmm, p: DmmParams, *, cache=NO_CACHE):
@@ -216,18 +210,16 @@ def dmm_directional(f_gmm, p: DmmParams, *, cache=NO_CACHE):
     padding keeps dims."""
     f_gmm = as_feature_map(f_gmm, "dmm")
     cache.keep(f=f_gmm)
-    return f_gmm + conv2d(f_gmm, *_directional_kernel(p),
+    return f_gmm + conv2d(f_gmm, *_directional_kernel(p)[:2],
                           same_spec(f_gmm.shape[1], 6, 6))
 
 
 def _dmm_directional_bwd(cache, p: DmmParams, gy):
-    f_gmm = cache.pop("f")
-    gf, gw, gb = conv2d_vjp(f_gmm, *_directional_kernel(p),
-                            same_spec(f_gmm.shape[1], 6, 6), gy)
-    # each folded kernel's gradient is its crop of gw, in its own array
+    w, b, (win46, win64) = _directional_kernel(p)
+    gf, gw, gb = conv2d_vjp(cache.pop("f"), w, b, same_spec(len(w), 6, 6), gy)
     gp = dataclasses.replace(zeros_like_params(p),
-                             conv46_weight=gw[:, :, 1:5].copy(), conv46_bias=gb,
-                             conv64_weight=gw[..., 1:5].copy(), conv64_bias=gb.copy())
+                             conv46_weight=gw[win46].copy(), conv46_bias=gb,
+                             conv64_weight=gw[win64].copy(), conv64_bias=gb.copy())
     return gy + gf, gp
 
 

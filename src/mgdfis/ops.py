@@ -29,6 +29,9 @@ per-thread workspace: two flat buffers that grow to the largest block a
 thread has run and outlive the call, about 9 MB per thread at the default
 config, so a warm conv does not page-fault on them.  A k×k conv's fresh
 arrays are its padded rows and its output (the VJP: padded gx, gw and gb).
+fold_same turns a sum of stride-1 "same" convs over one input into one conv,
+each part placed by same_padding, with the window in which each part reads
+its share of the folded weight gradient.
 
 The spectral ops come in two forms, both on scipy.fft: fft2/ifft2 over
 complex spectra, and rfft2/irfft2 over the half spectrum (columns 0..w//2)
@@ -158,6 +161,32 @@ def _same_spec(channels, kernel_h, kernel_w, out_channels, groups, dilation):
         dilation=dilation,
         groups=groups,
     )
+
+
+def fold_same(op, parts):
+    """(weight, bias, windows): one conv for the sum of `parts`, (weight, bias)
+    pairs of stride-1 "same" convs over one input (ACNet, arXiv:1908.03930), as
+    large as the largest part.  Part i adds, in order, at windows[i], where its
+    same_padding meets the fold's; its weight gradient is gw[windows[i]]."""
+    size, windows = _fold_plan(op, tuple((w.shape, b.shape) for w, b in parts))
+    weight = np.zeros(parts[0][0].shape[:2] + size)
+    for (w, _), win in zip(parts, windows):
+        weight[win] += w
+    return weight, sum((b for _, b in parts[1:]), parts[0][1]), windows
+
+
+@lru_cache(maxsize=64)
+def _fold_plan(op, shapes):
+    """fold_same's (kernel size, windows) for parts of these (weight, bias) shapes."""
+    lead = shapes[0][0][:2]
+    for i, (ws, bs) in enumerate(shapes):
+        if len(ws) != 4 or ws[:2] != lead or bs != lead[:1]:
+            raise ShapeError(op, f"part {i}", f"{lead} + (kh, kw), bias {lead[:1]}",
+                             f"{ws}, bias {bs}")
+    size = tuple(map(max, zip(*(ws[2:] for ws, _ in shapes))))
+    top, _, left, _ = same_padding(*size)
+    return size, tuple(np.s_[..., top - t:top - t + ws[2], left - l:left - l + ws[3]]
+                       for ws, _ in shapes for t, _, l, _ in [same_padding(*ws[2:])])
 
 
 # Most float64 entries per image in a block's column stack and per-kernel-row

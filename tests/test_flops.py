@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from mgdfis import bench, dpam, flops, ftssa, gdim, ops, pipeline
+from mgdfis import bench, flops, pipeline
 from mgdfis.config import RunConfig, parse_config
 from mgdfis.ops import ConvSpec, same_spec
 
@@ -93,21 +93,15 @@ _CONV_OPS = (
 )
 
 
-def test_full_forward_runs_exactly_the_counted_convs(monkeypatch):
+def test_full_forward_runs_exactly_the_counted_convs(conv_calls):
     # a full forward with a mismatched f2 makes one conv2d call per conv
     # entry, each with that entry's flops: a conv added to, dropped from or
     # reshaped in the pipeline without its count fails here
     cfg = dataclasses.replace(tiny_cfg(), f2_shape=(1, 8, 3, 3))
-    ran = []
-
-    def counting(x, w, b, spec):
-        ran.append(flops.conv_flops(spec, *x.shape[2:], batch=x.shape[0]))
-        return ops.conv2d(x, w, b, spec)
-
-    for mod in (ftssa, gdim, dpam):
-        monkeypatch.setattr(mod, "conv2d", counting)
     pipeline.execute_stage(cfg, pipeline.build_params(cfg),
                            *pipeline.load_inputs(cfg), threads=1)
+    ran = [flops.conv_flops(spec, *shape[2:], batch=shape[0])
+           for spec, shape in conv_calls]
     counted = {e.op: e.flops for e in flops.pipeline_flops(cfg).entries}
     assert len(_CONV_OPS) == 19
     assert ran == [counted[op] for op in _CONV_OPS]

@@ -324,6 +324,42 @@ def test_conv_channel_mismatch_names_axis():
                    np.zeros(3), spec)
 
 
+@pytest.mark.parametrize("sizes", [
+    [(2, 3), (6, 6), (1, 1), (5, 5), (4, 6)],
+    [(4, 6), (1, 1), (5, 5), (7, 7), (2, 3)],
+    [(4, 6), (6, 4), (2, 3), (1, 1), (5, 5)],   # 6x6 from two parts
+])
+def test_fold_same_is_the_sum_of_its_parts(sizes):
+    # each part, odd or even, adds where its own "same" padding meets the
+    # fold's, and its window of the folded weight gradient is its own conv's
+    c = 3
+    x, gy = u(41, "fold.x", (2, c, 5, 6)), u(41, "fold.gy", (2, c, 5, 6))
+    parts = [(u(41, f"fold.w{i}", (c, c) + hw), u(41, f"fold.b{i}", (c,)))
+             for i, hw in enumerate(sizes)]
+    w, b, windows = ops.fold_same("fold", parts)
+    assert w.shape[2:] == tuple(max(hw[i] for hw in sizes) for i in (0, 1))
+    spec = ops.same_spec(c, *w.shape[2:])
+    _, gw, _ = ops.conv2d_vjp(x, w, b, spec, gy)
+    want = 0.0
+    for (pw, pb), win in zip(parts, windows):
+        part_spec = ops.same_spec(c, *pw.shape[2:])
+        want = want + ops.conv2d(x, pw, pb, part_spec)
+        assert gw[win].shape == pw.shape
+        want_gw = ops.conv2d_vjp(x, pw, pb, part_spec, gy)[1]
+        assert np.max(np.abs(gw[win] - want_gw)) < 1e-12
+    assert np.max(np.abs(ops.conv2d(x, w, b, spec) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("part", [
+    (np.zeros((3, 3, 5)), np.zeros(3)),          # not 4-D
+    (np.zeros((1, 1, 5, 5)), np.zeros(3)),       # other channels
+    (np.zeros((3, 3, 5, 5)), np.zeros(1)),       # bias not (out,)
+])
+def test_fold_same_rejects_a_part_that_would_broadcast(part):
+    with pytest.raises(ShapeError, match="^fold: axis 'part 1'"):
+        ops.fold_same("fold", [(np.zeros((3, 3, 3, 3)), np.zeros(3)), part])
+
+
 def test_conv_bad_groups_rejected():
     with pytest.raises(ConfigError):
         ops.ConvSpec(3, 3, 3, 3, groups=2)

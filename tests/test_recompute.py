@@ -7,31 +7,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mgdfis import checks, dpam, ftssa, gdim, ops, pipeline
+from mgdfis import checks, ftssa, gdim, ops, pipeline
 from mgdfis.params import init_aggregate, init_dmm, init_gmm, init_pipeline
 from mgdfis.rng import stream
 from test_ops import _SPEC_CASES
 
 
-@pytest.fixture
-def conv_calls(monkeypatch):
-    """Count forward conv2d calls made through every module binding."""
-    calls = [0]
-    real = ops.conv2d
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    for mod in (ops, ftssa, gdim, dpam):
-        monkeypatch.setattr(mod, "conv2d", counting)
-    return calls
-
-
 def _count(calls, fn, *args):
-    calls[0] = 0
+    """The number of forward conv calls fn(*args) makes (the conv_calls fixture)."""
+    calls.clear()
     fn(*args)
-    return calls[0]
+    return len(calls)
 
 
 @pytest.mark.parametrize("name", list(checks.OP_CHECKS))

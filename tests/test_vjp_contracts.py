@@ -2,6 +2,7 @@
 and a cotangent whose shape is not the forward output's is a ShapeError
 rather than a silently broadcast gradient."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -314,3 +315,28 @@ def test_aggregate_rejects_batch_mismatch_instead_of_broadcasting():
         G.aggregate(f1, f2, agg_p)
     with pytest.raises(ShapeError, match="batch"):
         G.aggregate_vjp(f1, f2, agg_p, np.ones_like(f1))
+
+
+def _mona_cr2():
+    return init_mona(1, "vc.mona", 4 * C), u("vc.z")     # reduced channels C
+
+
+def _dmm_c2():
+    return init_dmm(1, "vc.dmm", C, heads=2, head_dim=1, seff_base=2), u("vc.x")
+
+
+@pytest.mark.parametrize("op,make,field,shape", [
+    ("mona_op", _mona_cr2, "dw5_weight", (1, 1, 5, 5)),
+    ("dmm", _dmm_c2, "conv64_weight", (1, 1, 6, 4)),
+    ("dmm", _dmm_c2, "conv46_weight", (1, 1, 4, 6)),
+])
+def test_folded_conv_rejects_a_part_of_other_channels(op, make, field, shape):
+    # a folded part with other channels is a ShapeError naming the op, in
+    # the forward and the VJP alike, not a weight broadcast into the fold
+    fwd, fwd_vjp = ((F.mona_op, F.mona_op_vjp) if op == "mona_op"
+                    else (G.dmm_directional, G.dmm_directional_vjp))
+    p, x = make()
+    p = dataclasses.replace(p, **{field: np.ones(shape)})
+    for call in (lambda: fwd(x, p), lambda: fwd_vjp(x, p, np.ones_like(x))):
+        with pytest.raises(ShapeError, match=f"^{op}: axis 'part"):
+            call()
