@@ -12,8 +12,8 @@ from .errors import ConfigError, MgdfisError, ShapeError, TensorFormatError
 from .gradcheck import GradReport, grad_check
 from .mgdt import read_tensor, write_tensor
 from .ops import (ConvSpec, activation, bilinear_resize, conv2d, conv2d_vjp,
-                  fft2, gelu, global_avg_pool, ifft2, linear, same_padding,
-                  same_spec, sigmoid, silu, softmax)
+                  gelu, global_avg_pool, linear, same_padding, same_spec,
+                  sigmoid, silu, softmax)
 from .params import (AggregateParams, DmmParams, DpamParams, DyTParams,
                      FtssaParams, FusionWeights, GmmParams, MonaParams,
                      PipelineParams, SeffParams, TssaParams, init_pipeline,

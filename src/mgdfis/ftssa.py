@@ -203,9 +203,9 @@ def _mona_specs(p: MonaParams):
     }
 
 
-def _mona_kernel(p: MonaParams):
-    """dw7 + dw5 + dw3 as one depthwise 7x7 conv: ops.fold_same's triple."""
-    return ops.fold_same("mona_op", [
+def _mona_kernel(p: MonaParams, spec):
+    """dw7 + dw5 + dw3 as the depthwise 7x7 conv `spec`: ops.fold_same's triple."""
+    return ops.fold_same("mona_op", spec.weight_shape[:2], [
         (p.dw7_weight, p.dw7_bias), (p.dw5_weight, p.dw5_bias), (p.dw3_weight, p.dw3_bias)])
 
 
@@ -215,7 +215,7 @@ def mona_op(z, p: MonaParams, *, cache=NO_CACHE):
     z = as_feature_map(z, "mona_op")
     require_channels(z, p.down_weight.shape[0], "mona_op")
     sp = _mona_specs(p)
-    mix_in = conv2d(z, *_mona_kernel(p)[:2], sp["dw"]) / 3.0 + z
+    mix_in = conv2d(z, *_mona_kernel(p, sp["dw"])[:2], sp["dw"]) / 3.0 + z
     cache.keep(z=z, mix_in=mix_in)
     return z + conv2d(mix_in, p.mix_weight, p.mix_bias, sp["mix"])
 
@@ -224,7 +224,7 @@ def _mona_op_bwd(cache, p: MonaParams, gy):
     sp = _mona_specs(p)
     g_mix_in, g_mix_w, g_mix_b = conv2d_vjp(cache.pop("mix_in"), p.mix_weight,
                                             p.mix_bias, sp["mix"], gy)
-    w, b, (win7, win5, win3) = _mona_kernel(p)
+    w, b, (win7, win5, win3) = _mona_kernel(p, sp["dw"])
     gz, gw, gb = conv2d_vjp(cache.pop("z"), w, b, sp["dw"], g_mix_in / 3.0)
     gp = dataclasses.replace(
         zeros_like_params(p), mix_weight=g_mix_w, mix_bias=g_mix_b,

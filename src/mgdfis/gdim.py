@@ -199,10 +199,11 @@ gmm_vjp = vjp(gmm, _gmm_bwd)
 # directional detail capture with channel gating
 # ---------------------------------------------------------------------------
 
-def _directional_kernel(p: DmmParams):
-    """conv4x6 + conv6x4 as one 6x6 conv: ops.fold_same's triple."""
-    return ops.fold_same("dmm", [(p.conv46_weight, p.conv46_bias),
-                                 (p.conv64_weight, p.conv64_bias)])
+def _directional_kernel(p: DmmParams, spec):
+    """conv4x6 + conv6x4 as the one 6x6 conv `spec`: ops.fold_same's triple."""
+    return ops.fold_same("dmm", spec.weight_shape[:2],
+                         [(p.conv46_weight, p.conv46_bias),
+                          (p.conv64_weight, p.conv64_bias)])
 
 
 def dmm_directional(f_gmm, p: DmmParams, *, cache=NO_CACHE):
@@ -210,13 +211,14 @@ def dmm_directional(f_gmm, p: DmmParams, *, cache=NO_CACHE):
     padding keeps dims."""
     f_gmm = as_feature_map(f_gmm, "dmm")
     cache.keep(f=f_gmm)
-    return f_gmm + conv2d(f_gmm, *_directional_kernel(p)[:2],
-                          same_spec(f_gmm.shape[1], 6, 6))
+    spec = same_spec(f_gmm.shape[1], 6, 6)
+    return f_gmm + conv2d(f_gmm, *_directional_kernel(p, spec)[:2], spec)
 
 
 def _dmm_directional_bwd(cache, p: DmmParams, gy):
-    w, b, (win46, win64) = _directional_kernel(p)
-    gf, gw, gb = conv2d_vjp(cache.pop("f"), w, b, same_spec(len(w), 6, 6), gy)
+    spec = same_spec(gy.shape[1], 6, 6)     # gy is shaped like the input f
+    w, b, (win46, win64) = _directional_kernel(p, spec)
+    gf, gw, gb = conv2d_vjp(cache.pop("f"), w, b, spec, gy)
     gp = dataclasses.replace(zeros_like_params(p),
                              conv46_weight=gw[win46].copy(), conv46_bias=gb,
                              conv64_weight=gw[win64].copy(), conv64_bias=gb.copy())

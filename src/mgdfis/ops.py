@@ -1,5 +1,5 @@
 """Dense-tensor primitives: convolution, linear maps, softmax, activations,
-pooling, 2-D FFT and bilinear resampling.
+pooling, 2-D real FFT and bilinear resampling.
 
 Every primitive is a pure function over float64 (or complex128) arrays and
 comes with a hand-written vector-Jacobian product (`*_vjp`) so gradients can
@@ -33,12 +33,12 @@ fold_same turns a sum of stride-1 "same" convs over one input into one conv,
 each part placed by same_padding, with the window in which each part reads
 its share of the folded weight gradient.
 
-The spectral ops come in two forms, both on scipy.fft: fft2/ifft2 over
-complex spectra, and rfft2/irfft2 over the half spectrum (columns 0..w//2)
-of a real map, which stands for the Hermitian spectrum it determines.
-half_spectrum_weight builds the half of a resampled complex grid's Hermitian
-part in one separable map, its one GEMM writing the complex output's planes;
-its VJP's first GEMM reads both planes of the complex cotangent.
+The spectral ops are scipy.fft's real pair, rfft2/irfft2, over the half
+spectrum (columns 0..w//2) of a real map, which stands for the Hermitian
+spectrum it determines.  half_spectrum_weight builds the half of a resampled
+complex grid's Hermitian part in one separable map, its one GEMM writing the
+complex output's planes; its VJP's first GEMM reads both planes of the
+complex cotangent.
 """
 
 import math
@@ -163,22 +163,22 @@ def _same_spec(channels, kernel_h, kernel_w, out_channels, groups, dilation):
     )
 
 
-def fold_same(op, parts):
+def fold_same(op, lead, parts):
     """(weight, bias, windows): one conv for the sum of `parts`, (weight, bias)
     pairs of stride-1 "same" convs over one input (ACNet, arXiv:1908.03930), as
-    large as the largest part.  Part i adds, in order, at windows[i], where its
-    same_padding meets the fold's; its weight gradient is gw[windows[i]]."""
-    size, windows = _fold_plan(op, tuple((w.shape, b.shape) for w, b in parts))
-    weight = np.zeros(parts[0][0].shape[:2] + size)
+    large as the largest part.  Every part's weight leads with `lead`, the
+    folded conv's weight_shape[:2].  Part i adds, in order, at windows[i], where
+    its same_padding meets the fold's; its weight gradient is gw[windows[i]]."""
+    size, windows = _fold_plan(op, lead, tuple((w.shape, b.shape) for w, b in parts))
+    weight = np.zeros(lead + size)
     for (w, _), win in zip(parts, windows):
         weight[win] += w
     return weight, sum((b for _, b in parts[1:]), parts[0][1]), windows
 
 
 @lru_cache(maxsize=64)
-def _fold_plan(op, shapes):
+def _fold_plan(op, lead, shapes):
     """fold_same's (kernel size, windows) for parts of these (weight, bias) shapes."""
-    lead = shapes[0][0][:2]
     for i, (ws, bs) in enumerate(shapes):
         if len(ws) != 4 or ws[:2] != lead or bs != lead[:1]:
             raise ShapeError(op, f"part {i}", f"{lead} + (kh, kw), bias {lead[:1]}",
@@ -458,29 +458,18 @@ def global_avg_pool_vjp(x, gy):
 
 
 # ---------------------------------------------------------------------------
-# 2-D FFT over the spatial axes
+# 2-D real FFT over the spatial axes
 # ---------------------------------------------------------------------------
 # Convention: forward unnormalized, inverse divides by H*W, so Parseval reads
-# sum |x|^2 == sum |X|^2 / (H*W).  Any spatial size is supported (the backing
-# transform is mixed-radix with Bluestein for large primes).  ifft2 returns
-# the real part; the imaginary residue of non-symmetric spectra is discarded
-# by contract.
-
-def fft2(x):
-    return sfft.fft2(_rank4("fft2", x), axes=(-2, -1))
-
-
-def ifft2(spectrum):
-    return sfft.ifft2(_rank4("ifft2", spectrum), axes=(-2, -1)).real
-
-
-# The real transform: rfft2 keeps the half spectrum (columns 0..w//2) of a real
-# map.  A half spectrum stands for the Hermitian full spectrum it determines,
-# in values and in cotangents, so each VJP below is the full-spectrum VJP of
-# its op written on half spectra: irfft2_vjp of gy is the half of
-# fft2(gy) / (h w), and rfft2_vjp of a half equals h w Re(ifft2) of the full
-# spectrum (gy packing dL/dRe + i dL/dIm).  For real x and W
-# the grid re + i im resampled to (h, w), Re(ifft2(W * fft2(x))) ==
+# sum x^2 == sum |X|^2 / (H*W) over the full spectrum.  Any spatial size is
+# supported (the backing transform is mixed-radix with Bluestein for large
+# primes).  rfft2 keeps the half spectrum (columns 0..w//2) of a real map.  A
+# half spectrum stands for the Hermitian full spectrum it determines, in
+# values and in cotangents, so each VJP below is the full-spectrum VJP of its
+# op written on half spectra: irfft2_vjp of gy is the half of fft2(gy) / (h w),
+# and rfft2_vjp of a half equals h w Re(ifft2) of the full spectrum (gy
+# packing dL/dRe + i dL/dIm).  For real x and W the grid re + i im resampled
+# to (h, w), Re(ifft2(W * fft2(x))) ==
 # irfft2(half_spectrum_weight(re, im, h, w) * rfft2(x), w).
 
 def _half(op, spectrum, w):

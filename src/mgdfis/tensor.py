@@ -2,8 +2,9 @@
 
 All real feature maps are dense rank-4 float64 arrays in (batch, channel,
 height, width) layout, row-major with width fastest.  Frequency-domain maps
-are complex128 arrays of the same layout.  Ops validate shapes at their
-boundary and raise ShapeError naming the offending axis.
+are complex128 half spectra (N, C, H, W//2 + 1): the columns 0..W//2 of the
+spectrum of a real map.  Ops validate shapes at their boundary and raise
+ShapeError naming the offending axis.
 """
 
 import numpy as np

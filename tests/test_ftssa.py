@@ -379,10 +379,11 @@ def test_seff_branch_real_fft_matches_complex_formula(h, w):
     assert set(cache) == {"half", "spectrum"}    # the weight is rebuilt
     got = _branch_bwd(cache, *args, p.w1_re, p.w1_im, gy)
 
-    spectrum = ops.fft2(ops.conv2d(half, *args))
+    spectrum = np.fft.fft2(ops.conv2d(half, *args), axes=(-2, -1))
     weight = (ops.bilinear_resize(p.w1_re[None], h, w)
               + 1j * ops.bilinear_resize(p.w1_im[None], h, w))
-    want_out = ops.ifft2(weight * spectrum + p.freq_bias1[None, :, None, None])
+    want_out = np.fft.ifft2(weight * spectrum + p.freq_bias1[None, :, None, None],
+                            axes=(-2, -1)).real
     gz = np.fft.fft2(gy, axes=(-2, -1)) / (h * w)   # VJP of Re(ifft2)
     gw = (np.conj(spectrum) * gz).sum(axis=0, keepdims=True)
     g_spectrum = np.conj(weight) * gz   # fft2's VJP at a real input: h w Re(ifft2)

@@ -336,7 +336,7 @@ def test_fold_same_is_the_sum_of_its_parts(sizes):
     x, gy = u(41, "fold.x", (2, c, 5, 6)), u(41, "fold.gy", (2, c, 5, 6))
     parts = [(u(41, f"fold.w{i}", (c, c) + hw), u(41, f"fold.b{i}", (c,)))
              for i, hw in enumerate(sizes)]
-    w, b, windows = ops.fold_same("fold", parts)
+    w, b, windows = ops.fold_same("fold", (c, c), parts)
     assert w.shape[2:] == tuple(max(hw[i] for hw in sizes) for i in (0, 1))
     spec = ops.same_spec(c, *w.shape[2:])
     _, gw, _ = ops.conv2d_vjp(x, w, b, spec, gy)
@@ -356,8 +356,11 @@ def test_fold_same_is_the_sum_of_its_parts(sizes):
     (np.zeros((3, 3, 5, 5)), np.zeros(1)),       # bias not (out,)
 ])
 def test_fold_same_rejects_a_part_that_would_broadcast(part):
-    with pytest.raises(ShapeError, match="^fold: axis 'part 1'"):
-        ops.fold_same("fold", [(np.zeros((3, 3, 3, 3)), np.zeros(3)), part])
+    # the error names the part at fault, first or not
+    good = (np.zeros((3, 3, 3, 3)), np.zeros(3))
+    for i, parts in enumerate([[part, good], [good, part]]):
+        with pytest.raises(ShapeError, match=f"^fold: axis 'part {i}'"):
+            ops.fold_same("fold", (3, 3), parts)
 
 
 def test_conv_bad_groups_rejected():
@@ -523,13 +526,14 @@ def test_gap_matches_direct_summation():
 
 
 # ---------------------------------------------------------------------------
-# fft2 / ifft2
+# rfft2 / irfft2
 # ---------------------------------------------------------------------------
 
 def test_fft_constant_input_concentrates_at_dc():
     c = -0.3
     x = np.full((1, 1, 4, 6), c)
-    spec = ops.fft2(x)
+    spec = ops.rfft2(x)
+    assert spec.shape == (1, 1, 4, 4)
     assert abs(spec[0, 0, 0, 0] - c * 24) < 1e-9
     rest = spec.copy()
     rest[0, 0, 0, 0] = 0
@@ -539,43 +543,53 @@ def test_fft_constant_input_concentrates_at_dc():
 def test_fft_delta_gives_flat_spectrum():
     x = np.zeros((1, 1, 3, 5))
     x[0, 0, 0, 0] = 1.0
-    assert np.max(np.abs(ops.fft2(x) - 1.0)) < 1e-12
+    assert np.max(np.abs(ops.rfft2(x) - 1.0)) < 1e-12
 
 
 def test_fft_matches_naive_dft():
     x = u(8, "fft.x", (1, 1, 6, 5))
-    assert np.max(np.abs(ops.fft2(x) - orc.dft2_ref(x))) < 1e-9
+    assert np.max(np.abs(ops.rfft2(x) - orc.dft2_ref(x)[..., :3])) < 1e-9
 
 
 def test_ifft_matches_naive_inverse():
-    z = orc.dft2_ref(u(8, "ifft.x", (1, 1, 4, 3)))
-    assert np.max(np.abs(ops.ifft2(z) - orc.idft2_real_ref(z))) < 1e-9
+    # irfft2 of a spectrum's half against the naive inverse of all of it, at
+    # an odd and an even (Nyquist column) width
+    for h, w in [(4, 3), (3, 4)]:
+        z = orc.dft2_ref(u(8, "ifft.x", (1, 1, h, w)))
+        assert np.max(np.abs(ops.irfft2(z[..., :w // 2 + 1], w)
+                             - orc.idft2_real_ref(z))) < 1e-9
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (5, 7), (13, 4), (16, 11)])
 def test_fft_roundtrip_and_parseval(h, w):
     x = u(h * 31 + w, "rt.x", (1, 2, h, w))
-    spec = ops.fft2(x)
-    back = ops.ifft2(spec)
+    spec = ops.rfft2(x)
+    back = ops.irfft2(spec, w)
     scale = max(1.0, float(np.max(np.abs(x))))
     assert np.max(np.abs(back - x)) / scale < 1e-6
+    # bins 0 and w/2 count once; every other half column also stands for
+    # its mirror
+    k = np.arange(w // 2 + 1)
     lhs = float(np.sum(x * x))
-    rhs = float(np.sum(np.abs(spec) ** 2)) / (h * w)
+    rhs = float(np.sum(np.where((k == 0) | (2 * k == w), 1, 2)
+                       * np.abs(spec) ** 2)) / (h * w)
     assert abs(lhs - rhs) / max(lhs, 1e-30) < 1e-6
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (3, 4), (5, 5), (4, 1)])
 def test_real_fft_matches_complex_fft(h, w):
     # a half spectrum stands for the Hermitian spectrum it determines, so the
-    # half-spectrum ops and VJPs agree with fft2/ifft2 on Hermitian spectra
+    # half-spectrum ops and VJPs agree with numpy's complex fft2/ifft2 on
+    # Hermitian spectra
     x = u(9, "rf.x", (2, 2, h, w))
     re, im = u(9, "rf.wr", (2, 3, 3)), u(9, "rf.wi", (2, 3, 3))
     weight = (ops.bilinear_resize(re[None], h, w)
               + 1j * ops.bilinear_resize(im[None], h, w))
-    full, half = ops.fft2(x), ops.rfft2(x)
+    full, half = np.fft.fft2(x, axes=(-2, -1)), ops.rfft2(x)
     assert np.max(np.abs(half - full[..., :w // 2 + 1])) < 1e-12
     got = ops.irfft2(ops.half_spectrum_weight(re, im, h, w) * half, w)
-    assert np.max(np.abs(got - ops.ifft2(weight * full))) < 1e-12
+    want = np.fft.ifft2(weight * full, axes=(-2, -1)).real
+    assert np.max(np.abs(got - want)) < 1e-12
     # the complex VJPs: of Re(ifft2), fft2(gy) / (h w); of fft2 at a real
     # input, h w Re(ifft2(gy)) for gy packing dL/dRe + i dL/dIm
     ifft2_vjp = np.fft.fft2(x, axes=(-2, -1)) / (h * w)
@@ -654,8 +668,13 @@ def test_half_spectrum_weight_vjp_matches_the_stacked_planes(base, h, w, lead):
 
 
 def test_fft_requires_rank_four():
-    with pytest.raises(ShapeError):
-        ops.fft2(np.zeros((3, 3)))
+    with pytest.raises(ShapeError, match="^rfft2: axis 'rank'"):
+        ops.rfft2(np.zeros((3, 3)))
+
+
+def test_irfft2_requires_the_half_spectrum_width():
+    with pytest.raises(ShapeError, match="^irfft2: axis 'half-spectrum width'"):
+        ops.irfft2(np.zeros((1, 1, 3, 3), complex), 6)
 
 
 # ---------------------------------------------------------------------------

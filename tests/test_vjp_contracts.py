@@ -331,12 +331,14 @@ def _dmm_c2():
     ("dmm", _dmm_c2, "conv46_weight", (1, 1, 4, 6)),
 ])
 def test_folded_conv_rejects_a_part_of_other_channels(op, make, field, shape):
-    # a folded part with other channels is a ShapeError naming the op, in
-    # the forward and the VJP alike, not a weight broadcast into the fold
+    # a folded part with other channels is a ShapeError naming the op and
+    # the part (its index in the fold), in the forward and the VJP alike, not
+    # a weight broadcast into the fold
     fwd, fwd_vjp = ((F.mona_op, F.mona_op_vjp) if op == "mona_op"
                     else (G.dmm_directional, G.dmm_directional_vjp))
     p, x = make()
     p = dataclasses.replace(p, **{field: np.ones(shape)})
+    part = {"dw5_weight": 1, "conv46_weight": 0, "conv64_weight": 1}[field]
     for call in (lambda: fwd(x, p), lambda: fwd_vjp(x, p, np.ones_like(x))):
-        with pytest.raises(ShapeError, match=f"^{op}: axis 'part"):
+        with pytest.raises(ShapeError, match=f"^{op}: axis 'part {part}'"):
             call()
