@@ -19,6 +19,14 @@ distribution, runs its output projection's VJP through `ops.linear_vjp`, and
 recomputes no softmax.  seff's branches keep their input and half spectrum;
 their complex weight depends on parameters alone, so the backward rebuilds
 it.
+
+A forward drops each map at its last use, so that without a cache nothing
+outlives its last read: seff drops its input after the split conv, the
+split after both branches' depthwise convs, before either spectral half, and
+each depthwise conv's output after its rfft2.
+An argument that a caller passes inline is freed by the callee's `del` on
+CPython 3.11 and later, where call arguments move into the callee's frame;
+under 3.10 the caller holds it until the call returns.
 """
 import dataclasses
 import math
@@ -307,23 +315,31 @@ def _seff_specs(c):
     }
 
 
-def _branch_fwd(half, conv_w, conv_b, spec, re, im, bias, cache):
-    """One spectral branch, Re(ifft2(W * fft2(dwconv(half)) + bias)).  W is
-    the per-channel complex weight re + i im resampled bilinearly to the
-    runtime spatial dims.  The map is real, so this is
-    irfft2(W_h * rfft2(dwconv(half)) + bias) on the half spectrum, where
-    W_h, the half of W's Hermitian part, comes from the base grid in one
+def _branch_conv(half, conv_w, conv_b, spec, cache):
+    """A spectral branch's first half, its depthwise conv dwconv(half); the
+    cache keeps the conv's input."""
+    cache.keep(half=half)
+    return conv2d(half, conv_w, conv_b, spec)
+
+
+def _branch_spectral(z, re, im, bias, cache):
+    """A spectral branch's second half, Re(ifft2(W * fft2(z) + bias)) of
+    z = dwconv(half).  W is the per-channel complex weight re + i im
+    resampled bilinearly to the runtime spatial dims.  The map is real, so
+    this is irfft2(W_h * rfft2(z) + bias) on the half spectrum, where W_h,
+    the half of W's Hermitian part, comes from the base grid in one
     separable map (ops.half_spectrum_weight).  W_h depends on parameters
     alone, so the cache keeps the spectrum and not W_h, which backward
     rebuilds."""
-    h, w = half.shape[2], half.shape[3]
-    spectrum = ops.rfft2(conv2d(half, conv_w, conv_b, spec))
+    h, w = z.shape[2], z.shape[3]
+    spectrum = ops.rfft2(z)
+    del z       # freed here if the caller passed it inline and keeps no reference
     weight = ops.half_spectrum_weight(re, im, h, w)
-    cache.keep(half=half, spectrum=spectrum)
-    z = weight * spectrum
-    z += bias[:, None, None]
+    cache.keep(spectrum=spectrum)
+    prod = weight * spectrum
+    prod += bias[:, None, None]
     del spectrum, weight    # freed before the inverse transform, spectrum if uncached
-    return ops.irfft2(z, w)
+    return ops.irfft2(prod, w)
 
 
 def _branch_bwd(cache, conv_w, conv_b, spec, re, im, g_t):
@@ -347,17 +363,25 @@ def _branch_bwd(cache, conv_w, conv_b, spec, re, im, g_t):
 
 
 def seff(x, p: SeffParams, *, cache=NO_CACHE):
+    """merge(silu(t2) * t1), t_i branch i run on half i of the split conv's
+    output.  Both depthwise convs run before either spectral half, so the
+    split is dropped before the FFTs allocate."""
     x = as_feature_map(x, "seff")
     require_channels(x, p.split_weight.shape[1], "seff")
     c = p.merge_weight.shape[0]
     sp = _seff_specs(c)
+    cache.keep(x=x)
     split = conv2d(x, p.split_weight, p.split_bias, sp["split"])
-    t1 = _branch_fwd(split[:, :c], p.branch1_weight, p.branch1_bias, sp["b1"],
-                     p.w1_re, p.w1_im, p.freq_bias1, cache.sub("b1"))
-    t2 = _branch_fwd(split[:, c:], p.branch2_weight, p.branch2_bias, sp["b2"],
-                     p.w2_re, p.w2_im, p.freq_bias2, cache.sub("b2"))
+    del x
+    z = [_branch_conv(split[:, :c], p.branch1_weight, p.branch1_bias, sp["b1"],
+                      cache.sub("b1")),
+         _branch_conv(split[:, c:], p.branch2_weight, p.branch2_bias, sp["b2"],
+                      cache.sub("b2"))]
     del split    # without a cache, no branch keeps a view of it
-    cache.keep(x=x, t1=t1, t2=t2)
+    # popped inline, each conv output is dropped by its spectral half
+    t1 = _branch_spectral(z.pop(0), p.w1_re, p.w1_im, p.freq_bias1, cache.sub("b1"))
+    t2 = _branch_spectral(z.pop(0), p.w2_re, p.w2_im, p.freq_bias2, cache.sub("b2"))
+    cache.keep(t1=t1, t2=t2)
     gated = ops.silu(t2)
     gated *= t1
     return conv2d(gated, p.merge_weight, p.merge_bias, sp["merge"])

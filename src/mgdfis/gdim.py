@@ -233,7 +233,7 @@ def _gate_fwd(feat, p: DmmParams, cache):
     pooled = ops.global_avg_pool(feat)[:, :, 0, 0]
     h1 = ops.linear(pooled, p.mlp_w1, p.mlp_b1)
     h2 = ops.linear(ops.gelu(h1), p.mlp_w2, p.mlp_b2)
-    cache.keep(feat=feat, pooled=pooled, h1=h1, h2=h2)
+    cache.keep(hw=feat.shape[2:], pooled=pooled, h1=h1, h2=h2)
     return ops.silu(h2)[:, :, None, None]
 
 
@@ -245,8 +245,7 @@ def _gate_bwd(cache, p: DmmParams, gy):
     g_h1 = ops.activation_grad("gelu", h1) * g_a1
     g_pooled, g_mlp_w1, g_mlp_b1 = ops.linear_vjp(cache.pop("pooled"), p.mlp_w1,
                                                   p.mlp_b1, g_h1)
-    g_feat = ops.global_avg_pool_vjp(cache.pop("feat"),
-                                     g_pooled[:, :, None, None])
+    g_feat = ops.global_avg_pool_vjp(*cache.pop("hw"), g_pooled[:, :, None, None])
     gp = dataclasses.replace(zeros_like_params(p),
                              mlp_w1=g_mlp_w1, mlp_b1=g_mlp_b1,
                              mlp_w2=g_mlp_w2, mlp_b2=g_mlp_b2)
@@ -270,7 +269,11 @@ dmm_attention_vjp = vjp(dmm_attention, _dmm_attention_bwd)
 
 
 def dmm(f_gmm, p: DmmParams, *, cache=NO_CACHE):
+    """f_add * gate(f_add), f_add = dmm_directional(f_gmm).  f_gmm is
+    dropped after its one read, so without a cache a map passed inline
+    (CPython 3.11 and later) is freed before ftssa runs."""
     f_add = dmm_directional(f_gmm, p, cache=cache.sub("dir"))
+    del f_gmm
     gate = dmm_attention(f_add, p, cache=cache.sub("att"))
     cache.keep(f_add=f_add, gate=gate)
     return f_add * gate

@@ -7,6 +7,8 @@ payload.  Malformed files raise TensorFormatError carrying the byte offset
 of the violation.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -22,60 +24,61 @@ _HEADER = 7  # magic + version + dtype + rank
 
 
 def write_tensor(path, arr):
+    """Write arr as an MGDT file; the payload is written from arr's own
+    buffer when arr is already C-contiguous little-endian float64 or
+    complex128, and from one converted copy otherwise."""
     arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        code, payload = DTYPE_COMPLEX, arr.astype("<c16").tobytes()
-    else:
-        code, payload = DTYPE_REAL, arr.astype("<f8").tobytes()
+    code = DTYPE_COMPLEX if np.iscomplexobj(arr) else DTYPE_REAL
+    payload = np.asarray(arr, dtype="<c16" if code == DTYPE_COMPLEX else "<f8",
+                         order="C")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION, code, arr.ndim]))
-        for d in arr.shape:
-            fh.write(struct.pack("<Q", d))
+        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         fh.write(payload)
 
 
 def read_tensor(path):
+    """The array an MGDT file holds.  The header is read and checked against
+    the file's size before the payload is read straight into the returned
+    array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER:
+            raise TensorFormatError(
+                f"truncated header: {size} bytes, need {_HEADER}", offset=size)
+        head = fh.read(_HEADER)
+        if head[:4] != MAGIC:
+            raise TensorFormatError(f"bad magic {head[:4]!r}", offset=0)
+        if head[4] != VERSION:
+            raise TensorFormatError(f"unsupported version {head[4]}", offset=4)
+        code = head[5]
+        if code not in (DTYPE_REAL, DTYPE_COMPLEX):
+            raise TensorFormatError(f"unknown dtype code {code}", offset=5)
+        rank = head[6]
+        dims_end = _HEADER + 8 * rank
+        if size < dims_end:
+            raise TensorFormatError(
+                f"truncated dims: rank {rank} needs {8 * rank} bytes", offset=size)
+        dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        for i, d in enumerate(dims):
+            if d == 0:
+                raise TensorFormatError(f"dim {i} is zero", offset=_HEADER + 8 * i)
+        dtype = "<c16" if code == DTYPE_COMPLEX else "<f8"
+        expected = dims_end + math.prod(dims) * np.dtype(dtype).itemsize
+        if size < expected:
+            raise TensorFormatError(
+                f"truncated payload: expected {expected} bytes total, got {size}",
+                offset=size)
+        if size > expected:
+            raise TensorFormatError(
+                f"{size - expected} trailing bytes after payload", offset=expected)
+        out = np.empty(dims, dtype=dtype)
+        got = dims_end + fh.readinto(out.reshape(-1).view(np.uint8))
+    if got < expected:      # the file shrank after its size was read
         raise TensorFormatError(
-            f"truncated header: {len(raw)} bytes, need {_HEADER}",
-            offset=len(raw))
-    if raw[:4] != MAGIC:
-        raise TensorFormatError(f"bad magic {raw[:4]!r}", offset=0)
-    if raw[4] != VERSION:
-        raise TensorFormatError(f"unsupported version {raw[4]}", offset=4)
-    code = raw[5]
-    if code not in (DTYPE_REAL, DTYPE_COMPLEX):
-        raise TensorFormatError(f"unknown dtype code {code}", offset=5)
-    rank = raw[6]
-    dims_end = _HEADER + 8 * rank
-    if len(raw) < dims_end:
-        raise TensorFormatError(
-            f"truncated dims: rank {rank} needs {8 * rank} bytes", offset=len(raw))
-    dims = []
-    for i in range(rank):
-        off = _HEADER + 8 * i
-        d = struct.unpack_from("<Q", raw, off)[0]
-        if d == 0:
-            raise TensorFormatError(f"dim {i} is zero", offset=off)
-        dims.append(d)
-    count = 1
-    for d in dims:
-        count *= d
-    itemsize = 16 if code == DTYPE_COMPLEX else 8
-    expected = dims_end + count * itemsize
-    if len(raw) < expected:
-        raise TensorFormatError(
-            f"truncated payload: expected {expected} bytes total, got {len(raw)}",
-            offset=len(raw))
-    if len(raw) > expected:
-        raise TensorFormatError(
-            f"{len(raw) - expected} trailing bytes after payload", offset=expected)
-    dtype = "<c16" if code == DTYPE_COMPLEX else "<f8"
-    data = np.frombuffer(raw[dims_end:expected], dtype=dtype)
-    out = data.reshape(dims).copy()
-    if not np.all(np.isfinite(out if code == DTYPE_REAL else out.view(np.float64))):
+            f"truncated payload: expected {expected} bytes total, got {got}",
+            offset=got)
+    if not np.all(np.isfinite(out)):    # a complex entry: both its parts
         raise TensorFormatError("payload contains non-finite values", offset=dims_end)
     return out

@@ -450,11 +450,12 @@ def global_avg_pool(x):
     return _rank4("global_avg_pool", x).mean(axis=(2, 3), keepdims=True)
 
 
-def global_avg_pool_vjp(x, gy):
-    x = require_real(x, "global_avg_pool")
-    n, c, h, w = _rank4("global_avg_pool_vjp", x).shape
-    gy = require_cotangent(gy, (n, c, 1, 1), "global_avg_pool_vjp")
-    return np.broadcast_to(gy / (h * w), x.shape).copy()
+def global_avg_pool_vjp(in_h, in_w, gy):
+    """Adjoint of global_avg_pool back to spatial dims (in_h, in_w)."""
+    gy = as_feature_map(gy, "global_avg_pool_vjp")
+    gy = require_cotangent(gy, gy.shape[:2] + (1, 1), "global_avg_pool_vjp")
+    _sizes("global_avg_pool_vjp", in_h, in_w)
+    return np.broadcast_to(gy / (in_h * in_w), gy.shape[:2] + (in_h, in_w)).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,17 @@ def load_inputs(cfg: RunConfig):
 
 
 def _chain(f1, f2, p: PipelineParams, stage, cache):
-    """The pipeline on sub-caches, cut at the stage; f2 is reconciled once."""
+    """The pipeline on sub-caches, cut at the stage; f2 is reconciled once.
+    gmm's output goes inline into dmm, which drops it after its last read:
+    on CPython 3.11 and later a call's arguments move into the callee's
+    frame, so without a cache the map is freed before ftssa runs (under
+    3.10 this frame holds it until dmm returns)."""
     x2 = _reconcile_fwd(f2, f1.shape, p.agg, cache.sub("x2"))
     f_agg = f1 + x2
-    f_gmm = gmm(f_agg, p.gmm, cache=cache.sub("gmm"))
     if stage == "gmm":
-        return f_gmm
-    f_hat = dmm(f_gmm, p.dmm, cache=cache.sub("dmm"))
+        return gmm(f_agg, p.gmm, cache=cache.sub("gmm"))
+    f_hat = dmm(gmm(f_agg, p.gmm, cache=cache.sub("gmm")), p.dmm,
+                cache=cache.sub("dmm"))
     if stage in ("dmm", "gdim"):
         return f_hat
     amap = dpam(f_agg, f_hat, p.dpam, cache=cache.sub("dpam"))

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles as orc
-from mgdfis import cli, pipeline
+from mgdfis import cli, gdim, pipeline
 from mgdfis.config import RunConfig, apply_overrides, load_config, parse_config
 from mgdfis.errors import ConfigError, ShapeError
 from mgdfis.gdim import gdim_vjp
@@ -252,9 +253,12 @@ def test_dpam_and_full_stages_equal_public_composition(stage):
 
 def test_default_forward_peak_memory():
     # a warm default-config full forward (f1 1x64x80x80, f2 1x64x40x40)
-    # traces 37.8 MiB above its start to return one 3.1 MiB map; with a
-    # cropped wide output per k×k conv and fresh temporaries in seff, GMM
-    # and DyT it traced 44.1 MiB
+    # traces 28.7 MiB above its start to return one 3.1 MiB map.  It traced
+    # 37.8 MiB while gmm's output lived through ftssa and seff held its input
+    # and split through its FFTs, and 44.1 MiB with a cropped wide output per
+    # k×k conv and fresh temporaries in seff, GMM and DyT.  Under CPython
+    # 3.10 a caller holds a map it passes inline until the call returns, so
+    # gmm's output and seff's input live on (an emulated 34.7 MiB)
     cfg = RunConfig(stage="full")
     params = pipeline.build_params(cfg)
     f1, f2 = pipeline.load_inputs(cfg)
@@ -266,7 +270,8 @@ def test_default_forward_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2**20, peak / 2**20
+    bound = 31 if sys.version_info >= (3, 11) else 36
+    assert peak <= bound * 2**20, peak / 2**20
 
 
 def test_default_gdim_vjp_peak_memory():
@@ -288,6 +293,36 @@ def test_default_gdim_vjp_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 82 * 2**20, peak / 2**20
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="under CPython 3.10 a caller holds the arguments it "
+                           "passes inline until the call returns")
+def test_forward_drops_the_gmm_output_before_the_gate(monkeypatch):
+    # without a cache, the chain passes gmm's output inline to dmm, which
+    # drops it once dmm_directional has read it, so it does not live through
+    # ftssa
+    seen = {}
+    gmm, dmm_attention = pipeline.gmm, gdim.dmm_attention
+
+    def recording_gmm(*args, **kwargs):
+        out = gmm(*args, **kwargs)
+        seen["gmm"] = weakref.ref(out)
+        return out
+
+    def probing_dmm_attention(*args, **kwargs):
+        seen.setdefault("alive", seen["gmm"]() is not None)
+        return dmm_attention(*args, **kwargs)
+
+    cfg = RunConfig(f1_shape=(1, 8, 6, 6), f2_shape=(1, 4, 3, 3), heads=2,
+                    head_dim=2, mona_ratio=2, seff_base_resolution=4)
+    params = pipeline.build_params(cfg)
+    f1, f2 = pipeline.load_inputs(cfg)
+    want = pipeline.full(f1, f2, params)
+    monkeypatch.setattr(pipeline, "gmm", recording_gmm)
+    monkeypatch.setattr(gdim, "dmm_attention", probing_dmm_attention)
+    assert np.array_equal(pipeline.full(f1, f2, params), want)
+    assert seen["alive"] is False
 
 
 def test_stage_submodules_are_not_shadowed():

@@ -4,7 +4,9 @@ composition, against hand cases and loop oracles."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -14,14 +16,15 @@ import oracles as orc
 from mgdfis import bench, checks
 from mgdfis import ftssa as F
 from mgdfis import ops
-from mgdfis.ftssa import (_branch_bwd, _branch_fwd, _tssa_parts, daff, dyt,
-                          ftssa, mona, mona_op, mona_op_vjp, seff, serr, tssa,
-                          tssa_tokens, tssa_vjp, xmona)
+from mgdfis.ftssa import (_branch_bwd, _branch_conv, _branch_spectral,
+                          _tssa_parts, daff, dyt, ftssa, mona, mona_op,
+                          mona_op_vjp, seff, serr, tssa, tssa_tokens, tssa_vjp,
+                          xmona)
 from mgdfis.params import (DyTParams, TssaParams, init_dyt, init_ftssa,
                            init_mona, init_seff, init_tssa,
                            zeros_like_params)
 from mgdfis.rng import stream
-from mgdfis.tensor import cached, from_tokens, to_tokens
+from mgdfis.tensor import Cache, cached, from_tokens, to_tokens
 
 mpmath.mp.dps = 50
 
@@ -375,7 +378,9 @@ def test_seff_branch_real_fft_matches_complex_formula(h, w):
     args = (p.branch1_weight, p.branch1_bias, spec)
     half = u(26, "br.x", (2, c, h, w))
     gy = u(26, "br.gy", (2, c, h, w))
-    out, cache = cached(_branch_fwd, half, *args, p.w1_re, p.w1_im, p.freq_bias1)
+    cache = Cache()
+    out = _branch_spectral(_branch_conv(half, *args, cache), p.w1_re, p.w1_im,
+                           p.freq_bias1, cache)
     assert set(cache) == {"half", "spectrum"}    # the weight is rebuilt
     got = _branch_bwd(cache, *args, p.w1_re, p.w1_im, gy)
 
@@ -396,6 +401,40 @@ def test_seff_branch_real_fft_matches_complex_formula(h, w):
     for g, g_want in zip(got, want):
         assert g.shape == g_want.shape
         assert np.max(np.abs(g - g_want)) < 1e-12
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="under CPython 3.10 a caller holds the arguments it "
+                           "passes inline until the call returns")
+def test_seff_drops_its_input_and_split_before_the_first_fft(monkeypatch):
+    # without a cache, the map handed to seff inline is freed once the split
+    # conv has read it, and the split once both depthwise convs have, so
+    # neither lives through the spectral halves
+    p = init_seff(27, "s", 2, base=4)
+    seen = {}
+
+    def fresh():
+        x = u(27, "s.x", (1, 2, 5, 6))
+        seen["x"] = weakref.ref(x)
+        return x
+
+    conv2d, rfft2 = F.conv2d, ops.rfft2
+
+    def recording_conv2d(x, w, b, spec):
+        out = conv2d(x, w, b, spec)
+        seen.setdefault("split", weakref.ref(out))     # seff's first conv
+        return out
+
+    def probing_rfft2(z):
+        seen.setdefault("alive", (seen["x"]() is not None, seen["split"]() is not None))
+        return rfft2(z)
+
+    monkeypatch.setattr(F, "conv2d", recording_conv2d)
+    monkeypatch.setattr(ops, "rfft2", probing_rfft2)
+    out = seff(fresh(), p)
+    assert seen["alive"] == (False, False)
+    monkeypatch.undo()
+    assert np.array_equal(out, seff(u(27, "s.x", (1, 2, 5, 6)), p))
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,20 @@ def test_gap_matches_direct_summation():
     assert np.max(np.abs(ops.global_avg_pool(x) - orc.gap_ref(x))) < 1e-12
 
 
+def test_gap_vjp_spreads_each_cotangent_evenly():
+    # the VJP needs only the input's spatial dims, as bilinear_resize_vjp does
+    gy = u(4, "gap.gy", (2, 3, 1, 1))
+    gx = ops.global_avg_pool_vjp(4, 5, gy)
+    assert gx.shape == (2, 3, 4, 5)
+    assert np.array_equal(gx, np.broadcast_to(gy / 20.0, (2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("in_h,in_w", [(0, 3), (3, 0)])
+def test_gap_vjp_rejects_an_empty_input_size(in_h, in_w):
+    with pytest.raises(ShapeError, match="global_avg_pool_vjp: axis 'size'"):
+        ops.global_avg_pool_vjp(in_h, in_w, np.ones((1, 2, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # rfft2 / irfft2
 # ---------------------------------------------------------------------------

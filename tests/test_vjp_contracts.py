@@ -114,7 +114,8 @@ def test_vjp_rejects_complex_cotangent(name):
 def _op_cases():
     """name: (vjp of gy alone, its forward's output shape, bad cotangent
     shapes).  The FFT VJPs see only gy, so any (N, C, H, W) stands for some
-    forward output and only another rank is bad."""
+    forward output and only another rank is bad; global_avg_pool_vjp's takes
+    any (N, C, 1, 1)."""
     x, x2 = u("vc.x"), u("vc.x2", (2, 3))
     w, b = u("vc.lw", (3, 4)), u("vc.lb", (4,))
     cw, cb, spec = u("vc.cw", (3, C, 2, 2)), u("vc.cb", (3,)), ops.ConvSpec(C, 3, 2, 2)
@@ -129,8 +130,8 @@ def _op_cases():
         "softmax_vjp": (lambda gy: ops.softmax_vjp(x, 1, gy), out,
                         bad + [(1, 1, 3, 3)]),
         "activation_vjp": (lambda gy: ops.activation_vjp("tanh", x, gy), out, bad),
-        "global_avg_pool_vjp": (lambda gy: ops.global_avg_pool_vjp(x, gy),
-                                (1, C, 1, 1), [out, (2, C, 1, 1), (1, C, 1)]),
+        "global_avg_pool_vjp": (lambda gy: ops.global_avg_pool_vjp(3, 3, gy),
+                                (1, C, 1, 1), [out, (1, C, 1, 2), (1, C, 1)]),
         "bilinear_resize_vjp": (lambda gy: ops.bilinear_resize_vjp(2, 2, gy), out,
                                 rank),
         "irfft2_vjp": (ops.irfft2_vjp, out, rank),
@@ -220,7 +221,9 @@ def test_linear_and_its_vjp_reject_a_mismatched_inner_dim():
 
 
 def _real_op_calls():
-    """name: a call of a real op or its VJP on its input z."""
+    """name: a call of a real op or its VJP on its input z.  The VJPs that
+    take the input's dims rather than the input (bilinear_resize_vjp,
+    global_avg_pool_vjp) check only their cotangent, in _op_cases."""
     w, b, gy = u("vc.ro.w", (3, 4)), u("vc.ro.b", (4,)), np.ones((2, 4))
     return {
         "linear": lambda z: ops.linear(z[0, 0, :2], w, b),
@@ -228,7 +231,6 @@ def _real_op_calls():
         "softmax": lambda z: ops.softmax(z, 1),
         "softmax_vjp": lambda z: ops.softmax_vjp(z, 1, np.ones(z.shape)),
         "global_avg_pool": ops.global_avg_pool,
-        "global_avg_pool_vjp": lambda z: ops.global_avg_pool_vjp(z, np.ones((1, C, 1, 1))),
         "bilinear_resize": lambda z: ops.bilinear_resize(z, 2, 4),
         "activation": lambda z: ops.activation("tanh", z),
         "activation_vjp": lambda z: ops.activation_vjp("tanh", z, np.ones(z.shape)),
