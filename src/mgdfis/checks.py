@@ -3,9 +3,11 @@
 `OP_CHECKS[name](seed)` returns (forward, backward, leaves) closures over a
 flat leaf dict, sized small enough (spatial dims <= 6, C <= 4) that
 exhaustive central differences stay cheap.  Every case is one call to
-`_case` with the op, its public VJP, the op's named arguments and the
-loss cotangent; ops with extra non-differentiable arguments (conv spec,
-activation kind, resize dims, softmax axis) bind them with a lambda.
+`_case` with the op the library runs, its public VJP, the op's named
+arguments and the loss cotangent; ops with extra non-differentiable
+arguments (conv spec, activation kind, resize dims, softmax axis) bind them
+with a lambda, and softmax's VJP, which reads the forward's output, is fed
+that output.  `fft_filter` checks seff's spectral half, `spectral_filter`.
 Parameters are seeded through their init functions and then jittered so no
 leaf sits at a special value.
 """
@@ -18,7 +20,8 @@ from . import ops
 from .dpam import dpam, dpam_vjp, mgdfis_fuse, mgdfis_fuse_vjp
 from .ftssa import (daff, daff_vjp, dyt, dyt_vjp, ftssa, ftssa_vjp, mona,
                     mona_op, mona_op_vjp, mona_vjp, seff, seff_vjp, serr,
-                    serr_vjp, tssa, tssa_vjp, xmona, xmona_vjp)
+                    serr_vjp, spectral_filter, spectral_filter_vjp, tssa,
+                    tssa_vjp, xmona, xmona_vjp)
 from .gdim import (aggregate, aggregate_vjp, dmm, dmm_attention,
                    dmm_attention_vjp, dmm_directional, dmm_directional_vjp,
                    dmm_vjp, gdim, gdim_vjp, gmm, gmm_vjp)
@@ -126,7 +129,7 @@ def _check_softmax(seed):
     # weight the outputs: the plain sum is constant along the softmax axis,
     # which would make both gradients identically zero
     return _case(lambda x: ops.softmax(x, 1),
-                 lambda x, gy: ops.softmax_vjp(x, 1, gy),
+                 lambda x, gy: ops.softmax_vjp(ops.softmax(x, 1), 1, gy),
                  [("x", _u(seed, "check.sm.x", (2, 3, 4), -2.0, 2.0))],
                  _u(seed, "check.sm.cot", (2, 3, 4)))
 
@@ -156,30 +159,16 @@ def _check_resize(seed):
                  [("x", _u(seed, "check.rsz.x", _MAP))], np.ones((1, 2, 5, 4)))
 
 
-def _fft_filter(x, w_re, w_im):
-    """Spectral reweighting in isolation, Re(ifft2(W * fft2(x))) for W =
-    w_re + i w_im, run as seff runs it: on the half spectrum, with the half
-    of W's Hermitian part."""
-    h, w = x.shape[2:]
-    return ops.irfft2(ops.half_spectrum_weight(w_re, w_im, h, w) * ops.rfft2(x), w)
-
-
-def _fft_filter_vjp(x, w_re, w_im, gy):
-    h, w = x.shape[2:]
-    gz = ops.irfft2_vjp(gy)
-    g_weight = np.conj(ops.rfft2(x)) * gz
-    g_x = ops.rfft2_vjp(np.conj(ops.half_spectrum_weight(w_re, w_im, h, w)) * gz, w)
-    return (g_x, *ops.half_spectrum_weight_vjp(h, w, w, g_weight))
-
-
 @_register("fft_filter")
 def _check_fft_filter(seed):
-    # the plain sum of an inverse transform reads only the DC bin, so the
-    # loss is weighted to make the whole spectrum observable
-    return _case(_fft_filter, _fft_filter_vjp,
+    # seff's spectral half, its weight at seff's (C, base, base) shape; the
+    # plain sum of an inverse transform reads only the DC bin, so the loss is
+    # weighted to make the whole spectrum observable
+    return _case(spectral_filter, spectral_filter_vjp,
                  [("x", _u(seed, "check.fftf.x", _MAP)),
-                  ("w_re", _u(seed, "check.fftf.wr", _MAP)),
-                  ("w_im", _u(seed, "check.fftf.wi", _MAP))],
+                  ("w_re", _u(seed, "check.fftf.wr", _MAP[1:])),
+                  ("w_im", _u(seed, "check.fftf.wi", _MAP[1:])),
+                  ("bias", _u(seed, "check.fftf.b", _MAP[1:2]))],
                  _u(seed, "check.fftf.cot", _MAP))
 
 

@@ -13,12 +13,12 @@ outputs, conv inputs), calling each child op by its public name on
 `NO_CACHE` keeps nothing, and the public VJP is `op_vjp = vjp(op, _op_bwd)`
 (`tensor.vjp`).  tssa keeps the cache of each token block on its own
 `cache.sub(i)`, i the block's first token, so under `NO_CACHE` it keeps none;
-its backward pops them block by block, reads the head distribution it
-cached, recomputes the attention, elementwise in the statistics and that
-distribution, runs its output projection's VJP through `ops.linear_vjp`, and
-recomputes no softmax.  seff's branches keep their input and half spectrum;
-their complex weight depends on parameters alone, so the backward rebuilds
-it.
+its backward pops them block by block, recomputes the attention elementwise
+from the statistics and head distribution it cached, and runs the output
+projection's VJP through `ops.linear_vjp` and the distribution's through
+`ops.softmax_vjp`, which reads the cached distribution, not the scores.
+seff's spectral halves are the op `spectral_filter`, which caches the half
+spectrum; its backward rebuilds the complex weight from the parameters.
 
 A forward drops each map at its last use, so that without a cache nothing
 outlives its last read: seff drops its input after the split conv, the
@@ -160,7 +160,7 @@ def _tssa_block_bwd(q, p: TssaParams, gy):
 
     # d(ratio)/d(pi) collapses to eps / denom^2
     g_pi = g_ratio * p.eps / (denom * denom) + g_pi_direct
-    g_s = pi * (g_pi - (g_pi * pi).sum(axis=1, keepdims=True))   # softmax's VJP
+    g_s = ops.softmax_vjp(pi, 1, g_pi)
     # s = (r / (r + eps))^2, so ds/df = 2 eps f / (r + eps)^3
     gf += (2.0 * p.eps * g_s[..., None] / (r + p.eps) ** 3) * f
     g_proj = gf.transpose(0, 2, 1, 3).reshape(b * n, h * d)
@@ -315,22 +315,16 @@ def _seff_specs(c):
     }
 
 
-def _branch_conv(half, conv_w, conv_b, spec, cache):
-    """A spectral branch's first half, its depthwise conv dwconv(half); the
-    cache keeps the conv's input."""
-    cache.keep(half=half)
-    return conv2d(half, conv_w, conv_b, spec)
-
-
-def _branch_spectral(z, re, im, bias, cache):
-    """A spectral branch's second half, Re(ifft2(W * fft2(z) + bias)) of
-    z = dwconv(half).  W is the per-channel complex weight re + i im
-    resampled bilinearly to the runtime spatial dims.  The map is real, so
-    this is irfft2(W_h * rfft2(z) + bias) on the half spectrum, where W_h,
-    the half of W's Hermitian part, comes from the base grid in one
-    separable map (ops.half_spectrum_weight).  W_h depends on parameters
-    alone, so the cache keeps the spectrum and not W_h, which backward
-    rebuilds."""
+def spectral_filter(z, re, im, bias, *, cache=NO_CACHE):
+    """seff's spectral half, Re(ifft2(W * fft2(z) + bias)) of a branch's
+    depthwise conv output z, W the per-channel complex weight re + i im
+    resampled bilinearly to z's spatial dims.  The map is real, so this is
+    irfft2(W_h * rfft2(z) + bias) on the half spectrum, W_h the half of W's
+    Hermitian part, from the base grid in one separable map
+    (ops.half_spectrum_weight).  The cache keeps the spectrum, not W_h,
+    which depends on parameters alone and backward rebuilds."""
+    z = as_feature_map(z, "spectral_filter")
+    require_channels(z, re.shape[0], "spectral_filter")
     h, w = z.shape[2], z.shape[3]
     spectrum = ops.rfft2(z)
     del z       # freed here if the caller passed it inline and keeps no reference
@@ -342,8 +336,8 @@ def _branch_spectral(z, re, im, bias, cache):
     return ops.irfft2(prod, w)
 
 
-def _branch_bwd(cache, conv_w, conv_b, spec, re, im, g_t):
-    """(g_half, g_conv_w, g_conv_b, g_re, g_im, g_bias)"""
+def _spectral_filter_bwd(cache, re, im, bias, g_t):
+    """(g_z, g_re, g_im, g_bias)"""
     h, w = g_t.shape[2:]
     gz = ops.irfft2_vjp(g_t)
     # complex product rule under the (dL/dRe + i dL/dIm) packing; conj(spectrum)
@@ -354,12 +348,21 @@ def _branch_bwd(cache, conv_w, conv_b, spec, re, im, g_t):
         np.conj(spectrum, out=spectrum), gz, out=spectrum))
     del spectrum
     weight = ops.half_spectrum_weight(re, im, h, w)
-    g_spatial = ops.rfft2_vjp(np.multiply(np.conj(weight, out=weight), gz, out=gz), w)
-    del weight, gz      # freed before the conv's VJP allocates
+    g_z = ops.rfft2_vjp(np.multiply(np.conj(weight, out=weight), gz, out=gz), w)
+    del weight, gz      # freed before the caller's conv VJP allocates
     # the bias adds to every bin, so its gradient sums gz over the full
     # spectrum, which is g_t at the origin
-    return (*conv2d_vjp(cache.pop("half"), conv_w, conv_b, spec, g_spatial),
-            g_re.sum(axis=0), g_im.sum(axis=0), g_t[:, :, 0, 0].sum(axis=0))
+    return g_z, g_re.sum(axis=0), g_im.sum(axis=0), g_t[:, :, 0, 0].sum(axis=0)
+
+
+spectral_filter_vjp = vjp(spectral_filter, _spectral_filter_bwd)
+
+
+def _branch_bwd(cache, conv_w, conv_b, spec, re, im, bias, g_t):
+    """(g_half, g_conv_w, g_conv_b, g_re, g_im, g_bias) of a spectral branch,
+    spectral_filter(dwconv(half)), whose cache keeps the conv's input."""
+    g_z, *g_filter = _spectral_filter_bwd(cache, re, im, bias, g_t)
+    return (*conv2d_vjp(cache.pop("half"), conv_w, conv_b, spec, g_z), *g_filter)
 
 
 def seff(x, p: SeffParams, *, cache=NO_CACHE):
@@ -373,14 +376,14 @@ def seff(x, p: SeffParams, *, cache=NO_CACHE):
     cache.keep(x=x)
     split = conv2d(x, p.split_weight, p.split_bias, sp["split"])
     del x
-    z = [_branch_conv(split[:, :c], p.branch1_weight, p.branch1_bias, sp["b1"],
-                      cache.sub("b1")),
-         _branch_conv(split[:, c:], p.branch2_weight, p.branch2_bias, sp["b2"],
-                      cache.sub("b2"))]
+    cache.sub("b1").keep(half=split[:, :c])
+    cache.sub("b2").keep(half=split[:, c:])
+    z = [conv2d(split[:, :c], p.branch1_weight, p.branch1_bias, sp["b1"]),
+         conv2d(split[:, c:], p.branch2_weight, p.branch2_bias, sp["b2"])]
     del split    # without a cache, no branch keeps a view of it
     # popped inline, each conv output is dropped by its spectral half
-    t1 = _branch_spectral(z.pop(0), p.w1_re, p.w1_im, p.freq_bias1, cache.sub("b1"))
-    t2 = _branch_spectral(z.pop(0), p.w2_re, p.w2_im, p.freq_bias2, cache.sub("b2"))
+    t1 = spectral_filter(z.pop(0), p.w1_re, p.w1_im, p.freq_bias1, cache=cache.sub("b1"))
+    t2 = spectral_filter(z.pop(0), p.w2_re, p.w2_im, p.freq_bias2, cache=cache.sub("b2"))
     cache.keep(t1=t1, t2=t2)
     gated = ops.silu(t2)
     gated *= t1
@@ -401,10 +404,10 @@ def _seff_bwd(cache, p: SeffParams, gy):
     del t1, t2, gate, g_prod     # freed before the FFT adjoints allocate
     g_f1, g_b1_w, g_b1_b, g_w1_re, g_w1_im, g_fb1 = _branch_bwd(
         cache.pop("b1"), p.branch1_weight, p.branch1_bias, sp["b1"], p.w1_re, p.w1_im,
-        g_t1)
+        p.freq_bias1, g_t1)
     g_f2, g_b2_w, g_b2_b, g_w2_re, g_w2_im, g_fb2 = _branch_bwd(
         cache.pop("b2"), p.branch2_weight, p.branch2_bias, sp["b2"], p.w2_re, p.w2_im,
-        g_t2)
+        p.freq_bias2, g_t2)
     gx, g_split_w, g_split_b = conv2d_vjp(cache.pop("x"), p.split_weight,
                                           p.split_bias, sp["split"],
                                           np.concatenate([g_f1, g_f2], axis=1))

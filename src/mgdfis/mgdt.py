@@ -7,8 +7,10 @@ payload.  Malformed files raise TensorFormatError carrying the byte offset
 of the violation.
 """
 
+import io
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -41,9 +43,12 @@ def write_tensor(path, arr):
 def read_tensor(path):
     """The array an MGDT file holds.  The header is read and checked against
     the file's size before the payload is read straight into the returned
-    array."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    array; a pipe or other non-regular file, which has no size, is read whole
+    first."""
+    with open(path, "rb") as raw:
+        st = os.fstat(raw.fileno())
+        fh = raw if stat.S_ISREG(st.st_mode) else io.BytesIO(raw.read())
+        size = st.st_size if fh is raw else fh.getbuffer().nbytes
         if size < _HEADER:
             raise TensorFormatError(
                 f"truncated header: {size} bytes, need {_HEADER}", offset=size)

@@ -378,20 +378,26 @@ def linear_vjp(x, w, b, gy):
     return gy @ w.T, x.T @ gy, gy.sum(axis=0)
 
 
-def softmax(x, axis):
-    """Numerically stable softmax along one axis (max-subtraction)."""
-    x = require_real(x, "softmax")
-    axis = int(axis)
+def _softmax_args(x, axis):
+    """x as float64, checked to be real, and axis as an int in its range."""
+    x, axis = require_real(x, "softmax"), int(axis)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError("softmax", "axis", f"in [-{x.ndim}, {x.ndim})", axis)
+    return x, axis
+
+
+def softmax(x, axis):
+    """Numerically stable softmax along one axis (max-subtraction)."""
+    x, axis = _softmax_args(x, axis)
     z = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_vjp(x, axis, gy):
-    gy = require_cotangent(gy, x.shape, "softmax_vjp")
-    y = softmax(x, axis)
+def softmax_vjp(y, axis, gy):
+    """softmax's VJP from its output y = softmax(x, axis) alone: no softmax runs."""
+    y, axis = _softmax_args(y, axis)
+    gy = require_cotangent(gy, y.shape, "softmax_vjp")
     return y * (gy - (gy * y).sum(axis=axis, keepdims=True))
 
 

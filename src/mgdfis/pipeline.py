@@ -22,13 +22,13 @@ import numpy as np
 
 from .config import RunConfig
 from .dpam import _dpam_bwd, _fuse_bwd, dpam, mgdfis_fuse
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .ftssa import ftssa
 from .gdim import _dmm_bwd, _gmm_bwd, _reconcile_bwd, _reconcile_fwd, dmm, gmm
 from .mgdt import read_tensor, write_tensor
 from .params import PipelineParams, all_tensors, init_pipeline, structural_fields
 from .rng import stream
-from .tensor import NO_CACHE, as_feature_map, vjp
+from .tensor import NO_CACHE, _require_shape, as_feature_map, vjp
 
 
 @dataclass
@@ -53,10 +53,7 @@ def build_params(cfg: RunConfig):
 def _load_input(path, shape, seed, label):
     if path:
         t = as_feature_map(read_tensor(path), "input")
-        if t.shape[0] != shape[0]:
-            raise ShapeError("input", "batch", shape[0], t.shape[0])
-        if t.shape != tuple(shape):
-            raise ShapeError("input", "dims", tuple(shape), t.shape)
+        _require_shape(tuple(shape), t.shape, "input")
         return t
     return stream(seed, label).uniform(shape, -1.0, 1.0)
 

@@ -353,7 +353,8 @@ def test_run_rejects_input_with_wrong_dims(tmp_path):
     write_tensor(path, np.zeros((1, 4, 5, 6)))
     cfg = tiny_cfg(stage="ftssa", out_dir=str(tmp_path / "out"),
                    f1_path=str(path))
-    with pytest.raises(ShapeError, match="input"):
+    # the first axis that differs is named, as every other shape check does
+    with pytest.raises(ShapeError, match="input: axis 'height' expected 6, got 5"):
         pipeline.run(cfg)
 
 

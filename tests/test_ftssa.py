@@ -16,9 +16,9 @@ import oracles as orc
 from mgdfis import bench, checks
 from mgdfis import ftssa as F
 from mgdfis import ops
-from mgdfis.ftssa import (_branch_bwd, _branch_conv, _branch_spectral,
-                          _tssa_parts, daff, dyt, ftssa, mona, mona_op,
-                          mona_op_vjp, seff, serr, tssa, tssa_tokens, tssa_vjp,
+from mgdfis.ftssa import (_tssa_parts, daff, dyt, ftssa, mona, mona_op,
+                          mona_op_vjp, seff, serr, spectral_filter,
+                          spectral_filter_vjp, tssa, tssa_tokens, tssa_vjp,
                           xmona)
 from mgdfis.params import (DyTParams, TssaParams, init_dyt, init_ftssa,
                            init_mona, init_seff, init_tssa,
@@ -369,22 +369,20 @@ def test_seff_resized_frequency_weights_match_reference():
 
 @pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (4, 6), (7, 5)])
 def test_seff_branch_real_fft_matches_complex_formula(h, w):
-    # the half-spectrum branch against Re(ifft2(W * fft2(z) + b)) over the
+    # seff's half-spectrum filter against Re(ifft2(W * fft2(z) + b)) over the
     # full complex spectrum and that formula's VJP, on 1xN, Nx1, even-width
     # (Nyquist column) and odd maps at batch 2
     c = 3
     p = init_seff(26, "s", c, base=4)
-    spec = ops.same_spec(c, 3, 3, groups=c)
-    args = (p.branch1_weight, p.branch1_bias, spec)
-    half = u(26, "br.x", (2, c, h, w))
+    args = (p.w1_re, p.w1_im, p.freq_bias1)
+    z = u(26, "br.x", (2, c, h, w))
     gy = u(26, "br.gy", (2, c, h, w))
     cache = Cache()
-    out = _branch_spectral(_branch_conv(half, *args, cache), p.w1_re, p.w1_im,
-                           p.freq_bias1, cache)
-    assert set(cache) == {"half", "spectrum"}    # the weight is rebuilt
-    got = _branch_bwd(cache, *args, p.w1_re, p.w1_im, gy)
+    out = spectral_filter(z, *args, cache=cache)
+    assert set(cache) == {"spectrum"}    # the weight is rebuilt
+    got = spectral_filter_vjp(z, *args, gy)
 
-    spectrum = np.fft.fft2(ops.conv2d(half, *args), axes=(-2, -1))
+    spectrum = np.fft.fft2(z, axes=(-2, -1))
     weight = (ops.bilinear_resize(p.w1_re[None], h, w)
               + 1j * ops.bilinear_resize(p.w1_im[None], h, w))
     want_out = np.fft.ifft2(weight * spectrum + p.freq_bias1[None, :, None, None],
@@ -392,8 +390,7 @@ def test_seff_branch_real_fft_matches_complex_formula(h, w):
     gz = np.fft.fft2(gy, axes=(-2, -1)) / (h * w)   # VJP of Re(ifft2)
     gw = (np.conj(spectrum) * gz).sum(axis=0, keepdims=True)
     g_spectrum = np.conj(weight) * gz   # fft2's VJP at a real input: h w Re(ifft2)
-    want = (*ops.conv2d_vjp(half, *args,
-                            h * w * np.fft.ifft2(g_spectrum, axes=(-2, -1)).real),
+    want = (h * w * np.fft.ifft2(g_spectrum, axes=(-2, -1)).real,
             ops.bilinear_resize_vjp(4, 4, gw.real)[0],
             ops.bilinear_resize_vjp(4, 4, gw.imag)[0],
             gz.real.sum(axis=(0, 2, 3)))

@@ -1,7 +1,9 @@
 """Binary tensor container tests: lossless roundtrips plus one test per
 malformed-file class, each checking the reported byte offset."""
 
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -103,3 +105,37 @@ def test_non_finite_payload(tmp_path):
     arr[1, 1] = np.nan
     raw = _valid_bytes(arr)
     _expect(tmp_path, raw, 7 + 16, "non-finite")
+
+
+def _piped(raw):
+    """The read end of a pipe that a writer thread fills with raw and closes."""
+    r, w = os.pipe()
+
+    def write():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(raw)
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return r, writer
+
+
+def test_pipe_roundtrip():
+    # a pipe has no size to check up front; this one carries more than a
+    # pipe's 64 KiB buffer, so it takes several reads
+    arr = stream(3, "pipe").uniform((3, 64, 64), -1, 1)
+    r, writer = _piped(_valid_bytes(arr))
+    back = mgdt.read_tensor(r)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back, arr)
+
+
+def test_truncated_pipe():
+    raw = _valid_bytes()
+    r, writer = _piped(raw[:-4])
+    with pytest.raises(TensorFormatError) as err:
+        mgdt.read_tensor(r)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert err.value.offset == len(raw) - 4
+    assert "truncated payload" in str(err.value)

@@ -462,6 +462,9 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_bad_axis():
     with pytest.raises(ShapeError):
         ops.softmax(np.zeros((2, 2)), 5)
+    # the VJP, which takes the output, checks its axis as the forward does
+    with pytest.raises(ShapeError, match="softmax: axis 'axis'"):
+        ops.softmax_vjp(np.zeros((2, 2)), 5, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

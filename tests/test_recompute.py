@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mgdfis import checks, ftssa, gdim, ops, pipeline
-from mgdfis.params import init_aggregate, init_dmm, init_gmm, init_pipeline
+from mgdfis.params import (init_aggregate, init_dmm, init_gmm, init_pipeline,
+                           init_tssa)
 from mgdfis.rng import stream
 from test_ops import _SPEC_CASES
 
@@ -65,8 +66,8 @@ def test_gdim_composes_the_public_ops(monkeypatch):
     # each composite calls its children by public name, through the module
     # binding, so wrapping that binding sees every call
     counts = Counter()
-    named = {ftssa: ("dyt", "tssa", "seff", "mona", "xmona", "mona_op", "daff",
-                     "serr"),
+    named = {ftssa: ("dyt", "tssa", "seff", "spectral_filter", "mona", "xmona",
+                     "mona_op", "daff", "serr"),
              gdim: ("ftssa", "aggregate", "gmm", "dmm", "dmm_directional",
                     "dmm_attention")}
     for mod, names in named.items():
@@ -75,9 +76,10 @@ def test_gdim_composes_the_public_ops(monkeypatch):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(mod, name, counting)
-    # ftssa runs daff and serr, each one dyt and one mona (xmona + mona_op)
+    # ftssa runs daff and serr, each one dyt and one mona (xmona + mona_op),
+    # and seff one spectral filter per branch
     want = {name: 1 for names in named.values() for name in names}
-    want.update(dyt=2, mona=2, xmona=2, mona_op=2)
+    want.update(dyt=2, mona=2, xmona=2, mona_op=2, spectral_filter=2)
     c = 2
     args = (stream(1, "rc.f1").uniform((1, c, 3, 3), -1.0, 1.0),
             stream(1, "rc.f2").uniform((1, 3, 2, 2), -1.0, 1.0),
@@ -89,6 +91,22 @@ def test_gdim_composes_the_public_ops(monkeypatch):
         counts.clear()
         call()
         assert counts == want
+
+
+def test_tssa_vjp_runs_softmax_only_in_its_forward(monkeypatch):
+    # 2500 tokens are three 1024-token blocks: the forward takes one softmax
+    # per block, and the backward one softmax VJP per block on the head
+    # distribution that block cached, with no softmax of its own
+    counts = Counter()
+    for name in ("softmax", "softmax_vjp"):
+        def counting(*args, _real=getattr(ops, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ops, name, counting)
+    x = stream(1, "rc.sm.x").uniform((1, 2, 50, 50), -1.0, 1.0)
+    p = init_tssa(1, "rc.sm", 2, heads=2, head_dim=1, pi_mode="distribution")
+    ftssa.tssa_vjp(x, p, np.ones_like(x))
+    assert counts == {"softmax": 3, "softmax_vjp": 3}
 
 
 @pytest.mark.parametrize("spec,shape", _SPEC_CASES)

@@ -43,6 +43,8 @@ def _cases():
         "xmona": (F.xmona, F.xmona_vjp, (x, mona_p)),
         "mona": (F.mona, F.mona_vjp, (x, mona_p)),
         "seff": (F.seff, F.seff_vjp, (x, seff_p)),
+        "spectral_filter": (F.spectral_filter, F.spectral_filter_vjp,
+                            (x, seff_p.w1_re, seff_p.w1_im, seff_p.freq_bias1)),
         "daff": (F.daff, F.daff_vjp, (x, init_dyt(C), tssa_p, mona_p)),
         "serr": (F.serr, F.serr_vjp, (x, init_dyt(C), seff_p, mona_p)),
         "ftssa": (F.ftssa, F.ftssa_vjp,
